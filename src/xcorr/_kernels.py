@@ -1,46 +1,33 @@
-"""Bit-parallel witness-search kernels.
+"""Bit-parallel witness-search kernel.
 
 A family of K member sets over n inputs is packed into per-input
 bitsets: row i carries one bit per member, set when that member
 contains input i.  "How many members does this candidate combination
 intersect" is then an OR over a few rows plus a popcount, and the
-witness search is an exhaustive walk over candidate combinations,
-smallest size first, lexicographic within each size, stopping at the
-first hit.
+witness search walks candidate combinations smallest size first,
+lexicographic within each size, stopping at the first hit.
 
-That walk sits inside every detection and containment test, so it is
-compiled with numba when available.  Set ``XCORR_NO_NUMBA=1`` to force
-the pure-numpy fallback (also used automatically when numba is not
-installed).  Both paths enumerate candidates in the same order and
-return identical witnesses.
+Sizes 1 and 2 are answered from per-row degrees: a single row covers
+its own popcount, and a pair covers deg_i + deg_j - |b_i & b_j| by
+inclusion-exclusion, evaluated over all pairs at once in
+``np.triu_indices`` order, which is lexicographic order.  Sizes of 3
+and up enumerate candidates in chunks and OR their rows.  There is one
+engine, plain numpy (``np.bitwise_count`` needs numpy 2.0).
 """
 
 from __future__ import annotations
 
-import os
 from itertools import combinations, islice
 
 import numpy as np
 
-_M1 = np.uint64(0x5555555555555555)
-_M2 = np.uint64(0x3333333333333333)
-_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-_H01 = np.uint64(0x0101010101010101)
 _S1 = np.uint64(1)
-_S2 = np.uint64(2)
-_S4 = np.uint64(4)
-_S56 = np.uint64(56)
 
-_NUMPY_CHUNK = 2048
+_CHUNK = 2048
 
+#: Always False: the witness engine is plain numpy.  ``perfbench/run.py``
+#: prints it in its environment line.
 HAS_NUMBA = False
-if not os.environ.get("XCORR_NO_NUMBA"):
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:  # pragma: no cover - depends on the environment
-        pass
 
 
 def pack_bitsets(contains: np.ndarray) -> np.ndarray:
@@ -65,73 +52,38 @@ def pack_bitsets(contains: np.ndarray) -> np.ndarray:
 
 
 def popcount_u64(x: np.ndarray) -> np.ndarray:
-    """Per-element population count of a uint64 array."""
-    x = np.asarray(x, dtype=np.uint64).copy()
-    x = x - ((x >> _S1) & _M1)
-    x = (x & _M2) + ((x >> _S2) & _M2)
-    x = (x + (x >> _S4)) & _M4
-    return ((x * _H01) >> _S56).astype(np.int64)
+    """Per-element population count of a uint64 array, as int64."""
+    return np.bitwise_count(np.asarray(x, dtype=np.uint64)).astype(np.int64)
 
 
-def _witness_numpy(bitsets: np.ndarray, threshold: int, l_max: int):
-    """Fallback search: chunked candidate enumeration, vectorized counts."""
+def _first_pair(bitsets: np.ndarray, deg: np.ndarray, threshold: int):
+    """First pair (i < j), lexicographic, with deg_i + deg_j - |b_i & b_j|
+    at or above threshold."""
     n = bitsets.shape[0]
-    for s in range(1, min(l_max, n) + 1):
-        it = combinations(range(n), s)
-        while True:
-            chunk = list(islice(it, _NUMPY_CHUNK))
-            if not chunk:
-                break
-            idx = np.asarray(chunk, dtype=np.int64)
-            acc = bitsets[idx[:, 0]]
-            for j in range(1, s):
-                acc = acc | bitsets[idx[:, j]]
-            counts = popcount_u64(acc).sum(axis=1)
-            hits = np.nonzero(counts >= threshold)[0]
-            if hits.size:
-                return idx[hits[0]].copy()
+    rows, cols = np.triu_indices(n, 1)
+    for start in range(0, rows.size, _CHUNK):
+        i, j = rows[start : start + _CHUNK], cols[start : start + _CHUNK]
+        shared = popcount_u64(bitsets[i] & bitsets[j]).sum(axis=1)
+        hits = np.flatnonzero(deg[i] + deg[j] - shared >= threshold)
+        if hits.size:
+            h = hits[0]
+            return np.array([i[h], j[h]], dtype=np.int64)
     return None
 
 
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _pop64(x):
-        x = x - ((x >> _S1) & _M1)
-        x = (x & _M2) + ((x >> _S2) & _M2)
-        x = (x + (x >> _S4)) & _M4
-        return np.int64((x * _H01) >> _S56)
-
-    @njit(cache=True)
-    def _witness_njit(bitsets, threshold, l_max, out):
-        n, n_words = bitsets.shape
-        for s in range(1, min(l_max, n) + 1):
-            idx = np.empty(s, np.int64)
-            pref = np.zeros((s + 1, n_words), np.uint64)
-            for j in range(s):
-                idx[j] = j
-                for t in range(n_words):
-                    pref[j + 1, t] = pref[j, t] | bitsets[j, t]
-            while True:
-                count = 0
-                for t in range(n_words):
-                    count += _pop64(pref[s, t])
-                if count >= threshold:
-                    for j in range(s):
-                        out[j] = idx[j]
-                    return s
-                j = s - 1
-                while j >= 0 and idx[j] == n - s + j:
-                    j -= 1
-                if j < 0:
-                    break
-                idx[j] += 1
-                for k in range(j, s):
-                    if k > j:
-                        idx[k] = idx[k - 1] + 1
-                    for t in range(n_words):
-                        pref[k + 1, t] = pref[k, t] | bitsets[idx[k], t]
-        return 0
+def _first_combination(bitsets: np.ndarray, threshold: int, size: int):
+    """First combination of ``size`` rows, lexicographic, whose OR covers
+    at least threshold members."""
+    it = combinations(range(bitsets.shape[0]), size)
+    while chunk := list(islice(it, _CHUNK)):
+        idx = np.asarray(chunk, dtype=np.int64)
+        acc = bitsets[idx[:, 0]]
+        for j in range(1, size):
+            acc = acc | bitsets[idx[:, j]]
+        hits = np.flatnonzero(popcount_u64(acc).sum(axis=1) >= threshold)
+        if hits.size:
+            return idx[hits[0]].copy()
+    return None
 
 
 def find_witness(bitsets: np.ndarray, threshold: int, l_max: int):
@@ -149,10 +101,19 @@ def find_witness(bitsets: np.ndarray, threshold: int, l_max: int):
         raise ValueError(f"threshold must be >= 1, got {threshold}")
     if l_max < 1:
         raise ValueError(f"l_max must be >= 1, got {l_max}")
-    if bitsets.shape[0] == 0:
+    n = bitsets.shape[0]
+    if n == 0:
         return None
-    if HAS_NUMBA:
-        out = np.empty(l_max, dtype=np.int64)
-        k = int(_witness_njit(bitsets, np.int64(threshold), np.int64(l_max), out))
-        return out[:k].copy() if k else None
-    return _witness_numpy(bitsets, threshold, l_max)
+    deg = popcount_u64(bitsets).sum(axis=1)
+    hits = np.flatnonzero(deg >= threshold)
+    if hits.size:
+        return hits[:1].astype(np.int64)
+    if l_max >= 2 and n >= 2:
+        pair = _first_pair(bitsets, deg, threshold)
+        if pair is not None:
+            return pair
+    for size in range(3, min(l_max, n) + 1):
+        found = _first_combination(bitsets, threshold, size)
+        if found is not None:
+            return found
+    return None

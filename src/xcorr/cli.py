@@ -56,7 +56,7 @@ ALGO_CHOICES = ("setint", "bayes", "composite", "corefamily")
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
@@ -150,6 +150,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_detect(args) -> int:
     pm = PlacementMatrix.from_json(_read_text(args.placement))
     obs = ObservationSet.from_json(_read_text(args.obs))
+    if (obs.n_accounts, obs.n_inputs) != (pm.n_accounts, pm.n_inputs):
+        raise ConfigError(
+            f"observations cover {obs.n_accounts} accounts and {obs.n_inputs} inputs "
+            f"but the placement has {pm.n_accounts} and {pm.n_inputs}"
+        )
     if args.config is not None:
         cfg, _ = _load_config(args)
         if cfg.n_inputs != pm.n_inputs:

@@ -68,34 +68,49 @@ class DetectionConfig:
             raise ConfigError(f"min_members must be >= 1, got {self.min_members}")
 
 
-@dataclass(frozen=True)
 class AdFamily:
     """The multiset of account input sets behind one output's audience.
 
     Unlike a core :class:`Family`, members may repeat (two accounts can
     hold the same inputs) and may be empty (an input-less account that
     saw the ad counts against strict targeting).
+
+    The family is stored packed: one bitset row per input of a sorted
+    universe (bit k set when member k holds that input, see
+    :func:`~xcorr._kernels.pack_bitsets`) and a member mask over the same
+    bits.  The rows are packed once, by the constructor or
+    :meth:`from_placement`; conditional families and exclusion
+    subfamilies are views that share the member numbering and differ
+    only in their mask (and, for a conditional, in the rows they clear).
+    Members turn back into :class:`Combination` objects only when they
+    are asked for.
     """
 
-    members: tuple[Combination, ...]
+    __slots__ = ("_ids", "_pos", "_rows", "_mask", "_size", "_members")
 
     def __init__(self, members: Iterable[Combination | Iterable[int]] = ()):
-        combos = tuple(
-            c if isinstance(c, Combination) else Combination(c) for c in members
-        )
-        object.__setattr__(self, "members", combos)
+        combos = [c if isinstance(c, Combination) else Combination(c) for c in members]
+        ids = sorted({i for c in combos for i in c.inputs})
+        pos = {i: k for k, i in enumerate(ids)}
+        contains = np.zeros((len(combos), len(ids)), dtype=bool)
+        for row, member in enumerate(combos):
+            contains[row, [pos[i] for i in member.inputs]] = True
+        self._set(ids, pos, pack_bitsets(contains), _first_bits(len(combos)))
+        self._members = tuple(combos)
 
-    def __len__(self) -> int:
-        return len(self.members)
+    def _set(self, ids, pos, rows: np.ndarray, mask: np.ndarray) -> None:
+        self._ids = ids
+        self._pos = pos
+        self._rows = rows
+        self._mask = mask
+        self._size = int(popcount_u64(mask).sum())
+        self._members = None
 
-    def __iter__(self):
-        return iter(self.members)
-
-    def all_inputs(self) -> tuple[int, ...]:
-        seen: set[int] = set()
-        for c in self.members:
-            seen.update(c.inputs)
-        return tuple(sorted(seen))
+    def _view(self, rows: np.ndarray, mask: np.ndarray) -> "AdFamily":
+        """A family over the same universe and member numbering."""
+        out = object.__new__(type(self))
+        out._set(self._ids, self._pos, rows, mask)
+        return out
 
     @classmethod
     def from_placement(
@@ -106,7 +121,58 @@ class AdFamily:
             raise DomainError(
                 f"active accounts {rows} outside 0..{placement.n_accounts - 1}"
             )
-        return cls(placement.account_inputs(j) for j in rows)
+        contains = placement.membership[rows]
+        ids = list(range(placement.n_inputs))
+        out = object.__new__(cls)
+        out._set(ids, {i: i for i in ids}, pack_bitsets(contains), _first_bits(len(rows)))
+        return out
+
+    def __len__(self) -> int:
+        return self._size
+
+    @property
+    def members(self) -> tuple[Combination, ...]:
+        if self._members is None:
+            bits = _unpack(self._rows)
+            live = np.flatnonzero(_unpack(self._mask[None, :])[0])
+            self._members = tuple(
+                Combination(self._ids[i] for i in np.flatnonzero(bits[:, k])) for k in live
+            )
+        return self._members
+
+    def __iter__(self):
+        return iter(self.members)
+
+    def all_inputs(self) -> tuple[int, ...]:
+        return tuple(_family_bitsets(self)[1])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AdFamily):
+            return NotImplemented
+        return self.members == other.members
+
+    def __hash__(self) -> int:
+        return hash(self.members)
+
+    def __repr__(self) -> str:
+        return f"AdFamily(members={self.members!r})"
+
+
+def _first_bits(k: int) -> np.ndarray:
+    """Member mask with bits 0..k-1 set, in the word layout of
+    :func:`~xcorr._kernels.pack_bitsets`."""
+    mask = np.zeros(max(1, -(-k // 64)), dtype=np.uint64)
+    full, rest = divmod(k, 64)
+    mask[:full] = np.uint64(0xFFFFFFFFFFFFFFFF)
+    if rest:
+        mask[full] = np.uint64((1 << rest) - 1)
+    return mask
+
+
+def _unpack(words: np.ndarray) -> np.ndarray:
+    """(n, w) uint64 -> (n, 64*w) bool; column k is bit k of the row."""
+    le = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(le, axis=1, bitorder="little").astype(bool)
 
 
 def intersect_threshold(x: float, n_members: int) -> int:
@@ -117,14 +183,15 @@ def intersect_threshold(x: float, n_members: int) -> int:
 
 
 def _family_bitsets(fam: AdFamily) -> tuple[np.ndarray, list[int]]:
-    """Per-input member bitsets plus the sorted input universe."""
-    universe = list(fam.all_inputs())
-    pos = {i: k for k, i in enumerate(universe)}
-    contains = np.zeros((len(fam), len(universe)), dtype=bool)
-    for row, member in enumerate(fam):
-        for i in member.inputs:
-            contains[row, pos[i]] = True
-    return pack_bitsets(contains), universe
+    """Per-input member bitsets plus the sorted input universe.
+
+    The rows are the family's masked rows that are still nonzero, so the
+    universe is exactly the inputs some member holds.  Bits of members
+    outside the family are zero and count toward no coverage.
+    """
+    masked = fam._rows & fam._mask
+    keep = np.flatnonzero(masked.any(axis=1))
+    return masked[keep], [fam._ids[k] for k in keep]
 
 
 def find_x_intersecting_subset(
@@ -154,7 +221,22 @@ def conditional_family(fam: AdFamily, c: Combination | Iterable[int]) -> AdFamil
     """Members containing ``c``, each with ``c``'s inputs stripped."""
     if not isinstance(c, Combination):
         c = Combination(c)
-    return AdFamily(m.difference(c) for m in fam if c.issubset(m))
+    rows = [fam._pos.get(i) for i in c.inputs]
+    if None in rows:  # an input no member holds
+        return fam._view(fam._rows, np.zeros_like(fam._mask))
+    mask = fam._mask
+    for k in rows:
+        mask = mask & fam._rows[k]
+    stripped = fam._rows.copy()
+    stripped[rows] = 0
+    return fam._view(stripped, mask)
+
+
+def _exclusion_family(fam: AdFamily, ex: Iterable[int]) -> AdFamily:
+    """Members holding none of the inputs in ``ex``."""
+    rows = [k for k in (fam._pos.get(i) for i in ex) if k is not None]
+    hit = np.bitwise_or.reduce(fam._rows[rows], axis=0, initial=np.uint64(0))
+    return fam._view(fam._rows, fam._mask & ~hit)
 
 
 def detect_targeting(fam: AdFamily, cfg: DetectionConfig) -> bool:
@@ -444,7 +526,7 @@ def removal_core_search(
             for ex in _exclusion_sets(found):
                 if ex in exhausted:
                     continue
-                sub = AdFamily(m for m in fam if ex.isdisjoint(m.inputs))
+                sub = _exclusion_family(fam, ex)
                 if len(sub) < cfg.min_members or not _detect_charged(sub, cfg, budget):
                     exhausted.add(ex)
                     continue

@@ -2,9 +2,13 @@
 
 Everything raised on purpose derives from :class:`XCorrError` so callers
 (and the CLI) can distinguish "you misused the library" from genuine bugs.
+The two helpers at the end turn malformed stored JSON artifacts into
+:class:`ConfigError` for the ``from_json`` readers.
 """
 
 from __future__ import annotations
+
+import json
 
 
 class XCorrError(Exception):
@@ -79,3 +83,26 @@ class PlateauNotFound(XCorrError):
     Knee detection raises this only in strict mode; sweeps record it as a
     flag on the affected row and keep going.
     """
+
+
+def parse_artifact(text: str, what: str, required: tuple[str, ...]) -> dict:
+    """Decode a stored JSON object, raising :class:`ConfigError` when the
+    text is not JSON, not an object, or lacks a required key."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what}: expected a JSON object, got {type(doc).__name__}")
+    missing = [k for k in required if k not in doc]
+    if missing:
+        raise ConfigError(f"{what}: missing keys {missing}")
+    return doc
+
+
+def require_count(doc: dict, key: str, what: str) -> int:
+    """``doc[key]`` as a non-negative int, else :class:`ConfigError`."""
+    value = doc[key]
+    if type(value) is not int or value < 0:
+        raise ConfigError(f"{what}: {key} must be a non-negative integer, got {value!r}")
+    return value

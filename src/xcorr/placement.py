@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core_model import Combination
-from .errors import DomainError, OverlapError
+from .errors import ConfigError, DomainError, OverlapError, parse_artifact, require_count
 
 #: Identifier recorded in report metadata so a report names the exact RNG
 #: construction used for its placements and simulations.
@@ -121,11 +121,22 @@ class PlacementMatrix:
 
     @classmethod
     def from_json(cls, text: str) -> "PlacementMatrix":
-        doc = json.loads(text)
-        mem = np.array(
-            [[ch == "1" for ch in row] for row in doc["rows"]], dtype=bool
-        ).reshape(doc["m"], doc["n"])
-        return cls(mem, alpha=doc.get("alpha"), seed=doc.get("seed"))
+        """Inverse of :meth:`to_json`.  Raises :class:`ConfigError` unless
+        the text holds ``m`` rows of ``n`` characters, each 0 or 1."""
+        what = "placement"
+        doc = parse_artifact(text, what, ("m", "n", "rows"))
+        m, n = require_count(doc, "m", what), require_count(doc, "n", what)
+        rows = doc["rows"]
+        if not isinstance(rows, list) or len(rows) != m:
+            raise ConfigError(f"{what}: expected a list of m={m} rows")
+        if not all(isinstance(row, str) and len(row) == n for row in rows):
+            raise ConfigError(f"{what}: every row must be a string of n={n} characters")
+        # one byte per character: anything outside ASCII becomes "?"
+        cells = np.frombuffer("".join(rows).encode("ascii", "replace"), dtype=np.uint8)
+        mem = cells == ord("1")
+        if not np.all(mem | (cells == ord("0"))):
+            raise ConfigError(f"{what}: rows may hold only the characters 0 and 1")
+        return cls(mem.reshape(m, n), alpha=doc.get("alpha"), seed=doc.get("seed"))
 
 
 def bernoulli_placement(cfg: PlacementConfig) -> PlacementMatrix:

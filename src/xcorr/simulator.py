@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .core_model import Combination, Family, eval_targeting
-from .errors import SpecError
+from .errors import ConfigError, SpecError, parse_artifact, require_count
 from .placement import PlacementMatrix, make_rng
 
 BEHAVIORAL = "behavioral"
@@ -98,6 +98,9 @@ class TargetingSpec:
         return cls(output_id=output_id, p_empty=p_empty, group_tag=group_tag)
 
 
+_OBSERVATION_COUNTS = ("rounds", "n_accounts", "n_inputs", "displays_per_input")
+
+
 @dataclass
 class ObservationSet:
     """What the engine gets to see.
@@ -133,20 +136,30 @@ class ObservationSet:
 
     @classmethod
     def from_json(cls, text: str) -> "ObservationSet":
-        doc = json.loads(text)
-        return cls(
-            behavioral={
-                int(k): frozenset(v) for k, v in doc["behavioral"].items()
-            },
-            contextual={
-                int(k): np.asarray(v, dtype=np.int64)
-                for k, v in doc["contextual"].items()
-            },
-            rounds=doc["rounds"],
-            n_accounts=doc["n_accounts"],
-            n_inputs=doc["n_inputs"],
-            displays_per_input=doc["displays_per_input"],
-        )
+        """Inverse of :meth:`to_json`.  Raises :class:`ConfigError` on
+        missing keys, output ids that are not integers, accounts outside
+        0..n_accounts-1, or contextual vectors not of length n_inputs."""
+        what = "observations"
+        doc = parse_artifact(text, what, ("behavioral", "contextual", *_OBSERVATION_COUNTS))
+        counts = {k: require_count(doc, k, what) for k in _OBSERVATION_COUNTS}
+        m, n = counts["n_accounts"], counts["n_inputs"]
+        behavioral, contextual = doc["behavioral"], doc["contextual"]
+        if not isinstance(behavioral, dict) or not isinstance(contextual, dict):
+            raise ConfigError(f"{what}: behavioral and contextual must be JSON objects")
+        try:
+            beh = {int(k): frozenset(v) for k, v in behavioral.items()}
+            ctx = {int(k): np.asarray(v, dtype=np.int64) for k, v in contextual.items()}
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{what}: malformed output entry: {exc}") from exc
+        for oid, accounts in beh.items():
+            if not all(type(j) is int and 0 <= j < m for j in accounts):
+                raise ConfigError(f"{what}: output {oid} names accounts outside 0..{m - 1}")
+        for oid, vec in ctx.items():
+            if vec.shape != (n,):
+                raise ConfigError(
+                    f"{what}: output {oid} has {vec.shape} display counts, expected ({n},)"
+                )
+        return cls(behavioral=beh, contextual=ctx, **counts)
 
     def merge_contextual(self, counts: Mapping[int, np.ndarray], displays: int) -> None:
         self.contextual.update(counts)

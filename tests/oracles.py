@@ -7,11 +7,18 @@ precomputed superset cones, and subset-minimality checks every proper
 subset, either by raw submask enumeration (small n) or by a subset-OR
 dynamic program (larger n).  None of it calls back into the library's
 extraction or evaluation code.
+
+The witness-search oracles stand in for the packed kernel and the
+family views: :func:`witness_enumerate` walks every candidate
+combination in order and counts coverage with a shift-and-mask
+popcount, and the family oracles rebuild conditional and exclusion
+families member by member from their definitions.
 """
 
 from __future__ import annotations
 
 from itertools import combinations as itercombos
+from itertools import islice
 
 import numpy as np
 
@@ -160,3 +167,49 @@ def random_monotone_table(rng, n: int, max_seeds: int = 3) -> np.ndarray:
     k = rng.integers(1, max_seeds + 1)
     seeds = rng.integers(1, 1 << n, size=k)
     return upward_closure(n, [int(s) for s in seeds]).astype(np.uint8)
+
+
+_M1 = np.uint64(0x5555555555555555)
+_M2 = np.uint64(0x3333333333333333)
+_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
+_H01 = np.uint64(0x0101010101010101)
+
+
+def swar_popcount(x) -> np.ndarray:
+    """Per-element population count of a uint64 array, by shifts and masks."""
+    x = np.asarray(x, dtype=np.uint64).copy()
+    x = x - ((x >> np.uint64(1)) & _M1)
+    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
+    x = (x + (x >> np.uint64(4))) & _M4
+    return ((x * _H01) >> np.uint64(56)).astype(np.int64)
+
+
+def witness_enumerate(bitsets, threshold: int, l_max: int, chunk: int = 2048):
+    """First combination of <= l_max rows of packed ``bitsets`` whose OR
+    covers >= threshold members: every candidate enumerated, smallest size
+    first, lexicographic within a size, in chunks of ``chunk``."""
+    n = bitsets.shape[0]
+    for s in range(1, min(l_max, n) + 1):
+        it = itercombos(range(n), s)
+        while True:
+            block = list(islice(it, chunk))
+            if not block:
+                break
+            idx = np.asarray(block, dtype=np.int64)
+            acc = bitsets[idx[:, 0]]
+            for j in range(1, s):
+                acc = acc | bitsets[idx[:, j]]
+            hits = np.nonzero(swar_popcount(acc).sum(axis=1) >= threshold)[0]
+            if hits.size:
+                return idx[hits[0]].copy()
+    return None
+
+
+def conditional_members(members, c) -> list:
+    """Members containing ``c``, each with ``c``'s inputs stripped."""
+    return [m.difference(c) for m in members if c.issubset(m)]
+
+
+def exclusion_members(members, ex) -> list:
+    """Members holding none of the inputs in ``ex``."""
+    return [m for m in members if set(ex).isdisjoint(m.inputs)]

@@ -196,6 +196,85 @@ def test_detect_works_without_config(capsys, tmp_path, tiny_config):
     assert len(json.loads(out)["predictions"]) == 5
 
 
+def _corrupt(doc, edit):
+    doc = json.loads(json.dumps(doc))
+    edit(doc)
+    return json.dumps(doc)
+
+
+PLACEMENT_DAMAGE = {
+    "not json": lambda text: text[: len(text) // 2],
+    "not an object": lambda text: "[1, 2]",
+    "missing rows": lambda text: _corrupt(json.loads(text), lambda d: d.pop("rows")),
+    "ragged rows": lambda text: _corrupt(
+        json.loads(text), lambda d: d["rows"].__setitem__(0, d["rows"][0][:-1])
+    ),
+    "bad characters": lambda text: _corrupt(
+        json.loads(text), lambda d: d["rows"].__setitem__(1, "2" + d["rows"][1][1:])
+    ),
+    "row count": lambda text: _corrupt(json.loads(text), lambda d: d["rows"].pop()),
+    "negative m": lambda text: _corrupt(json.loads(text), lambda d: d.update(m=-1)),
+    "non-ASCII row": lambda text: _corrupt(
+        json.loads(text), lambda d: d["rows"].__setitem__(0, "\u00b9" + d["rows"][0][1:])
+    ),
+    "not UTF-8": lambda text: b"\xff\xfe" + text.encode(),
+}
+
+OBSERVATION_DAMAGE = {
+    "not json": lambda text: "{" + text,
+    "missing behavioral": lambda text: _corrupt(
+        json.loads(text), lambda d: d.pop("behavioral")
+    ),
+    "account out of range": lambda text: _corrupt(
+        json.loads(text), lambda d: d["behavioral"].__setitem__("0", [0, 999])
+    ),
+    "output id": lambda text: _corrupt(
+        json.loads(text), lambda d: d["behavioral"].__setitem__("first", [0])
+    ),
+    "fewer accounts than the placement": lambda text: _corrupt(
+        json.loads(text), lambda d: d.update(n_accounts=d["n_accounts"] - 1)
+    ),
+    "more inputs than the placement": lambda text: _corrupt(
+        json.loads(text), lambda d: d.update(n_inputs=d["n_inputs"] + 1)
+    ),
+    "count overflows": lambda text: _corrupt(
+        json.loads(text), lambda d: d["contextual"].__setitem__("0", [10**30])
+    ),
+    "contextual length": lambda text: _corrupt(
+        json.loads(text), lambda d: d["contextual"].__setitem__("0", [1, 2])
+    ),
+}
+
+
+@pytest.mark.parametrize("artifact,damage", [
+    *(("placement", name) for name in PLACEMENT_DAMAGE),
+    *(("observations", name) for name in OBSERVATION_DAMAGE),
+])
+def test_detect_rejects_malformed_artifacts(capsys, tmp_path, tiny_config, artifact, damage):
+    out_dir = tmp_path / "trials"
+    run(capsys, "simulate", "--config", tiny_config, "--out-dir", str(out_dir))
+    path = out_dir / f"trial0_{artifact}.json"
+    table = PLACEMENT_DAMAGE if artifact == "placement" else OBSERVATION_DAMAGE
+    damaged = table[damage](path.read_text())
+    if isinstance(damaged, bytes):
+        path.write_bytes(damaged)
+    else:
+        path.write_text(damaged)
+    code, out, err = run(
+        capsys,
+        "detect",
+        "--algo",
+        "setint",
+        "--obs",
+        str(out_dir / "trial0_observations.json"),
+        "--placement",
+        str(out_dir / "trial0_placement.json"),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 # ---------------------------------------------------------------- report
 
 

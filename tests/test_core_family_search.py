@@ -9,9 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xcorr._kernels import HAS_NUMBA, _witness_numpy, find_witness, pack_bitsets, popcount_u64
+from oracles import conditional_members, exclusion_members, witness_enumerate
+from xcorr._kernels import find_witness, pack_bitsets, popcount_u64
 from xcorr.core_family_search import (
     AdFamily,
+    _exclusion_family,
+    _family_bitsets,
     DetectionConfig,
     SearchTrace,
     agglomerative_core_search,
@@ -305,32 +308,139 @@ def test_search_trace_jsonl_roundtrip():
 # --------------------------------------------------------------- kernels
 
 
-def test_kernel_paths_agree_on_random_instances():
+def _random_bool_matrix(rng, k, n, density):
+    return rng.random((k, n)) < density
+
+
+def test_find_witness_matches_enumeration_oracle():
+    # K up to 200 members crosses the 64-bit word boundaries; thresholds
+    # near each size's best coverage give both hits and misses
     rng = np.random.default_rng(7)
-    for _ in range(150):
-        k = int(rng.integers(1, 20))
-        n = int(rng.integers(1, 10))
-        mat = rng.random((k, n)) < 0.35
-        bits = pack_bitsets(mat)
-        thr = int(rng.integers(1, k + 1))
-        l_max = int(rng.integers(1, 4))
-        via_numpy = _witness_numpy(bits, thr, l_max)
-        via_dispatch = find_witness(bits, thr, l_max)
-        if via_numpy is None:
-            assert via_dispatch is None
+    outcomes = set()
+    for _ in range(400):
+        k = int(rng.integers(1, 200))
+        n = int(rng.integers(1, 12))
+        bits = pack_bitsets(_random_bool_matrix(rng, k, n, float(rng.uniform(0.05, 0.5))))
+        l_max = int(rng.integers(1, 5))
+        best = int(popcount_u64(np.bitwise_or.reduce(bits, axis=0)).sum())
+        thr = max(1, best - int(rng.integers(-1, max(2, best // 2))))
+        expect = witness_enumerate(bits, thr, l_max)
+        got = find_witness(bits, thr, l_max)
+        if expect is None:
+            assert got is None
+            outcomes.add("miss")
         else:
-            assert via_dispatch is not None
-            assert np.array_equal(via_numpy, via_dispatch)
+            assert got is not None and got.dtype == np.int64
+            assert got.tolist() == expect.tolist()
+            outcomes.add(len(expect))
+    assert outcomes >= {"miss", 1, 2, 3, 4}
 
 
-def test_kernel_dispatch_uses_numba_when_present():
-    import os
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 9).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.lists(st.booleans(), min_size=n, max_size=n), min_size=1, max_size=140),
+        )
+    ),
+    st.integers(1, 140),
+    st.integers(1, 4),
+)
+def test_find_witness_property(shape, threshold, l_max):
+    _, rows = shape
+    bits = pack_bitsets(np.array(rows, dtype=bool))
+    expect = witness_enumerate(bits, threshold, l_max)
+    got = find_witness(bits, threshold, l_max)
+    assert (got is None) == (expect is None)
+    if got is not None:
+        assert got.tolist() == expect.tolist()
 
-    if os.environ.get("XCORR_NO_NUMBA"):
-        assert not HAS_NUMBA
-    # either way the dispatcher must answer; a missing numba must not break it
+
+def test_find_witness_rejects_bad_arguments():
     bits = pack_bitsets(np.ones((3, 2), dtype=bool))
-    assert find_witness(bits, 3, 1) is not None
+    assert find_witness(bits, 3, 1).tolist() == [0]
+    assert find_witness(np.zeros((0, 1), dtype=np.uint64), 1, 2) is None
+    for args in ((bits[0], 1, 1), (bits, 0, 1), (bits, 1, 0)):
+        with pytest.raises(ValueError):
+            find_witness(*args)
+
+
+def _random_members(rng, k, n):
+    """k members over 0..n-1, with repeats and empty members."""
+    members = []
+    for _ in range(k):
+        if members and rng.random() < 0.15:
+            members.append(members[int(rng.integers(len(members)))])
+        else:
+            size = int(rng.integers(0, min(n, 5) + 1))
+            members.append(Combination(rng.choice(n, size=size, replace=False)))
+    return members
+
+
+def _assert_view_matches(view, members):
+    """A family view behaves as the family rebuilt from ``members``."""
+    rebuilt = AdFamily(members)
+    assert len(view) == len(members)
+    assert [m.inputs for m in view] == [m.inputs for m in members]
+    assert view == rebuilt
+    assert view.all_inputs() == rebuilt.all_inputs()
+    bits, universe = _family_bitsets(view)
+    ref_bits, ref_universe = _family_bitsets(rebuilt)
+    assert universe == ref_universe == list(rebuilt.all_inputs())
+    assert popcount_u64(bits).sum(axis=1).tolist() == popcount_u64(ref_bits).sum(axis=1).tolist()
+    for thr in range(1, len(members) + 1, 7):
+        got, expect = find_witness(bits, thr, 2), find_witness(ref_bits, thr, 2)
+        assert (got is None and expect is None) or got.tolist() == expect.tolist()
+
+
+def test_family_views_match_definitions():
+    # conditional and exclusion views, nested, against the member-by-member
+    # definitions; 150 members span three bitset words
+    rng = np.random.default_rng(29)
+    for _ in range(120):
+        n = int(rng.integers(1, 9))
+        k = int(rng.choice([1, 5, 63, 64, 65, 150]))
+        members = _random_members(rng, k, n)
+        fam = AdFamily(members)
+        for _ in range(3):
+            c = Combination(rng.choice(n + 2, size=int(rng.integers(0, 3)), replace=False))
+            cond = conditional_family(fam, c)
+            cond_members = conditional_members(members, c)
+            _assert_view_matches(cond, cond_members)
+            ex = frozenset(int(i) for i in rng.choice(n + 2, size=int(rng.integers(0, 3))))
+            _assert_view_matches(_exclusion_family(fam, ex), exclusion_members(members, ex))
+            _assert_view_matches(
+                _exclusion_family(cond, ex), exclusion_members(cond_members, ex)
+            )
+            c2 = Combination(rng.choice(n + 2, size=int(rng.integers(0, 3)), replace=False))
+            _assert_view_matches(
+                conditional_family(cond, c2), conditional_members(cond_members, c2)
+            )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.sets(st.integers(0, 6), max_size=4), max_size=90),
+    st.sets(st.integers(0, 7), max_size=2),
+    st.sets(st.integers(0, 7), max_size=2),
+)
+def test_family_views_property(raw, c_ids, ex):
+    members = [Combination(m) for m in raw]
+    fam = AdFamily(members)
+    c = Combination(c_ids)
+    _assert_view_matches(conditional_family(fam, c), conditional_members(members, c))
+    _assert_view_matches(_exclusion_family(fam, ex), exclusion_members(members, ex))
+
+
+def test_from_placement_matches_member_constructor():
+    pm = bernoulli_placement(PlacementConfig(n_inputs=10, n_accounts=150, alpha=0.4, seed=4))
+    active = range(0, 150, 2)
+    fam = AdFamily.from_placement(active, pm)
+    members = [pm.account_inputs(j) for j in active]
+    _assert_view_matches(fam, members)
+    _assert_view_matches(conditional_family(fam, [3]), conditional_members(members, Combination([3])))
+    assert len(AdFamily.from_placement([], pm)) == 0
 
 
 def test_popcount_matches_python():

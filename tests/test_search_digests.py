@@ -1,0 +1,81 @@
+"""Byte-for-byte pin of the core-family search on the completeness-gate
+families.
+
+The 400 families of acceptance test_04 (core shapes (l, r) in {1,2}^2,
+100 each, low noise) are searched with both recovery algorithms.  Three
+streams per algorithm are hashed with sha256, family after family:
+the ``SearchTrace`` JSONL, the recovered family's canonical JSON and the
+``predict_core_family`` verdict.  The digests were recorded before the
+search was moved onto packed-bitset family views; any change to a
+witness, a test answer, the order of tests or a verdict changes them.
+Do not re-record them to make a change pass.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+
+from xcorr.core_family_search import (
+    AdFamily,
+    DetectionConfig,
+    SearchTrace,
+    agglomerative_core_search,
+    predict_core_family,
+    removal_core_search,
+)
+from xcorr.core_model import Family
+from xcorr.placement import PlacementConfig, bernoulli_placement
+from xcorr.simulator import TargetingSpec, simulate_behavioral
+
+CFG = DetectionConfig(x=0.99, l_max=2, r_max=2)
+METHODS = {"agglomerative": agglomerative_core_search, "removal": removal_core_search}
+
+DIGESTS = {
+    "agglomerative.trace": "15f2321669df87d8a7ef68aa99b1dec3a86b0a9ab655b7aff567ec82324f712c",
+    "agglomerative.family": "b1738d5ccf5742313babaf242a763c28d12d0d72ce805e80da92f7d969411bca",
+    "agglomerative.verdict": "973924447bb8e2e62053ddca0d63a4594cfa06d84abcb4fec4ee7544cb7dfad6",
+    "removal.trace": "c10ec160d1efb07b3400df75bd168f0efd1094fec9229611bfdd2b868ac26eb8",
+    "removal.family": "a5031fe773d0340c088351ab443de077089a034bac5b09e8626d4bb3d101fc61",
+    "removal.verdict": "6fbc0483028c85f286741db9147688dc2ef9bd891cb68141d3d9b318adc090a3",
+}
+
+
+def completeness_families(n=16, m=240, trials=100):
+    """(active accounts, placement) of every test_04 family, in order."""
+    for shape_i, (l, r) in enumerate([(1, 1), (1, 2), (2, 1), (2, 2)]):
+        for ss in np.random.SeedSequence((404, shape_i)).spawn(trials):
+            core_ss, place_ss, behav_ss = ss.spawn(3)
+            ids = np.random.default_rng(core_ss).choice(n, size=l * r, replace=False)
+            core = Family(ids[i * r : (i + 1) * r] for i in range(l))
+            seed = int(place_ss.generate_state(1, np.uint64)[0])
+            pm = bernoulli_placement(
+                PlacementConfig(n_inputs=n, n_accounts=m, alpha=0.5, seed=seed)
+            )
+            spec = TargetingSpec.targeted(0, core, p_in=0.7, p_out=1e-4)
+            obs, _ = simulate_behavioral(pm, [spec], seed=behav_ss)
+            yield obs.behavioral[0], pm
+
+
+def search_digests() -> dict[str, str]:
+    hashes = {key: hashlib.sha256() for key in DIGESTS}
+    for active, pm in completeness_families():
+        fam = AdFamily.from_placement(active, pm)
+        for method, search in METHODS.items():
+            trace = SearchTrace()
+            found = search(fam, CFG, trace=trace)
+            verdict = predict_core_family(active, pm, CFG, method=method).to_dict()
+            hashes[f"{method}.trace"].update(trace.to_jsonl().encode() + b"\n")
+            hashes[f"{method}.family"].update(found.to_json().encode() + b"\n")
+            hashes[f"{method}.verdict"].update(
+                json.dumps(verdict, sort_keys=True).encode() + b"\n"
+            )
+    return {key: h.hexdigest() for key, h in hashes.items()}
+
+
+def test_search_output_matches_recorded_digests():
+    assert search_digests() == DIGESTS
+
+
+if __name__ == "__main__":
+    print(json.dumps(search_digests(), indent=4))
