@@ -35,10 +35,15 @@ from .simulator import (  # noqa: F401
     simulate_behavioral,
     simulate_contextual,
 )
-from .set_intersection import SetIntersectionConfig, predict_set_intersection  # noqa: F401
+from .set_intersection import (  # noqa: F401
+    SetIntersectionConfig,
+    predict_set_intersection,
+    predict_set_intersection_batch,
+)
 from .bayes import (  # noqa: F401
     ModelParams,
     bayes_predict,
+    bayes_predict_batch,
     learn_contextual_params,
     learn_params,
 )

@@ -1,12 +1,22 @@
-"""Self-tuning Bayesian prediction.
+"""Self-tuning Bayesian prediction, scored one trial at a time.
 
 Hypotheses for one output are "targeted on single input i" for each i,
 plus "untargeted".  Behavioral evidence is which accounts saw the
 output; contextual evidence is how often it was displayed next to each
-input.  Likelihoods are exact Bernoulli-count products computed in log
-space; the composite model averages the two posteriors hypothesis-wise.
-Parameter learning alternates prediction with moment-matching
-re-estimation until the parameters stop moving.
+input.  All K outputs of a trial are scored in one pass: a K x m
+active-account matrix times the m x N placement gives every overlap
+|A_i ∩ A_k| at once (the contextual channel stacks its K count vectors
+instead), the K x (N+1) log-likelihood matrix follows elementwise as
+exact Bernoulli-count products in log space, and a row-wise logsumexp
+turns it into posteriors.  The composite model averages the two
+channels' posteriors hypothesis-wise.  :func:`bayes_predict` is the
+K = 1 case of the same pass.
+
+Parameter learning alternates that pass with moment-matching
+re-estimation until the parameters stop moving.  Both channels share
+one loop; they differ only in the counts they accumulate and the
+denominators they divide by, and neither depends on the parameters, so
+each iteration is one elementwise pass plus integer reductions.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ import numpy as np
 
 from .core_model import Combination
 from .errors import DomainError
-from .placement import PlacementMatrix
+from .placement import PlacementMatrix, active_matrix
 from .prediction import Prediction, Verdict
 
 BEHAVIORAL_MODEL = "behavioral"
@@ -63,18 +73,14 @@ class ModelParams:
                 f"priors have {len(self.priors)} entries, need {n_inputs + 1}"
             )
         w = np.log(np.asarray(self.priors, dtype=float))
-        return w - _logsumexp(w)
+        hi = float(np.max(w))
+        return w - (hi + math.log(float(np.sum(np.exp(w - hi)))))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.p_in, self.p_out, self.p_empty)
 
 
 DEFAULT_INIT = ModelParams(p_in=0.7, p_out=0.01, p_empty=0.1)
-
-
-def _logsumexp(v: np.ndarray) -> float:
-    hi = float(np.max(v))
-    return hi + math.log(float(np.sum(np.exp(v - hi))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,104 +111,190 @@ class Posterior:
         return int(np.argmax(self.probabilities))
 
 
-def _posterior_from_loglik(loglik: np.ndarray, params: ModelParams) -> Posterior:
-    log_post = loglik + params.log_priors(len(loglik) - 1)
-    z = _logsumexp(log_post)
-    probs = np.exp(log_post - z)
-    probs /= probs.sum()
-    return Posterior(probabilities=probs, log_normalizer=z)
+# ------------------------------------------------------------- evidence
 
 
-# ------------------------------------------------------------ likelihoods
+@dataclass(frozen=True, eq=False)
+class Evidence:
+    """Parameter-free sufficient statistics of K outputs on one channel.
 
-
-def behavioral_likelihood(
-    active_accounts: Iterable[int],
-    input_accounts: Iterable[int] | None,
-    n_accounts: int,
-    params: ModelParams,
-) -> float:
-    """Log-likelihood of A_k under one hypothesis.
-
-    For input hypothesis A_i: every account is an independent Bernoulli,
-    p_in inside A_i and p_out outside; for the untargeted hypothesis
-    every account sees the output with p_empty.
+    ``hits[k, i]`` is the evidence output k gives for input i: |A_i ∩ A_k|
+    on the behavioral channel, the displays next to input i on the
+    contextual one.  ``seen[k]`` is the output's total, |A_k| or all its
+    displays.  Behavioral evidence also carries the column sizes |A_i|
+    and the account count m; contextual evidence carries ``sizes=None``.
+    All entries are exact integers stored as float64.
     """
-    a_k = frozenset(int(j) for j in active_accounts)
-    k = len(a_k)
-    if input_accounts is None:
-        return k * math.log(params.p_empty) + (n_accounts - k) * math.log1p(
-            -params.p_empty
-        )
-    a_i = frozenset(int(j) for j in input_accounts)
-    hit = len(a_i & a_k)
-    return (
-        hit * math.log(params.p_in)
-        + (len(a_i) - hit) * math.log1p(-params.p_in)
-        + (k - hit) * math.log(params.p_out)
-        + (n_accounts - len(a_i) - k + hit) * math.log1p(-params.p_out)
+
+    hits: np.ndarray
+    seen: np.ndarray
+    sizes: np.ndarray | None = None
+    n_accounts: int = 0
+
+    @property
+    def n_inputs(self) -> int:
+        return self.hits.shape[1]
+
+
+def behavioral_evidence(
+    active_accounts: Sequence[Iterable[int]], placement: PlacementMatrix
+) -> Evidence:
+    """Evidence of K active-account sets: one K x m @ m x N product."""
+    mem = placement.membership
+    active = active_matrix(active_accounts, placement.n_accounts).astype(float)
+    return Evidence(
+        hits=active @ mem.astype(float),
+        seen=active.sum(axis=1),
+        sizes=mem.sum(axis=0).astype(float),
+        n_accounts=placement.n_accounts,
     )
 
 
-def contextual_likelihood(
-    counts: Sequence[int] | np.ndarray,
-    input_id: int | None,
-    params: ModelParams,
-) -> float:
-    """Log-likelihood of the per-input display counts under one
-    hypothesis: x_i log p_in + (sum - x_i) log p_out, or sum log p_empty
-    for untargeted."""
-    x = np.asarray(counts, dtype=float)
+def contextual_evidence(
+    counts: Sequence[Sequence[int] | np.ndarray], n_inputs: int | None = None
+) -> Evidence:
+    """Evidence of K display-count vectors, stacked K x N.  ``n_inputs``
+    fixes N when K may be 0."""
+    width = n_inputs if n_inputs is not None else len(counts[0]) if counts else 0
+    x = np.zeros((len(counts), width))
+    for k, row in enumerate(counts):
+        row = np.asarray(row, dtype=float)
+        if row.shape != (width,):
+            raise DomainError(f"display counts of shape {row.shape}, expected ({width},)")
+        x[k] = row
     if np.any(x < 0):
         raise DomainError("display counts must be >= 0")
-    total = float(x.sum())
-    if input_id is None:
-        return total * math.log(params.p_empty)
-    xi = float(x[input_id])
-    return xi * math.log(params.p_in) + (total - xi) * math.log(params.p_out)
+    return Evidence(hits=x, seen=x.sum(axis=1))
 
 
-def behavioral_posterior(
-    active_accounts: Iterable[int],
-    placement: PlacementMatrix,
-    params: ModelParams,
-) -> Posterior:
-    mem = placement.membership
-    m, n = mem.shape
-    ak = np.zeros(m, dtype=bool)
-    idx = [int(j) for j in active_accounts]
-    if idx and (min(idx) < 0 or max(idx) >= m):
-        raise DomainError(f"active accounts outside 0..{m - 1}")
-    ak[idx] = True
-    k = int(ak.sum())
-    hit = mem[ak].sum(axis=0).astype(float)  # |A_i  ∩ A_k| per input
-    size = mem.sum(axis=0).astype(float)  # |A_i| per input
-    loglik = np.empty(n + 1)
-    loglik[:n] = (
+def log_likelihoods(ev: Evidence, params: ModelParams) -> np.ndarray:
+    """K x (N+1) log-likelihood matrix; column N is the untargeted
+    hypothesis.
+
+    Behavioral: every account is an independent Bernoulli, p_in inside
+    A_i and p_out outside, or p_empty everywhere when untargeted.
+    Contextual: x_i log p_in + (total - x_i) log p_out, or total log
+    p_empty when untargeted.
+    """
+    hit, k = ev.hits, ev.seen[:, None]
+    out = np.empty((hit.shape[0], hit.shape[1] + 1))
+    if ev.sizes is None:
+        out[:, :-1] = hit * math.log(params.p_in) + (k - hit) * math.log(params.p_out)
+        out[:, -1] = ev.seen * math.log(params.p_empty)
+        return out
+    m, size = ev.n_accounts, ev.sizes
+    out[:, :-1] = (
         hit * math.log(params.p_in)
         + (size - hit) * math.log1p(-params.p_in)
         + (k - hit) * math.log(params.p_out)
         + (m - size - k + hit) * math.log1p(-params.p_out)
     )
-    loglik[n] = k * math.log(params.p_empty) + (m - k) * math.log1p(-params.p_empty)
-    return _posterior_from_loglik(loglik, params)
+    out[:, -1] = ev.seen * math.log(params.p_empty) + (m - ev.seen) * math.log1p(
+        -params.p_empty
+    )
+    return out
 
 
-def contextual_posterior(
-    counts: Sequence[int] | np.ndarray, params: ModelParams
-) -> Posterior:
-    x = np.asarray(counts, dtype=float)
-    if np.any(x < 0):
-        raise DomainError("display counts must be >= 0")
-    n = len(x)
-    total = float(x.sum())
-    loglik = np.empty(n + 1)
-    loglik[:n] = x * math.log(params.p_in) + (total - x) * math.log(params.p_out)
-    loglik[n] = total * math.log(params.p_empty)
-    return _posterior_from_loglik(loglik, params)
+def posteriors(
+    loglik: np.ndarray, params: ModelParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise posteriors of a log-likelihood matrix: (K x (N+1)
+    probabilities, K log normalizers)."""
+    log_post = loglik + params.log_priors(loglik.shape[1] - 1)
+    hi = log_post.max(axis=1)
+    sums = np.exp(log_post - hi[:, None]).sum(axis=1)
+    z = hi + np.array([math.log(s) for s in sums.tolist()])
+    probs = np.exp(log_post - z[:, None])
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs, z
 
 
 # -------------------------------------------------------------- predict
+
+
+def bayes_predict_batch(
+    active_accounts: Sequence[Iterable[int] | None] | None = None,
+    contextual_counts: Sequence[Sequence[int] | np.ndarray | None] | None = None,
+    placement: PlacementMatrix | None = None,
+    params: ModelParams = DEFAULT_INIT,
+    contextual_params: ModelParams | None = None,
+    score_floor: float = 0.5,
+) -> list[Prediction]:
+    """Verdicts for K outputs from whichever observations each has.
+
+    Entry k of ``active_accounts`` and ``contextual_counts`` (either list
+    may be omitted, and entries may be None) are output k's behavioral
+    and contextual observations.  With both channels present the two
+    posterior vectors are averaged hypothesis-wise before the argmax, so
+    disagreeing models still produce a well-defined winner.
+    TARGETED({i}) requires the winning hypothesis to be an input with
+    (averaged) posterior >= score_floor; an untargeted winner or a
+    sub-floor input yields UNTARGETED; an output with no observation is
+    UNKNOWN.
+    """
+    channels = {
+        BEHAVIORAL_MODEL: active_accounts or [],
+        CONTEXTUAL_MODEL: contextual_counts or [],
+    }
+    sizes = {len(obs) for obs in channels.values() if obs}
+    if len(sizes) > 1:
+        raise DomainError("behavioral and contextual observations list different outputs")
+    n_outputs = max(sizes, default=0)
+    scored: dict[str, tuple[list[int], np.ndarray, np.ndarray]] = {}
+    for name, obs in channels.items():
+        rows = [k for k, o in enumerate(obs) if o is not None]
+        if not rows:
+            continue
+        if name == BEHAVIORAL_MODEL:
+            if placement is None:
+                raise DomainError("behavioral prediction needs the placement")
+            ev = behavioral_evidence([obs[k] for k in rows], placement)
+            ch_params = params
+        else:
+            ev = contextual_evidence([obs[k] for k in rows])
+            ch_params = contextual_params or params
+        probs, z = posteriors(log_likelihoods(ev, ch_params), ch_params)
+        scored[name] = (rows, probs, z)
+    if len({probs.shape[1] for _, probs, _ in scored.values()}) > 1:
+        raise DomainError("behavioral and contextual universes disagree")
+    if not scored:
+        return [Prediction(Verdict.UNKNOWN, flags=("no_observations",))] * n_outputs
+
+    width = next(iter(scored.values()))[1].shape[1]
+    combined = np.zeros((n_outputs, width))
+    present = np.zeros(n_outputs)
+    for rows, probs, _ in scored.values():
+        combined[rows] += probs
+        present[rows] += 1
+    observed = present > 0
+    combined[observed] /= present[observed, None]
+    winners = combined.argmax(axis=1)
+    tops = combined[np.arange(n_outputs), winners].tolist()
+
+    posts: list[dict[str, Posterior]] = [{} for _ in range(n_outputs)]
+    scores: list[dict[str, float]] = [{} for _ in range(n_outputs)]
+    for name, (rows, probs, z) in scored.items():
+        maxima = probs.max(axis=1).tolist()
+        for r, (k, log_z) in enumerate(zip(rows, z.tolist())):
+            posts[k][name] = Posterior(probabilities=probs[r], log_normalizer=log_z)
+            scores[k][name] = maxima[r]
+    preds = []
+    n = width - 1
+    for k, winner in enumerate(winners.tolist()):
+        if not posts[k]:
+            preds.append(Prediction(Verdict.UNKNOWN, flags=("no_observations",)))
+            continue
+        scores[k][COMPOSITE_MODEL] = tops[k]
+        if winner < n and tops[k] >= score_floor:
+            preds.append(Prediction(
+                Verdict.TARGETED, target=Combination([winner]),
+                scores=scores[k], posteriors=posts[k],
+            ))
+        else:
+            preds.append(Prediction(
+                Verdict.UNTARGETED, scores=scores[k], posteriors=posts[k]
+            ))
+    return preds
 
 
 def bayes_predict(
@@ -213,58 +305,11 @@ def bayes_predict(
     contextual_params: ModelParams | None = None,
     score_floor: float = 0.5,
 ) -> Prediction:
-    """Verdict for one output from whichever observations are present.
-
-    With both channels present the two posterior vectors are averaged
-    hypothesis-wise before the argmax, so disagreeing models still
-    produce a well-defined winner.  TARGETED({i}) requires the winning
-    hypothesis to be an input with (averaged) posterior >= score_floor;
-    an untargeted winner or a sub-floor input yields UNTARGETED.
-    """
-    posteriors: dict[str, Posterior] = {}
-    if active_accounts is not None:
-        if placement is None:
-            raise DomainError("behavioral prediction needs the placement")
-        posteriors[BEHAVIORAL_MODEL] = behavioral_posterior(
-            active_accounts, placement, params
-        )
-    if contextual_counts is not None:
-        posteriors[CONTEXTUAL_MODEL] = contextual_posterior(
-            contextual_counts, contextual_params or params
-        )
-    if not posteriors:
-        return Prediction(Verdict.UNKNOWN, flags=("no_observations",))
-
-    vecs = [p.probabilities for p in posteriors.values()]
-    if len({len(v) for v in vecs}) != 1:
-        raise DomainError("behavioral and contextual universes disagree")
-    combined = np.mean(vecs, axis=0)
-    n = len(combined) - 1
-    winner = int(np.argmax(combined))
-    scores = {name: float(np.max(p.probabilities)) for name, p in posteriors.items()}
-    scores[COMPOSITE_MODEL] = float(combined[winner])
-    if winner < n and combined[winner] >= score_floor:
-        return Prediction(
-            Verdict.TARGETED,
-            target=Combination([winner]),
-            scores=scores,
-            posteriors=posteriors,
-        )
-    return Prediction(Verdict.UNTARGETED, scores=scores, posteriors=posteriors)
-
-
-def composite_score(
-    behavioral_max: float | None, contextual_max: float | None
-) -> float | None:
-    """Arithmetic mean of the present per-model maxima; None (= unknown)
-    when both are absent."""
-    present = [s for s in (behavioral_max, contextual_max) if s is not None]
-    if not present:
-        return None
-    for s in present:
-        if not 0.0 <= s <= 1.0:
-            raise DomainError(f"score {s} outside [0,1]")
-    return sum(present) / len(present)
+    """Verdict for one output: :func:`bayes_predict_batch` with K = 1."""
+    return bayes_predict_batch(
+        [active_accounts], [contextual_counts], placement,
+        params, contextual_params, score_floor,
+    )[0]
 
 
 # --------------------------------------------------------------- learning
@@ -285,51 +330,45 @@ def _clamped(p_in: float, p_out: float, p_empty: float) -> tuple[float, float, f
     return p_in, p_out, p_empty
 
 
-def learn_params(
-    behavioral_obs: dict[int, frozenset[int]],
-    placement: PlacementMatrix,
-    init: ModelParams = DEFAULT_INIT,
-    tol: float = 1e-3,
-    max_iter: int = 50,
-    score_floor: float = 0.5,
+def _moment_match(
+    ev: Evidence,
+    in_slots: np.ndarray,
+    out_slots: np.ndarray,
+    empty_slots: int,
+    init: ModelParams,
+    tol: float,
+    max_iter: int,
+    score_floor: float,
 ) -> LearnResult:
-    """Iterated moment matching on the behavioral channel.
+    """Iterated moment matching over one channel's evidence.
 
-    Each round predicts every output with the current parameters, then
-    re-estimates: p_in from (account holds the predicted input, account
-    saw the output) pairs, p_out from the accounts not holding it, and
-    p_empty from the hit rate of outputs predicted untargeted.  A
-    parameter with no supporting predictions keeps its previous value.
-    All accumulators are exact integer counts, so estimates do not
-    depend on output iteration order.
+    Each round scores every output with the current parameters, then
+    re-estimates: p_in is the evidence for the predicted input over
+    ``in_slots[i]``, p_out the rest of the output's total over
+    ``out_slots[i]``, and p_empty the totals of outputs predicted
+    untargeted over ``empty_slots`` each.  A parameter with no
+    supporting predictions keeps its previous value.  All accumulators
+    are exact integer counts, so estimates do not depend on output order.
     """
+    hits = ev.hits.astype(np.int64)
+    seen = ev.seen.astype(np.int64)
+    rows = np.arange(len(seen))
+    n = ev.n_inputs
     params = init
-    mem = placement.membership
-    m = placement.n_accounts
-    size = mem.sum(axis=0)  # |A_i| per input
     history: list[tuple[float, float, float]] = []
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        in_seen = in_total = out_seen = out_total = 0
-        empty_seen = empty_total = 0
-        for _, a_k in sorted(behavioral_obs.items()):
-            pred = bayes_predict(
-                active_accounts=a_k,
-                placement=placement,
-                params=params,
-                score_floor=score_floor,
-            )
-            if pred.verdict is Verdict.TARGETED:
-                i = pred.target.inputs[0]
-                hits = sum(1 for j in a_k if mem[j, i])
-                in_seen += hits
-                in_total += int(size[i])
-                out_seen += len(a_k) - hits
-                out_total += m - int(size[i])
-            elif pred.verdict is Verdict.UNTARGETED:
-                empty_seen += len(a_k)
-                empty_total += m
+        probs, _ = posteriors(log_likelihoods(ev, params), params)
+        winner = probs.argmax(axis=1)
+        targeted = (winner < n) & (probs[rows, winner] >= score_floor)
+        t_rows, t_inputs = rows[targeted], winner[targeted]
+        t_hits = hits[t_rows, t_inputs]
+        in_seen, in_total = int(t_hits.sum()), int(in_slots[t_inputs].sum())
+        out_seen = int(seen[t_rows].sum()) - in_seen
+        out_total = int(out_slots[t_inputs].sum())
+        empty_seen = int(seen[~targeted].sum())
+        empty_total = empty_slots * int(np.count_nonzero(~targeted))
         p_in = in_seen / in_total if in_total else params.p_in
         p_out = out_seen / out_total if out_total else params.p_out
         p_empty = empty_seen / empty_total if empty_total else params.p_empty
@@ -352,6 +391,24 @@ def learn_params(
     )
 
 
+def learn_params(
+    behavioral_obs: dict[int, frozenset[int]],
+    placement: PlacementMatrix,
+    init: ModelParams = DEFAULT_INIT,
+    tol: float = 1e-3,
+    max_iter: int = 50,
+    score_floor: float = 0.5,
+) -> LearnResult:
+    """Moment matching on the behavioral channel: p_in from (account
+    holds the predicted input, account saw the output) pairs over |A_i|,
+    p_out from the accounts not holding it over m - |A_i|, p_empty from
+    the hit rate of outputs predicted untargeted over m."""
+    ev = behavioral_evidence(list(behavioral_obs.values()), placement)
+    sizes = ev.sizes.astype(np.int64)
+    m = placement.n_accounts
+    return _moment_match(ev, sizes, m - sizes, m, init, tol, max_iter, score_floor)
+
+
 def learn_contextual_params(
     contextual_obs: dict[int, np.ndarray],
     n_inputs: int,
@@ -363,44 +420,12 @@ def learn_contextual_params(
 ) -> LearnResult:
     """Contextual twin of :func:`learn_params`: slot-count moment
     matching, with per-input display totals as denominators."""
-    params = init
-    history: list[tuple[float, float, float]] = []
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        in_seen = in_slots = out_seen = out_slots = 0
-        empty_seen = empty_slots = 0
-        for _, x in sorted(contextual_obs.items()):
-            pred = bayes_predict(
-                contextual_counts=x, params=params, score_floor=score_floor
-            )
-            total = int(np.sum(x))
-            if pred.verdict is Verdict.TARGETED:
-                i = pred.target.inputs[0]
-                in_seen += int(x[i])
-                in_slots += displays_per_input
-                out_seen += total - int(x[i])
-                out_slots += displays_per_input * (n_inputs - 1)
-            elif pred.verdict is Verdict.UNTARGETED:
-                empty_seen += total
-                empty_slots += displays_per_input * n_inputs
-        p_in = in_seen / in_slots if in_slots else params.p_in
-        p_out = out_seen / out_slots if out_slots else params.p_out
-        p_empty = empty_seen / empty_slots if empty_slots else params.p_empty
-        p_in, p_out, p_empty = _clamped(p_in, p_out, p_empty)
-        delta = max(
-            abs(p_in - params.p_in),
-            abs(p_out - params.p_out),
-            abs(p_empty - params.p_empty),
-        )
-        params = replace(params, p_in=p_in, p_out=p_out, p_empty=p_empty)
-        history.append(params.as_tuple())
-        if delta < tol:
-            converged = True
-            break
-    return LearnResult(
-        params=params,
-        iterations=iterations,
-        converged=converged,
-        history=tuple(history),
+    ev = contextual_evidence(
+        list(contextual_obs.values()), None if contextual_obs else n_inputs
+    )
+    d = displays_per_input
+    in_slots = np.full(ev.n_inputs, d, dtype=np.int64)
+    return _moment_match(
+        ev, in_slots, in_slots * (n_inputs - 1), d * n_inputs,
+        init, tol, max_iter, score_floor,
     )

@@ -293,8 +293,9 @@ def build_specs(cfg: ScenarioConfig, rng: np.random.Generator) -> list[Targeting
             core = Family([(i,) for i in groups[g_idx]])
             tag = f"group{g_idx}"
         else:
-            l = int(rng.choice(cfg.l_values))
-            r = int(rng.choice(cfg.r_values))
+            # same draws as rng.choice(values), without its array set-up
+            l = cfg.l_values[int(rng.integers(0, len(cfg.l_values)))]
+            r = cfg.r_values[int(rng.integers(0, len(cfg.r_values)))]
             ids = rng.choice(cfg.n_inputs, size=l * r, replace=False)
             core = Family(
                 sorted(int(i) for i in ids[k * r : (k + 1) * r]) for k in range(l)

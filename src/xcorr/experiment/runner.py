@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .. import __version__
-from ..bayes import DEFAULT_INIT, ModelParams, bayes_predict, learn_params
+from ..bayes import DEFAULT_INIT, ModelParams, bayes_predict_batch, learn_params
 from ..core_family_search import DetectionConfig, predict_core_family
 from ..core_model import Combination, Family
 from ..errors import ConfigError
@@ -38,7 +38,7 @@ from ..placement import (
     make_rng,
 )
 from ..prediction import Prediction, Verdict
-from ..set_intersection import SetIntersectionConfig, predict_set_intersection
+from ..set_intersection import SetIntersectionConfig, predict_set_intersection_batch
 from ..simulator import ObservationSet, simulate_behavioral, simulate_contextual
 from .config import ScenarioConfig, build_specs, matching_specs
 from .scoring import Metrics, precision_recall, wilson_interval
@@ -84,13 +84,15 @@ def _algo_predictions(
     pm: PlacementMatrix,
     clusters: list[list[int]] | None,
 ) -> dict[int, Prediction]:
-    """Dispatch one algorithm over every observed output."""
+    """Dispatch one algorithm over every observed output; the scoring
+    detectors score all of them in one batched call."""
     opts = dict(cfg.algo_config.get(algo, {}))
+    oids = sorted(obs.behavioral)
+    active = [obs.behavioral[oid] for oid in oids]
     preds: dict[int, Prediction] = {}
     if algo == "setint":
         si = SetIntersectionConfig(**opts)
-        for oid in sorted(obs.behavioral):
-            preds[oid] = predict_set_intersection(obs.behavioral[oid], pm, si)
+        preds = dict(zip(oids, predict_set_intersection_batch(active, pm, si)))
     elif algo in ("bayes", "composite"):
         floor = float(opts.pop("score_floor", 0.5))
         params = ModelParams(
@@ -102,26 +104,24 @@ def _algo_predictions(
         ctx_params = ModelParams(**ctx_opts) if ctx_opts else None
         if opts:
             raise ConfigError(f"algo_config.{algo}: unknown option(s) {sorted(opts)}")
-        use_ctx = algo == "composite" and bool(obs.contextual)
-        for oid in sorted(obs.behavioral):
-            ctx = obs.contextual.get(oid) if use_ctx else None
-            if ctx is not None and clusters is not None:
-                ctx = _reduced_counts(ctx, clusters)
-            preds[oid] = bayes_predict(
-                active_accounts=obs.behavioral[oid],
-                contextual_counts=ctx,
-                placement=pm,
-                params=params,
-                contextual_params=ctx_params,
-                score_floor=floor,
-            )
+        counts = None
+        if algo == "composite" and obs.contextual:
+            counts = [obs.contextual.get(oid) for oid in oids]
+            if clusters is not None:
+                counts = [None if c is None else _reduced_counts(c, clusters) for c in counts]
+        preds = dict(zip(oids, bayes_predict_batch(
+            active_accounts=active,
+            contextual_counts=counts,
+            placement=pm,
+            params=params,
+            contextual_params=ctx_params,
+            score_floor=floor,
+        )))
     elif algo == "corefamily":
         method = opts.pop("method", "removal")
         det = DetectionConfig(**{"x": 0.95, "l_max": 2, "r_max": 2, **opts})
-        for oid in sorted(obs.behavioral):
-            preds[oid] = predict_core_family(
-                obs.behavioral[oid], pm, cfg=det, method=method
-            )
+        for oid, a_k in zip(oids, active):
+            preds[oid] = predict_core_family(a_k, pm, cfg=det, method=method)
     else:
         raise ConfigError(f"unknown algorithm {algo!r}")
     return preds

@@ -9,6 +9,7 @@ account, which is what the signature-matching stage feeds.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -137,6 +138,24 @@ class PlacementMatrix:
         if not np.all(mem | (cells == ord("0"))):
             raise ConfigError(f"{what}: rows may hold only the characters 0 and 1")
         return cls(mem.reshape(m, n), alpha=doc.get("alpha"), seed=doc.get("seed"))
+
+
+def active_matrix(
+    active_accounts: Sequence[Iterable[int]],
+    n_accounts: int,
+    error: type[Exception] = DomainError,
+) -> np.ndarray:
+    """K x m boolean matrix whose row k marks the accounts in
+    ``active_accounts[k]``; raises ``error`` for an account outside
+    0..n_accounts-1."""
+    sets = [list(a) for a in active_accounts]
+    lengths = [len(a) for a in sets]
+    cols = np.fromiter(itertools.chain.from_iterable(sets), np.int64, sum(lengths))
+    if cols.size and (cols.min() < 0 or cols.max() >= n_accounts):
+        raise error(f"active accounts outside 0..{n_accounts - 1}")
+    active = np.zeros((len(sets), n_accounts), dtype=bool)
+    active[np.repeat(np.arange(len(sets)), lengths), cols] = True
+    return active
 
 
 def bernoulli_placement(cfg: PlacementConfig) -> PlacementMatrix:

@@ -1,22 +1,27 @@
-"""Threshold-based recovery of a targeted input set.
+"""Threshold-based recovery of a targeted input set, scored one trial at
+a time.
 
 The three published steps: gate on having enough active accounts, keep
 the inputs present in more than a threshold fraction of them, then
 demand that the same fraction of active accounts contain the whole kept
-set at once.  Non-probabilistic — the emitted score is 1 for whatever
-verdict is chosen.
+set at once.  All K outputs of a trial share one pass: a K x m
+active-account matrix times the m x N placement gives the K x N matrix
+of per-input fractions for steps 1 and 2, and step 3 checks the
+co-occurrence of each kept row's set.  :func:`predict_set_intersection`
+is the K = 1 case.  Non-probabilistic — the emitted score is 1 for
+whatever verdict is chosen.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .core_model import Combination
 from .errors import ConfigError
-from .placement import PlacementMatrix
+from .placement import PlacementMatrix, active_matrix
 from .prediction import Prediction, Verdict
 
 MODEL_NAME = "set_intersection"
@@ -27,10 +32,6 @@ class SetIntersectionConfig:
     min_active_accounts: int = 3
     threshold: float = 0.9
     max_combination_size: int | None = None
-    #: draft-only extra step: drop inputs that are also frequent in
-    #: inactive accounts (off by default; the published algorithm has
-    #: three steps)
-    penalize_inactive: bool = False
 
     def __post_init__(self):
         if self.min_active_accounts < 1:
@@ -43,62 +44,67 @@ class SetIntersectionConfig:
             raise ConfigError("max_combination_size must be >= 1 when set")
 
 
-def predict_set_intersection(
-    active_accounts: Iterable[int],
+def predict_set_intersection_batch(
+    active_accounts: Sequence[Iterable[int]],
     placement: PlacementMatrix,
     cfg: SetIntersectionConfig = SetIntersectionConfig(),
-) -> Prediction:
-    """Run the three steps on one output's active-account set.
+) -> list[Prediction]:
+    """Run the three steps on K outputs' active-account sets.
 
     Below the activity gate the answer is UNKNOWN (not UNTARGETED):
     too little data is a different statement than evidence of no
     targeting, and the harness accounts for the two separately.
     """
-    a_k = sorted({int(j) for j in active_accounts})
-    if a_k and (a_k[0] < 0 or a_k[-1] >= placement.n_accounts):
-        raise ConfigError(
-            f"active accounts {a_k} outside 0..{placement.n_accounts - 1}"
-        )
-
-    # Step 1: activity gate
-    if len(a_k) < cfg.min_active_accounts:
-        return Prediction(
+    mem = placement.membership
+    active = active_matrix(active_accounts, placement.n_accounts, ConfigError)
+    n_active = active.sum(axis=1)
+    # Steps 1 and 2: the activity gate, then the inputs present in more
+    # than a threshold fraction (strict) of the active accounts
+    gated = n_active >= cfg.min_active_accounts
+    keep = np.zeros((len(active), placement.n_inputs), dtype=bool)
+    if gated.any():
+        counts = active[gated].astype(float) @ mem.astype(float)
+        keep[gated] = counts / n_active[gated, None] > cfg.threshold
+    return [
+        _step3(mem[row], row_keep, cfg) if row_gated else Prediction(
             Verdict.UNKNOWN, scores={MODEL_NAME: 1.0}, flags=("below_min_active",)
         )
+        for row, row_keep, row_gated in zip(active, keep, gated)
+    ]
 
-    mem = placement.membership
-    active = mem[a_k]  # |A_k| x N
-    frac = active.mean(axis=0)
 
-    # Step 2: inputs present in more than a threshold fraction (strict)
-    keep = frac > cfg.threshold
-    flags: list[str] = []
-    if cfg.penalize_inactive:
-        inactive = np.ones(placement.n_accounts, dtype=bool)
-        inactive[a_k] = False
-        if inactive.any():
-            inactive_frac = mem[inactive].mean(axis=0)
-            penalized = keep & (inactive_frac > cfg.threshold)
-            if penalized.any():
-                keep &= ~penalized
-                flags.append("inactive_penalty_applied")
-    targeted_ids = [int(i) for i in np.nonzero(keep)[0]]
-    if not targeted_ids:
-        return Prediction(Verdict.UNTARGETED, scores={MODEL_NAME: 1.0}, flags=tuple(flags))
-    if (
+def _step3(
+    accounts: np.ndarray, keep: np.ndarray, cfg: SetIntersectionConfig
+) -> Prediction:
+    """Verdict of one gated output from its step-2 inputs ``keep``;
+    ``accounts`` are the placement rows of its active accounts."""
+    targeted_ids = np.flatnonzero(keep)
+    flags: tuple[str, ...] = ()
+    if not targeted_ids.size:
+        targeted = False
+    elif (
         cfg.max_combination_size is not None
-        and len(targeted_ids) > cfg.max_combination_size
+        and targeted_ids.size > cfg.max_combination_size
     ):
-        flags.append("oversized_set_rejected")
-        return Prediction(Verdict.UNTARGETED, scores={MODEL_NAME: 1.0}, flags=tuple(flags))
-
-    # Step 3: the whole set must co-occur in a threshold fraction
-    whole = active[:, targeted_ids].all(axis=1).mean()
-    if whole < cfg.threshold:
-        return Prediction(Verdict.UNTARGETED, scores={MODEL_NAME: 1.0}, flags=tuple(flags))
+        targeted, flags = False, ("oversized_set_rejected",)
+    else:
+        # Step 3: the whole set must co-occur in a threshold fraction
+        whole = accounts[:, targeted_ids].all(axis=1).mean()
+        targeted = whole >= cfg.threshold
+    if not targeted:
+        return Prediction(Verdict.UNTARGETED, scores={MODEL_NAME: 1.0}, flags=flags)
     return Prediction(
         Verdict.TARGETED,
-        target=Combination(targeted_ids),
+        target=Combination(targeted_ids.tolist()),
         scores={MODEL_NAME: 1.0},
-        flags=tuple(flags),
     )
+
+
+def predict_set_intersection(
+    active_accounts: Iterable[int],
+    placement: PlacementMatrix,
+    cfg: SetIntersectionConfig = SetIntersectionConfig(),
+) -> Prediction:
+    """The three steps on one output: :func:`predict_set_intersection_batch`
+    with K = 1."""
+    return predict_set_intersection_batch([active_accounts], placement, cfg)[0]

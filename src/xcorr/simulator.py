@@ -9,6 +9,7 @@ is recorded in a trace the detection engine never sees.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -99,6 +100,7 @@ class TargetingSpec:
 
 
 _OBSERVATION_COUNTS = ("rounds", "n_accounts", "n_inputs", "displays_per_input")
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass
@@ -138,7 +140,8 @@ class ObservationSet:
     def from_json(cls, text: str) -> "ObservationSet":
         """Inverse of :meth:`to_json`.  Raises :class:`ConfigError` on
         missing keys, output ids that are not integers, accounts outside
-        0..n_accounts-1, or contextual vectors not of length n_inputs."""
+        0..n_accounts-1, or contextual vectors that are not n_inputs
+        non-negative JSON integers that fit in int64."""
         what = "observations"
         doc = parse_artifact(text, what, ("behavioral", "contextual", *_OBSERVATION_COUNTS))
         counts = {k: require_count(doc, k, what) for k in _OBSERVATION_COUNTS}
@@ -148,17 +151,23 @@ class ObservationSet:
             raise ConfigError(f"{what}: behavioral and contextual must be JSON objects")
         try:
             beh = {int(k): frozenset(v) for k, v in behavioral.items()}
-            ctx = {int(k): np.asarray(v, dtype=np.int64) for k, v in contextual.items()}
-        except (TypeError, ValueError, OverflowError) as exc:
+            ctx = {int(k): v for k, v in contextual.items()}
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"{what}: malformed output entry: {exc}") from exc
         for oid, accounts in beh.items():
             if not all(type(j) is int and 0 <= j < m for j in accounts):
                 raise ConfigError(f"{what}: output {oid} names accounts outside 0..{m - 1}")
         for oid, vec in ctx.items():
-            if vec.shape != (n,):
+            if not isinstance(vec, list) or len(vec) != n:
                 raise ConfigError(
-                    f"{what}: output {oid} has {vec.shape} display counts, expected ({n},)"
+                    f"{what}: output {oid} must list n_inputs={n} display counts"
                 )
+            if not all(type(c) is int and 0 <= c <= _INT64_MAX for c in vec):
+                raise ConfigError(
+                    f"{what}: output {oid} display counts must be non-negative "
+                    f"integers, got {vec}"
+                )
+            ctx[oid] = np.array(vec, dtype=np.int64)
         return cls(behavioral=beh, contextual=ctx, **counts)
 
     def merge_contextual(self, counts: Mapping[int, np.ndarray], displays: int) -> None:
@@ -180,6 +189,7 @@ class SimulationTrace:
         return spec.core if spec.is_targeted else None
 
 
+@functools.lru_cache(maxsize=256)
 def _effective(p: float, rounds: int) -> float:
     """Seen-at-least-once probability over independent rounds."""
     return -np.expm1(rounds * np.log1p(-p)) if p < 1.0 else 1.0
@@ -236,29 +246,23 @@ def simulate_behavioral(
     for spec, child in zip(specs, ss.spawn(len(specs))):
         _check_spec_universe(spec, placement.n_inputs)
         rng = make_rng(child)
-        if not spec.is_targeted:
-            p = np.full(m, _effective(spec.p_empty, rounds))
-            in_mask = np.zeros(m, dtype=bool)
-        elif spec.channel == CONTEXTUAL:
-            p = np.full(m, _effective(spec.p_out, rounds))
-            in_mask = np.zeros(m, dtype=bool)
-        else:
+        in_mask = np.zeros(m, dtype=bool)
+        if spec.is_targeted and spec.channel == BEHAVIORAL:
             in_mask = in_target_mask(placement, spec.core)
             p = np.where(
                 in_mask,
                 _effective(spec.p_in, rounds),
                 _effective(spec.p_out, rounds),
             )
+        else:
+            # no behavioral audience: every account sees it at one rate
+            p = _effective(spec.p_out if spec.is_targeted else spec.p_empty, rounds)
         seen = rng.random(m) < p
-        a_k = frozenset(int(j) for j in np.nonzero(seen)[0])
-        obs.behavioral[spec.output_id] = a_k
+        hit = seen & in_mask
+        obs.behavioral[spec.output_id] = frozenset(seen.nonzero()[0].tolist())
         trace.specs[spec.output_id] = spec
-        trace.in_target[spec.output_id] = frozenset(
-            j for j in a_k if in_mask[j]
-        )
-        trace.out_of_target[spec.output_id] = frozenset(
-            j for j in a_k if not in_mask[j]
-        )
+        trace.in_target[spec.output_id] = frozenset(hit.nonzero()[0].tolist())
+        trace.out_of_target[spec.output_id] = frozenset((seen ^ hit).nonzero()[0].tolist())
     return obs, trace
 
 

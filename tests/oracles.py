@@ -13,10 +13,16 @@ family views: :func:`witness_enumerate` walks every candidate
 combination in order and counts coverage with a shift-and-mask
 popcount, and the family oracles rebuild conditional and exclusion
 families member by member from their definitions.
+
+The scoring oracles stand in for the batched Bayes scorer: likelihoods
+from set sizes and plain sums, posteriors hypothesis by hypothesis with
+a scalar logsumexp, one output at a time, and the moment-matching loop
+output by output.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations as itercombos
 from itertools import islice
 
@@ -213,3 +219,132 @@ def conditional_members(members, c) -> list:
 def exclusion_members(members, ex) -> list:
     """Members holding none of the inputs in ``ex``."""
     return [m for m in members if set(ex).isdisjoint(m.inputs)]
+
+
+# ------------------------------------------------------------ scoring
+
+
+def behavioral_likelihood(active_accounts, input_accounts, n_accounts, params) -> float:
+    """Log-likelihood of A_k under one hypothesis, from set sizes.
+
+    For input hypothesis A_i: every account is an independent Bernoulli,
+    p_in inside A_i and p_out outside; for the untargeted hypothesis
+    (``input_accounts=None``) every account sees the output with p_empty.
+    """
+    a_k = frozenset(int(j) for j in active_accounts)
+    k = len(a_k)
+    if input_accounts is None:
+        return k * math.log(params.p_empty) + (n_accounts - k) * math.log1p(
+            -params.p_empty
+        )
+    a_i = frozenset(int(j) for j in input_accounts)
+    hit = len(a_i & a_k)
+    return (
+        hit * math.log(params.p_in)
+        + (len(a_i) - hit) * math.log1p(-params.p_in)
+        + (k - hit) * math.log(params.p_out)
+        + (n_accounts - len(a_i) - k + hit) * math.log1p(-params.p_out)
+    )
+
+
+def contextual_likelihood(counts, input_id, params) -> float:
+    """Log-likelihood of per-input display counts under one hypothesis:
+    x_i log p_in + (sum - x_i) log p_out, or sum log p_empty when
+    untargeted (``input_id=None``)."""
+    total = sum(int(c) for c in counts)
+    if input_id is None:
+        return total * math.log(params.p_empty)
+    xi = int(counts[input_id])
+    return xi * math.log(params.p_in) + (total - xi) * math.log(params.p_out)
+
+
+def composite_score(behavioral_max, contextual_max):
+    """Arithmetic mean of the present per-model maxima; None (= unknown)
+    when both are absent."""
+    present = [s for s in (behavioral_max, contextual_max) if s is not None]
+    if not present:
+        return None
+    for s in present:
+        if not 0.0 <= s <= 1.0:
+            raise ValueError(f"score {s} outside [0,1]")
+    return sum(present) / len(present)
+
+
+def _scalar_posterior(loglik, params):
+    n = len(loglik) - 1
+    if params.priors is None:
+        log_prior = [-math.log(n + 1)] * (n + 1)
+    else:
+        total = sum(params.priors)
+        log_prior = [math.log(w / total) for w in params.priors]
+    log_post = [a + b for a, b in zip(loglik, log_prior)]
+    hi = max(log_post)
+    z = hi + math.log(sum(math.exp(v - hi) for v in log_post))
+    return [math.exp(v - z) for v in log_post], z
+
+
+def bayes_oracle(active, counts, membership, params, ctx_params, floor):
+    """One output's Bayes verdict hypothesis by hypothesis, in plain
+    Python: ``{"verdict", "target", "combined", "posteriors"}`` where
+    ``posteriors`` maps channel name to (probabilities, log normalizer)."""
+    posts = {}
+    if active is not None:
+        m, n = membership.shape
+        loglik = [
+            behavioral_likelihood(active, np.nonzero(membership[:, i])[0], m, params)
+            for i in range(n)
+        ] + [behavioral_likelihood(active, None, m, params)]
+        posts["behavioral"] = _scalar_posterior(loglik, params)
+    if counts is not None:
+        cp = ctx_params or params
+        loglik = [contextual_likelihood(counts, i, cp) for i in range(len(counts))]
+        posts["contextual"] = _scalar_posterior(loglik + [contextual_likelihood(counts, None, cp)], cp)
+    if not posts:
+        return {"verdict": "unknown", "target": None, "combined": None, "posteriors": {}}
+    vecs = [p for p, _ in posts.values()]
+    combined = [sum(col) / len(vecs) for col in zip(*vecs)]
+    winner = max(range(len(combined)), key=lambda i: (combined[i], -i))
+    targeted = winner < len(combined) - 1 and combined[winner] >= floor
+    return {
+        "verdict": "targeted" if targeted else "untargeted",
+        "target": winner if targeted else None,
+        "combined": combined,
+        "posteriors": posts,
+    }
+
+
+def learn_oracle(observations, score, in_slots, out_slots, empty_slots, init,
+                 tol=1e-3, max_iter=50, floor=0.5):
+    """The moment-matching loop output by output.  ``observations`` maps
+    output id to (per-input evidence list, total); ``score(oid, params)``
+    returns that output's :func:`bayes_oracle` result."""
+    from dataclasses import replace
+
+    params, history, converged, iterations = init, [], False, 0
+    for iterations in range(1, max_iter + 1):
+        acc = dict(in_seen=0, in_total=0, out_seen=0, out_total=0, e_seen=0, e_total=0)
+        for oid, (evidence, total) in sorted(observations.items()):
+            res = score(oid, params)
+            if res["verdict"] == "targeted":
+                i = res["target"]
+                acc["in_seen"] += evidence[i]
+                acc["in_total"] += in_slots[i]
+                acc["out_seen"] += total - evidence[i]
+                acc["out_total"] += out_slots[i]
+            else:
+                acc["e_seen"] += total
+                acc["e_total"] += empty_slots
+        p_in = acc["in_seen"] / acc["in_total"] if acc["in_total"] else params.p_in
+        p_out = acc["out_seen"] / acc["out_total"] if acc["out_total"] else params.p_out
+        p_empty = acc["e_seen"] / acc["e_total"] if acc["e_total"] else params.p_empty
+        p_in = min(max(p_in, 1e-6), 1.0 - 1e-6)
+        p_empty = min(max(p_empty, 1e-6), 1.0 - 1e-6)
+        p_out = min(max(p_out, 1e-7), p_in * (1.0 - 1e-9))
+        delta = max(abs(p_in - params.p_in), abs(p_out - params.p_out),
+                    abs(p_empty - params.p_empty))
+        params = replace(params, p_in=p_in, p_out=p_out, p_empty=p_empty)
+        history.append((p_in, p_out, p_empty))
+        if delta < tol:
+            converged = True
+            break
+    return params, iterations, converged, tuple(history)

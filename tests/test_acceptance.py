@@ -22,7 +22,7 @@ from oracles import (
     random_antichain,
     random_monotone_table,
 )
-from xcorr.bayes import ModelParams, behavioral_likelihood, behavioral_posterior
+from xcorr.bayes import ModelParams, behavioral_evidence, log_likelihoods, posteriors
 from xcorr.core_family_search import (
     AdFamily,
     DetectionConfig,
@@ -354,9 +354,10 @@ def test_08_matching_uplift():
 
 
 def test_09_likelihood_identity_and_normalization():
-    """The closed-form behavioral log-likelihood equals a naive
-    account-by-account product to 1e-12 relative accuracy over 10,000
-    random instances, and every posterior sums to 1 within 1e-9."""
+    """The batched closed-form behavioral log-likelihood rows equal a
+    naive account-by-account product to 1e-12 relative accuracy over
+    10,000 random (output, hypothesis) instances, and every batched
+    posterior row sums to 1 within 1e-9."""
     start = time.perf_counter()
     rng = np.random.default_rng(909)
     worst_rel = worst_norm = 0.0
@@ -371,15 +372,18 @@ def test_09_likelihood_identity_and_normalization():
             p_out=p_out,
             p_empty=float(rng.uniform(0.01, 0.9)),
         )
-        active = np.array([], dtype=int)
+        outputs, hyps = [], []
         for _ in range(25):
             k = int(rng.integers(0, m + 1))
-            active = rng.choice(m, size=k, replace=False)
-            hyp = None if rng.random() < 1.0 / 3.0 else int(rng.integers(0, n))
-            members = None if hyp is None else np.nonzero(membership[:, hyp])[0]
-            fast = behavioral_likelihood(active, members, m, params)
+            outputs.append(rng.choice(m, size=k, replace=False))
+            hyps.append(None if rng.random() < 1.0 / 3.0 else int(rng.integers(0, n)))
+        loglik = log_likelihoods(
+            behavioral_evidence(outputs, PlacementMatrix(membership)), params
+        )
+        for row, active, hyp in zip(loglik, outputs, hyps):
+            fast = row[n if hyp is None else hyp]
             active_set = {int(a) for a in active}
-            member_set = set() if members is None else {int(a) for a in members}
+            member_set = set() if hyp is None else set(np.nonzero(membership[:, hyp])[0].tolist())
             naive = 0.0
             for account in range(m):
                 if hyp is None:
@@ -391,8 +395,8 @@ def test_09_likelihood_identity_and_normalization():
                 naive += math.log(p)
             worst_rel = max(worst_rel, abs(fast - naive) / abs(naive))
             instances += 1
-        posterior = behavioral_posterior(active, PlacementMatrix(membership), params)
-        worst_norm = max(worst_norm, abs(float(posterior.probabilities.sum()) - 1.0))
+        probs, _ = posteriors(loglik, params)
+        worst_norm = max(worst_norm, float(np.max(np.abs(probs.sum(axis=1) - 1.0))))
     elapsed = time.perf_counter() - start
     _verdict(
         9,

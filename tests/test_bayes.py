@@ -3,18 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from oracles import bayes_oracle, composite_score, learn_oracle
 from xcorr.bayes import (
     DEFAULT_INIT,
     ModelParams,
     Posterior,
     bayes_predict,
-    behavioral_likelihood,
-    behavioral_posterior,
-    composite_score,
-    contextual_likelihood,
-    contextual_posterior,
+    bayes_predict_batch,
+    behavioral_evidence,
+    contextual_evidence,
     learn_contextual_params,
     learn_params,
+    log_likelihoods,
 )
 from xcorr.core_model import Combination, Family
 from xcorr.errors import DomainError
@@ -34,6 +34,21 @@ def naive_behavioral(a_k, a_i, m, params):
             p = params.p_in if j in a_i else params.p_out
         logp += math.log(p if seen else 1.0 - p)
     return logp
+
+
+def behavioral_likelihood(a_k, a_i, m, params):
+    """The batched log-likelihood entry of A_k under A_i (or untargeted
+    for ``a_i=None``), read from a one-column placement."""
+    column = np.zeros((m, 1), dtype=bool)
+    column[sorted(a_i or ()), 0] = True
+    row = log_likelihoods(behavioral_evidence([a_k], PlacementMatrix(column)), params)[0]
+    return float(row[1 if a_i is None else 0])
+
+
+def contextual_likelihood(counts, input_id, params):
+    """The batched contextual log-likelihood entry of one count vector."""
+    row = log_likelihoods(contextual_evidence([counts]), params)[0]
+    return float(row[-1 if input_id is None else input_id])
 
 
 # --------------------------------------------------------------- params
@@ -116,7 +131,7 @@ def test_posterior_normalization_large_n():
     rng = np.random.default_rng(11)
     for n in (10, 1000, 10_000):
         x = rng.integers(0, 5, size=n)
-        post = contextual_posterior(x, DEFAULT_INIT)
+        post = bayes_predict(contextual_counts=x).posteriors["contextual"]
         assert abs(post.probabilities.sum() - 1.0) < 1e-9
         assert np.all(post.probabilities >= 0)
         assert post.n_inputs == n
@@ -166,7 +181,7 @@ def test_single_account_degenerate():
     pm = PlacementMatrix(np.array([[True, False]]))
     pred = bayes_predict(active_accounts={0}, placement=pm, params=DEFAULT_INIT)
     assert pred.verdict in (Verdict.TARGETED, Verdict.UNTARGETED)
-    post = behavioral_posterior({0}, pm, DEFAULT_INIT)
+    post = pred.posteriors["behavioral"]
     assert abs(post.probabilities.sum() - 1) < 1e-9
 
 
@@ -198,7 +213,7 @@ def test_composite_score_values():
     assert composite_score(0.42, None) == pytest.approx(0.42)
     assert composite_score(None, 0.8) == pytest.approx(0.8)
     assert composite_score(None, None) is None
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError):
         composite_score(1.2, None)
 
 
@@ -330,3 +345,149 @@ def test_learn_contextual_self_consistency():
     assert res.params.p_in == pytest.approx(0.6, abs=0.07)
     assert res.params.p_out == pytest.approx(0.03, abs=0.03)
     assert res.params.p_empty == pytest.approx(0.1, abs=0.05)
+
+
+# -------------------------------------------------------------- batching
+
+
+def _random_batch(rng):
+    """A random trial: placement, params, and K outputs whose channels,
+    active sets and counts cover the edge cases."""
+    m, n = int(rng.integers(1, 30)), int(rng.integers(1, 9))
+    membership = rng.random((m, n)) < rng.uniform(0.2, 0.8)
+    p_out = float(rng.uniform(1e-3, 0.3))
+    priors = None
+    if rng.random() < 0.3:
+        priors = tuple(float(w) for w in rng.uniform(0.1, 3.0, size=n + 1))
+    params = ModelParams(
+        p_in=float(rng.uniform(p_out + 0.05, 0.97)), p_out=p_out,
+        p_empty=float(rng.uniform(0.01, 0.9)), priors=priors,
+    )
+    ctx_params = None if rng.random() < 0.5 else ModelParams(0.58, 0.04, 0.1)
+    k = int(rng.choice([0, 1, 2, 7]))
+    active, counts = [], []
+    for _ in range(k):
+        kind = rng.integers(0, 4)
+        if kind == 0:
+            a_k = []
+        elif kind == 1:
+            a_k = list(range(m))
+        elif kind == 2:
+            a_k = np.nonzero(membership[:, int(rng.integers(0, n))])[0].tolist()
+        else:
+            a_k = np.nonzero(rng.random(m) < 0.4)[0].tolist()
+        x = rng.integers(0, 20, size=n)
+        if rng.random() < 0.3:
+            x[int(rng.integers(0, n))] += 50
+        channels = rng.integers(0, 4)  # both, behavioral, contextual, neither
+        active.append(a_k if channels in (0, 1) else None)
+        counts.append(x if channels in (0, 2) else None)
+    floor = float(rng.choice([0.3, 0.5, 0.8]))
+    return membership, params, ctx_params, active, counts, floor
+
+
+def test_batch_matches_scalar_oracle():
+    rng = np.random.default_rng(314)
+    checked = 0
+    for _ in range(400):
+        membership, params, ctx_params, active, counts, floor = _random_batch(rng)
+        preds = bayes_predict_batch(
+            active, counts, PlacementMatrix(membership), params, ctx_params, floor
+        )
+        assert len(preds) == len(active)
+        for a_k, x, pred in zip(active, counts, preds):
+            want = bayes_oracle(a_k, x, membership, params, ctx_params, floor)
+            if want["combined"] is None:
+                assert pred.verdict is Verdict.UNKNOWN
+                assert pred.flags == ("no_observations",)
+                continue
+            assert set(pred.posteriors) == set(want["posteriors"])
+            for name, (probs, log_z) in want["posteriors"].items():
+                got = pred.posteriors[name]
+                assert isinstance(got, Posterior)
+                np.testing.assert_allclose(got.probabilities, probs, rtol=1e-9, atol=1e-12)
+                assert got.log_normalizer == pytest.approx(log_z, rel=1e-9, abs=1e-9)
+                assert pred.scores[name] == pytest.approx(max(probs), rel=1e-9)
+            combined = sorted(want["combined"], reverse=True)
+            near_tie = len(combined) > 1 and combined[0] - combined[1] < 1e-9
+            if near_tie or abs(combined[0] - floor) < 1e-9:
+                continue
+            assert pred.verdict.value == want["verdict"]
+            if want["target"] is not None:
+                assert pred.target == Combination([want["target"]])
+            assert pred.scores["composite"] == pytest.approx(combined[0], rel=1e-9)
+            checked += 1
+    assert checked > 500
+
+
+def test_batch_rows_equal_single_output_calls():
+    rng = np.random.default_rng(2718)
+    for _ in range(100):
+        membership, params, ctx_params, active, counts, floor = _random_batch(rng)
+        pm = PlacementMatrix(membership)
+        batch = bayes_predict_batch(active, counts, pm, params, ctx_params, floor)
+        for a_k, x, pred in zip(active, counts, batch):
+            one = bayes_predict(a_k, x, pm, params, ctx_params, floor)
+            assert one.to_dict() == pred.to_dict()
+            for name, post in (one.posteriors or {}).items():
+                assert post.probabilities.tobytes() == pred.posteriors[name].probabilities.tobytes()
+                assert post.log_normalizer == pred.posteriors[name].log_normalizer
+
+
+def test_batch_rejects_bad_observations():
+    pm = PlacementMatrix(np.array([[True, False], [False, True], [True, True]]))
+    assert bayes_predict_batch([], [], pm) == []
+    with pytest.raises(DomainError):
+        bayes_predict_batch([[0, 3]], None, pm)
+    with pytest.raises(DomainError):
+        bayes_predict_batch([[0], [-1]], None, pm)
+    with pytest.raises(DomainError):
+        bayes_predict_batch([[0]], None, None)
+    with pytest.raises(DomainError):
+        bayes_predict_batch(None, [[1, -2]])
+    with pytest.raises(DomainError):
+        bayes_predict(contextual_counts=[-4, 2])
+    with pytest.raises(DomainError):
+        bayes_predict_batch(None, [[1, 2], [1, 2, 3]])
+    with pytest.raises(DomainError):
+        bayes_predict_batch([[0]], [[1, 2, 3]], pm)
+    with pytest.raises(DomainError):
+        bayes_predict_batch([[0], [1]], [[1, 2]], pm)
+
+
+def test_learners_match_scalar_oracle():
+    rng = np.random.default_rng(99)
+    for case in range(12):
+        pm, obs = _workload(seed=300 + case, n=int(rng.integers(3, 12)),
+                            m=int(rng.integers(10, 40)), outputs=int(rng.integers(0, 30)))
+        init = ModelParams(0.6, 0.05, 0.2)
+        mem = pm.membership
+        m, n = mem.shape
+        sizes = mem.sum(axis=0).tolist()
+        evidence = {
+            oid: ([sum(1 for j in a_k if mem[j, i]) for i in range(n)], len(a_k))
+            for oid, a_k in obs.behavioral.items()
+        }
+        want = learn_oracle(
+            evidence,
+            lambda oid, p: bayes_oracle(obs.behavioral[oid], None, mem, p, None, 0.5),
+            sizes, [m - s for s in sizes], m, init, tol=1e-6,
+        )
+        got = learn_params(obs.behavioral, pm, init=init, tol=1e-6)
+        assert (got.params, got.iterations, got.converged) == (want[0], want[1], want[2])
+        assert got.history == want[3]
+
+        displays = int(rng.integers(5, 40))
+        counts = {
+            k: rng.binomial(displays, np.where(np.arange(n) == k % n, 0.6, 0.03))
+            if k % 3 else rng.binomial(displays, np.full(n, 0.1))
+            for k in range(int(rng.integers(0, 20)))
+        }
+        want = learn_oracle(
+            {k: (x.tolist(), int(x.sum())) for k, x in counts.items()},
+            lambda oid, p: bayes_oracle(None, counts[oid], None, p, None, 0.5),
+            [displays] * n, [displays * (n - 1)] * n, displays * n, init, tol=1e-6,
+        )
+        got = learn_contextual_params(counts, n, displays, init=init, tol=1e-6)
+        assert (got.params, got.iterations, got.converged, got.history) == want
+        assert got.iterations > 1 or not counts

@@ -243,6 +243,16 @@ OBSERVATION_DAMAGE = {
     "contextual length": lambda text: _corrupt(
         json.loads(text), lambda d: d["contextual"].__setitem__("0", [1, 2])
     ),
+    **{
+        f"count is {kind}": (lambda bad: lambda text: _corrupt(
+            json.loads(text),
+            lambda d: d["contextual"].__setitem__("0", [bad] + [0] * (d["n_inputs"] - 1)),
+        ))(bad)
+        for kind, bad in [
+            ("a numeric string", "3"), ("a float", 1.7), ("an integral float", 3.0),
+            ("a bool", True), ("negative", -4), ("null", None),
+        ]
+    },
 }
 
 

@@ -5,7 +5,11 @@ from xcorr.core_model import Combination, Family
 from xcorr.errors import ConfigError
 from xcorr.placement import PlacementConfig, PlacementMatrix, bernoulli_placement
 from xcorr.prediction import Verdict
-from xcorr.set_intersection import SetIntersectionConfig, predict_set_intersection
+from xcorr.set_intersection import (
+    SetIntersectionConfig,
+    predict_set_intersection,
+    predict_set_intersection_batch,
+)
 from xcorr.simulator import TargetingSpec, simulate_behavioral
 
 
@@ -101,19 +105,6 @@ def test_max_combination_size_rejects():
     assert "oversized_set_rejected" in pred.flags
 
 
-def test_penalize_inactive_drops_background_input():
-    active = [{1, 2, 3}, {1, 2}, {1, 2, 4}]
-    inactive = [{2}, {2, 4}, {2}, {2, 3}]
-    pm = matrix_from_sets(5, *active, *inactive)
-    base = SetIntersectionConfig(threshold=0.9)
-    pred = predict_set_intersection([0, 1, 2], pm, base)
-    assert pred.target == Combination([1, 2])
-    cfg = SetIntersectionConfig(threshold=0.9, penalize_inactive=True)
-    pred = predict_set_intersection([0, 1, 2], pm, cfg)
-    assert pred.target == Combination([1])
-    assert "inactive_penalty_applied" in pred.flags
-
-
 # ------------------------------------------------------------ validation
 
 
@@ -132,6 +123,8 @@ def test_rejects_foreign_accounts():
     pm = matrix_from_sets(3, {0}, {1})
     with pytest.raises(ConfigError):
         predict_set_intersection([0, 5], pm)
+    with pytest.raises(ConfigError):
+        predict_set_intersection_batch([[0], [-1]], pm)
 
 
 # ------------------------------------------------------------ properties
@@ -160,6 +153,40 @@ def test_matches_dumb_oracle_on_random_instances():
         assert pred.verdict.value == want_verdict
         if want_verdict == "targeted":
             assert pred.target == Combination(want_set)
+
+
+def test_batch_matches_oracle_and_single_calls():
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        m = int(rng.integers(1, 14))
+        n = int(rng.integers(1, 9))
+        sets = [
+            set(int(i) for i in np.nonzero(rng.random(n) < 0.6)[0]) for _ in range(m)
+        ]
+        pm = matrix_from_sets(n, *sets)
+        outputs = []
+        for _ in range(int(rng.choice([0, 1, 3, 8]))):
+            kind = rng.integers(0, 3)
+            if kind == 0:
+                outputs.append([])
+            elif kind == 1:
+                outputs.append(range(m))
+            else:
+                k = int(rng.integers(0, m + 1))
+                outputs.append(rng.choice(m, size=k, replace=False).tolist())
+        cfg = SetIntersectionConfig(
+            min_active_accounts=int(rng.integers(1, 4)),
+            threshold=float(rng.choice([0.5, 0.6, 0.75, 0.9, 1.0])),
+            max_combination_size=int(rng.integers(1, 3)) if rng.random() < 0.3 else None,
+        )
+        preds = predict_set_intersection_batch(outputs, pm, cfg)
+        assert len(preds) == len(outputs)
+        for a_k, pred in zip(outputs, preds):
+            want_verdict, want_set = dumb_predict(a_k, sets, cfg)
+            assert pred.verdict.value == want_verdict
+            if want_verdict == "targeted":
+                assert pred.target == Combination(want_set)
+            assert pred.to_dict() == predict_set_intersection(a_k, pm, cfg).to_dict()
 
 
 def test_monotone_in_threshold():
