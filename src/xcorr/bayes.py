@@ -98,18 +98,6 @@ class Posterior:
     def n_inputs(self) -> int:
         return len(self.probabilities) - 1
 
-    def prob_input(self, i: int) -> float:
-        return float(self.probabilities[i])
-
-    @property
-    def prob_untargeted(self) -> float:
-        return float(self.probabilities[-1])
-
-    def argmax_hypothesis(self) -> int:
-        """Index of the winning hypothesis; ties go to the lowest input
-        ID (the untargeted hypothesis sits last, so inputs win ties)."""
-        return int(np.argmax(self.probabilities))
-
 
 # ------------------------------------------------------------- evidence
 

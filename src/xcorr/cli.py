@@ -33,6 +33,7 @@ from .experiment import (
     CorrelationStore,
     ScenarioConfig,
     algorithm_predictions,
+    canonical_json,
     matching_specs,
     run_scenario,
     scaling_sweep,
@@ -84,16 +85,15 @@ def _resolve_seed(args, cfg: ScenarioConfig, config_has_seed: bool) -> ScenarioC
     env = os.environ.get("XCORR_SEED")
     if env is not None:
         try:
-            return dataclasses.replace(cfg, seed=int(env))
+            seed = int(env)
         except ValueError as exc:
             raise ConfigError(f"XCORR_SEED must be an integer, got {env!r}") from exc
+        return dataclasses.replace(cfg, seed=seed)
     return dataclasses.replace(cfg, seed=0)
 
 
 def _emit(doc: dict | str, out: str | None) -> None:
-    text = doc if isinstance(doc, str) else json.dumps(
-        doc, sort_keys=True, separators=(",", ":")
-    )
+    text = doc if isinstance(doc, str) else canonical_json(doc)
     if out is None:
         sys.stdout.write(text + ("\n" if not text.endswith("\n") else ""))
     else:
@@ -117,32 +117,14 @@ def _cmd_simulate(args) -> int:
     key = scenario_hash(cfg.to_dict())
     root = np.random.SeedSequence(cfg.seed)
     for t, ss in enumerate(root.spawn(cfg.trials)):
-        sim = simulate_trial(cfg, ss)
-        truth_doc = {
-            str(oid): None if fam is None else json.loads(fam.to_json())
-            for oid, fam in sim.truth.items()
-        }
+        record = simulate_trial(cfg, ss).to_record(t)
         if store is not None:
-            store.append(
-                key,
-                "trials",
-                {
-                    "trial": t,
-                    "placement": json.loads(sim.placement.to_json()),
-                    "observations": json.loads(sim.observations.to_json()),
-                    "truth": truth_doc,
-                },
-            )
+            store.append(key, "trials", record)
         if out_dir is not None:
-            (out_dir / f"trial{t}_placement.json").write_text(
-                sim.placement.to_json(), encoding="utf-8"
-            )
-            (out_dir / f"trial{t}_observations.json").write_text(
-                sim.observations.to_json(), encoding="utf-8"
-            )
-            (out_dir / f"trial{t}_truth.json").write_text(
-                json.dumps(truth_doc, sort_keys=True), encoding="utf-8"
-            )
+            for part in ("placement", "observations", "truth"):
+                (out_dir / f"trial{t}_{part}.json").write_text(
+                    json.dumps(record[part]), encoding="utf-8"
+                )
     _emit({"key": key, "trials": cfg.trials}, None)
     return 0
 
@@ -358,7 +340,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except XCorrError as exc:
+    except (XCorrError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,7 @@ from .runner import (
     simulate_trial,
 )
 from .scoring import Metrics, precision_recall, project_family, wilson_interval
-from .store import CorrelationStore, scenario_hash
+from .store import CorrelationStore, canonical_json, scenario_hash
 from .sweep import KneeResult, SweepResult, detect_knee, scaling_sweep
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "project_family",
     "wilson_interval",
     "CorrelationStore",
+    "canonical_json",
     "scenario_hash",
     "KneeResult",
     "SweepResult",

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -64,6 +66,104 @@ PRESETS: dict[str, dict] = {
 _TUPLE_FIELDS = ("l_values", "r_values", "algorithms")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _is_list(v, item) -> bool:
+    """A non-empty list whose entries all pass ``item``."""
+    return isinstance(v, (list, tuple)) and bool(v) and all(item(x) for x in v)
+
+
+def _int_at_least(lo: int):
+    return (lambda v: _is_int(v) and v >= lo, f"an integer >= {lo}")
+
+
+# (check, what the error message says the value must be)
+_INT = (_is_int, "an integer")
+_OPT_INT = (lambda v: v is None or _is_int(v), "an integer or null")
+_REAL = (_is_real, "a finite number")
+_STR = (lambda v: isinstance(v, str), "a string")
+_MODEL_PARAMS = dict.fromkeys(("p_in", "p_out", "p_empty"), _REAL)
+_BAYES_OPTIONS = {**_MODEL_PARAMS, "score_floor": _REAL, "contextual": _MODEL_PARAMS}
+
+#: what every config field accepts on its own (type, and bounds that need
+#: no other field); a nested table checks a nested object, which may only
+#: use the keys the table names
+_FIELD_CHECKS: dict = {
+    **dict.fromkeys(
+        ("n_inputs", "rounds", "trials", "displays_per_input", "ads_per_group"),
+        _int_at_least(1),
+    ),
+    **dict.fromkeys(("n_targeted", "n_untargeted", "seed"), _int_at_least(0)),
+    "n_accounts": (lambda v: v is None or _is_int(v) and v >= 2, "an integer >= 2 or null"),
+    **dict.fromkeys(("p_in", "p_out", "p_empty"), _REAL),
+    "account_constant": (lambda v: _is_real(v) and v > 0, "a finite number > 0"),
+    "match_threshold": (lambda v: _is_real(v) and v >= 0, "a finite number >= 0"),
+    "alpha": (
+        lambda v: v == AUTO_ALPHA or _is_real(v) and 0 < v < 1,
+        f"{AUTO_ALPHA!r} or a number in (0, 1)",
+    ),
+    **dict.fromkeys(
+        ("collect_contextual", "matching", "learn"),
+        (lambda v: isinstance(v, bool), "true or false"),
+    ),
+    **dict.fromkeys(
+        ("l_values", "r_values"),
+        (
+            lambda v: _is_list(v, lambda x: _is_int(x) and x >= 1),
+            "a non-empty list of integers >= 1",
+        ),
+    ),
+    "overlap_groups": (
+        lambda v: v is None
+        or _is_list(v, lambda g: _is_list(g, lambda x: _is_int(x) and x >= 0)),
+        "null or a non-empty list of non-empty lists of integers >= 0",
+    ),
+    "targeted_channel": (
+        lambda v: v in (BEHAVIORAL, CONTEXTUAL), f"{BEHAVIORAL!r} or {CONTEXTUAL!r}"
+    ),
+    "name": _STR,
+    "algorithms": (
+        lambda v: _is_list(v, lambda a: a in ALGORITHMS),
+        f"a non-empty list of algorithm names from {ALGORITHMS}",
+    ),
+    "algo_config": {
+        "setint": {
+            "min_active_accounts": _INT,
+            "threshold": _REAL,
+            "max_combination_size": _OPT_INT,
+        },
+        "bayes": _BAYES_OPTIONS,
+        "composite": _BAYES_OPTIONS,
+        "corefamily": {
+            "method": _STR, "x": _REAL, "l_max": _INT, "r_max": _OPT_INT,
+            "test_budget": _OPT_INT, "min_members": _INT,
+        },
+    },
+}
+
+
+def _check_fields(doc: Mapping, table: Mapping, where: str = "") -> None:
+    """Raise ConfigError naming the first key of ``doc`` that ``table``
+    does not know or whose value its check rejects."""
+    for key, value in doc.items():
+        name = f"{where}{key}"
+        kind = table.get(key)
+        if kind is None:
+            raise ConfigError(f"{name}: unknown key, know {sorted(table)}")
+        if isinstance(kind, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{name}: must be an object, got {value!r}")
+            _check_fields(value, kind, f"{name}.")
+        elif not kind[0](value):
+            raise ConfigError(f"{name}: must be {kind[1]}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything one experiment run depends on.
@@ -102,6 +202,8 @@ class ScenarioConfig:
     name: str = "scenario"
 
     def __post_init__(self):
+        values = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        _check_fields(values, _FIELD_CHECKS)
         for f in _TUPLE_FIELDS:
             object.__setattr__(self, f, tuple(getattr(self, f)))
         if self.overlap_groups is not None:
@@ -113,24 +215,10 @@ class ScenarioConfig:
         self._validate()
 
     def _validate(self) -> None:
-        if self.n_inputs < 1:
-            raise ConfigError(f"n_inputs: must be >= 1, got {self.n_inputs}")
-        if self.n_targeted < 0 or self.n_untargeted < 0:
-            raise ConfigError(
-                "n_targeted/n_untargeted: must be >= 0, got "
-                f"({self.n_targeted}, {self.n_untargeted})"
-            )
+        """Constraints that involve more than one field; each field on its
+        own has passed ``_FIELD_CHECKS`` already."""
         if self.n_targeted + self.n_untargeted < 1:
             raise ConfigError("workload is empty: n_targeted + n_untargeted == 0")
-        for fname in ("l_values", "r_values"):
-            vals = getattr(self, fname)
-            if not vals or any(not isinstance(v, int) or v < 1 for v in vals):
-                raise ConfigError(f"{fname}: need a non-empty tuple of ints >= 1, got {vals}")
-        if self.targeted_channel not in (BEHAVIORAL, CONTEXTUAL):
-            raise ConfigError(
-                f"targeted_channel: must be {BEHAVIORAL!r} or {CONTEXTUAL!r}, "
-                f"got {self.targeted_channel!r}"
-            )
         if self.targeted_channel == CONTEXTUAL and set(self.r_values) != {1}:
             raise ConfigError(
                 "targeted_channel: contextual cores key on single inputs, "
@@ -146,9 +234,7 @@ class ScenarioConfig:
         else:
             seen: set[int] = set()
             for g in self.overlap_groups:
-                if not g:
-                    raise ConfigError("overlap_groups: empty group")
-                if any(i < 0 or i >= self.n_inputs for i in g):
+                if any(i >= self.n_inputs for i in g):
                     raise ConfigError(
                         f"overlap_groups: group {g} references inputs outside "
                         f"0..{self.n_inputs - 1}"
@@ -165,37 +251,8 @@ class ScenarioConfig:
             )
         if self.n_untargeted and not 0.0 < self.p_empty < 1.0:
             raise ConfigError(f"p_empty: must lie in (0,1), got {self.p_empty}")
-        if self.alpha != AUTO_ALPHA:
-            if not isinstance(self.alpha, (int, float)) or not 0.0 < self.alpha < 1.0:
-                raise ConfigError(
-                    f"alpha: must be {AUTO_ALPHA!r} or a float in (0,1), got {self.alpha!r}"
-                )
-        if self.account_constant <= 0:
-            raise ConfigError(f"account_constant: must be > 0, got {self.account_constant}")
-        if self.n_accounts is not None and self.n_accounts < 2:
-            raise ConfigError(f"n_accounts: must be >= 2, got {self.n_accounts}")
-        if self.rounds < 1:
-            raise ConfigError(f"rounds: must be >= 1, got {self.rounds}")
-        if self.trials < 1:
-            raise ConfigError(f"trials: must be >= 1, got {self.trials}")
-        if not self.algorithms:
-            raise ConfigError("algorithms: must name at least one algorithm")
-        for a in self.algorithms:
-            if a not in ALGORITHMS:
-                raise ConfigError(f"algorithms: unknown algorithm {a!r}, know {ALGORITHMS}")
-        for a in self.algo_config:
-            if a not in ALGORITHMS:
-                raise ConfigError(f"algo_config.{a}: unknown algorithm, know {ALGORITHMS}")
-        if self.displays_per_input < 1:
-            raise ConfigError(
-                f"displays_per_input: must be >= 1, got {self.displays_per_input}"
-            )
         if self.matching and self.overlap_groups is None:
             raise ConfigError("matching: needs overlap_groups to build category ads")
-        if self.match_threshold < 0:
-            raise ConfigError(f"match_threshold: must be >= 0, got {self.match_threshold}")
-        if self.ads_per_group < 1:
-            raise ConfigError(f"ads_per_group: must be >= 1, got {self.ads_per_group}")
 
     # ------------------------------------------------------- derived values
 
@@ -238,15 +295,12 @@ class ScenarioConfig:
             doc["overlap_groups"] = [list(g) for g in doc["overlap_groups"]]
         return doc
 
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
     @classmethod
     def from_dict(cls, doc: Mapping) -> "ScenarioConfig":
         merged = dict(doc)
         preset = merged.pop("preset", None)
         if preset is not None:
-            if preset not in PRESETS:
+            if not isinstance(preset, str) or preset not in PRESETS:
                 raise ConfigError(
                     f"preset: unknown preset {preset!r}, know {sorted(PRESETS)}"
                 )

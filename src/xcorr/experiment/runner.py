@@ -18,8 +18,7 @@ from __future__ import annotations
 import json
 import statistics
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,30 +41,13 @@ from ..set_intersection import SetIntersectionConfig, predict_set_intersection_b
 from ..simulator import ObservationSet, simulate_behavioral, simulate_contextual
 from .config import ScenarioConfig, build_specs, matching_specs
 from .scoring import Metrics, precision_recall, wilson_interval
-
-if TYPE_CHECKING:
-    from .store import CorrelationStore
+from .store import CorrelationStore, canonical_json, scenario_hash
 
 
 def _seed_int(ss: np.random.SeedSequence) -> int:
     """Collapse a spawned SeedSequence to a plain int for APIs that store
     their seed in JSON."""
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-@dataclass
-class TrialResult:
-    """Everything one trial produced; artifacts are kept only when the
-    caller wants to persist them."""
-
-    metrics: dict[str, Metrics]
-    predictions: dict[str, dict[int, Prediction]]
-    truth: dict[int, Family | None]
-    purity: float | None = None
-    n_clusters: int | None = None
-    learned: dict | None = None
-    placement: PlacementMatrix | None = None
-    observations: ObservationSet | None = None
 
 
 def _reduced_counts(
@@ -77,15 +59,19 @@ def _reduced_counts(
     return np.array([int(sum(counts[i] for i in c)) for c in clusters], dtype=np.int64)
 
 
-def _algo_predictions(
+def algorithm_predictions(
     algo: str,
     cfg: ScenarioConfig,
     obs: ObservationSet,
     pm: PlacementMatrix,
-    clusters: list[list[int]] | None,
+    clusters: list[list[int]] | None = None,
 ) -> dict[int, Prediction]:
-    """Dispatch one algorithm over every observed output; the scoring
-    detectors score all of them in one batched call."""
+    """Run one detection algorithm over every observed output; the
+    scoring detectors score all of them in one batched call.
+
+    ``pm`` is the placement the algorithm sees.  Under input matching it
+    has one column per cluster, and ``clusters`` pools the contextual
+    counts the same way; without it the counts are used as given."""
     opts = dict(cfg.algo_config.get(algo, {}))
     oids = sorted(obs.behavioral)
     active = [obs.behavioral[oid] for oid in oids]
@@ -102,8 +88,6 @@ def _algo_predictions(
         )
         ctx_opts = opts.pop("contextual", None)
         ctx_params = ModelParams(**ctx_opts) if ctx_opts else None
-        if opts:
-            raise ConfigError(f"algo_config.{algo}: unknown option(s) {sorted(opts)}")
         counts = None
         if algo == "composite" and obs.contextual:
             counts = [obs.contextual.get(oid) for oid in oids]
@@ -155,6 +139,33 @@ class SimulatedTrial:
     purity: float | None
     observations: ObservationSet
     truth: dict[int, Family | None]
+
+    def to_record(self, trial: int) -> dict:
+        """The stored trial record: placement, observations and ground
+        truth as JSON documents.  Truth is keyed by output ID in string
+        order, so each part also serializes on its own to stable bytes."""
+        truth = {
+            str(oid): None if fam is None else json.loads(fam.to_json())
+            for oid, fam in self.truth.items()
+        }
+        return {
+            "trial": trial,
+            "placement": json.loads(self.placement.to_json()),
+            "observations": json.loads(self.observations.to_json()),
+            "truth": dict(sorted(truth.items())),
+        }
+
+
+@dataclass
+class TrialResult:
+    """Everything one trial produced: the simulated world it was scored
+    on, each algorithm's predictions and metrics, and learned parameters
+    when the scenario learns them."""
+
+    sim: SimulatedTrial
+    metrics: dict[str, Metrics]
+    predictions: dict[str, dict[int, Prediction]]
+    learned: dict | None = None
 
 
 def simulate_trial(
@@ -215,25 +226,18 @@ def simulate_trial(
     )
 
 
-def run_trial(
-    cfg: ScenarioConfig,
-    trial_seed: np.random.SeedSequence,
-    keep_artifacts: bool = False,
-) -> TrialResult:
+def run_trial(cfg: ScenarioConfig, trial_seed: np.random.SeedSequence) -> TrialResult:
     """Simulate and score a single trial of the scenario."""
     sim = simulate_trial(cfg, trial_seed)
-    obs, det_pm, reps, clusters = (
-        sim.observations, sim.detection_placement, sim.reps, sim.clusters,
-    )
-    placement, truth, purity = sim.placement, sim.truth, sim.purity
+    obs, det_pm = sim.observations, sim.detection_placement
     gm = cfg.group_map()
     metrics: dict[str, Metrics] = {}
     predictions: dict[str, dict[int, Prediction]] = {}
     for algo in cfg.algorithms:
-        raw = _algo_predictions(algo, cfg, obs, det_pm, clusters)
-        preds = {oid: _translate(p, reps) for oid, p in raw.items()}
+        raw = algorithm_predictions(algo, cfg, obs, det_pm, sim.clusters)
+        preds = {oid: _translate(p, sim.reps) for oid, p in raw.items()}
         predictions[algo] = preds
-        metrics[algo] = precision_recall(preds, truth, group_map=gm)
+        metrics[algo] = precision_recall(preds, sim.truth, group_map=gm)
 
     learned = None
     if cfg.learn:
@@ -246,30 +250,7 @@ def run_trial(
             "converged": res.converged,
         }
 
-    return TrialResult(
-        metrics=metrics,
-        predictions=predictions,
-        truth=truth,
-        purity=purity,
-        n_clusters=None if clusters is None else len(clusters),
-        learned=learned,
-        placement=placement if keep_artifacts else None,
-        observations=obs if keep_artifacts else None,
-    )
-
-
-def algorithm_predictions(
-    algo: str,
-    cfg: ScenarioConfig,
-    observations: ObservationSet,
-    placement: PlacementMatrix,
-) -> dict[int, Prediction]:
-    """Run one detection algorithm over every observed output.
-
-    Standalone entry point for externally supplied observations (the CLI
-    ``detect`` subcommand); assumes the placement is already in the same
-    input universe as any contextual counts."""
-    return _algo_predictions(algo, cfg, observations, placement, None)
+    return TrialResult(sim=sim, metrics=metrics, predictions=predictions, learned=learned)
 
 
 # ------------------------------------------------------------------ report
@@ -305,9 +286,7 @@ class Report:
         return doc
 
     def to_canonical_json(self) -> str:
-        return json.dumps(
-            self.to_dict(include_timing=False), sort_keys=True, separators=(",", ":")
-        )
+        return canonical_json(self.to_dict(include_timing=False))
 
     def to_csv(self) -> str:
         """One row per (algorithm, metric); counts are pooled over trials."""
@@ -366,17 +345,13 @@ def _pool(per_trial: list[Metrics]) -> dict:
     }
 
 
-def run_scenario(
-    cfg: ScenarioConfig, store: "CorrelationStore | None" = None
-) -> Report:
+def run_scenario(cfg: ScenarioConfig, store: CorrelationStore | None = None) -> Report:
     """Run all trials of a scenario and pool the results.
 
     With a store, every trial's placement, observations, ground truth and
     predictions are appended under the scenario's hash key, followed by
     the report itself.
     """
-    from .store import scenario_hash  # local import to avoid a cycle
-
     t0 = time.perf_counter()
     root = np.random.SeedSequence(cfg.seed)
     key = scenario_hash(cfg.to_dict()) if store is not None else None
@@ -386,28 +361,16 @@ def run_scenario(
     cluster_counts: list[int] = []
     learned_rows: list[dict] = []
     for t, ss in enumerate(root.spawn(cfg.trials)):
-        res = run_trial(cfg, ss, keep_artifacts=store is not None)
+        res = run_trial(cfg, ss)
         for algo, met in res.metrics.items():
             per_trial[algo].append(met)
-        if res.purity is not None:
-            purities.append(res.purity)
-            cluster_counts.append(res.n_clusters)
+        if res.sim.clusters is not None:
+            purities.append(res.sim.purity)
+            cluster_counts.append(len(res.sim.clusters))
         if res.learned is not None:
             learned_rows.append(res.learned)
         if store is not None:
-            store.append(
-                key,
-                "trials",
-                {
-                    "trial": t,
-                    "placement": json.loads(res.placement.to_json()),
-                    "observations": json.loads(res.observations.to_json()),
-                    "truth": {
-                        str(oid): None if fam is None else json.loads(fam.to_json())
-                        for oid, fam in res.truth.items()
-                    },
-                },
-            )
+            store.append(key, "trials", res.sim.to_record(t))
             for algo in cfg.algorithms:
                 store.append(
                     key,

@@ -9,8 +9,9 @@ config JSON), one JSON-lines file per record kind inside it::
 
 Appending never rewrites existing lines, so a store can accumulate
 reruns; the hash key guarantees records from different configs never
-mix.  Records are plain dicts — the caller decides the schema, the store
-only promises ordered, line-delimited JSON.
+mix.  Records are plain dicts — the caller decides the schema (a trial
+record comes from ``SimulatedTrial.to_record``), the store only promises
+ordered, line-delimited canonical JSON.
 """
 
 from __future__ import annotations
@@ -21,11 +22,16 @@ from pathlib import Path
 from typing import Mapping
 
 
+def canonical_json(doc) -> str:
+    """The one encoding that is hashed, stored and compared byte for
+    byte: sorted keys, no whitespace."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
 def scenario_hash(config: Mapping) -> str:
     """16-hex-digit key derived from the canonical config JSON.  Equal
     configs always collide; differing ones practically never do."""
-    text = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    return hashlib.sha256(canonical_json(config).encode("utf-8")).hexdigest()[:16]
 
 
 class CorrelationStore:
@@ -39,9 +45,8 @@ class CorrelationStore:
     def append(self, key: str, kind: str, record: Mapping) -> None:
         path = self.path(key, kind)
         path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
         with path.open("a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
+            fh.write(canonical_json(record) + "\n")
 
     def read(self, key: str, kind: str) -> list[dict]:
         """All records of one kind, oldest first; empty list when none."""

@@ -16,7 +16,6 @@ going rather than dying mid-run.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 
@@ -25,6 +24,7 @@ import numpy as np
 from ..errors import ConfigError, PlateauNotFound
 from .config import ScenarioConfig
 from .runner import run_scenario
+from .store import canonical_json
 
 
 def _derived_seed(seed: int, n_inputs: int, m: int) -> int:
@@ -183,7 +183,7 @@ class SweepResult:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_dict())
 
 
 def scaling_sweep(

@@ -18,7 +18,6 @@ absence of evidence is not similarity.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -174,12 +173,3 @@ def cluster_purity(
                 votes[truth[i]] = votes.get(truth[i], 0) + 1
         correct += max(votes.values(), default=0)
     return correct / total
-
-
-def groups_to_json(groups: Sequence[Sequence[int]]) -> str:
-    """Canonical serialization consumed by grouped placement."""
-    return json.dumps(sorted([sorted(int(i) for i in g) for g in groups]))
-
-
-def groups_from_json(text: str) -> list[list[int]]:
-    return [[int(i) for i in g] for g in json.loads(text)]

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from xcorr.cli import main
+from xcorr.cli import ALGO_CHOICES, main
 
 TINY = {
     "n_inputs": 8,
@@ -421,3 +421,50 @@ def test_malformed_config_json(capsys, tmp_path):
 def test_unknown_algo_rejected_by_parser(capsys, tmp_path):
     with pytest.raises(SystemExit):
         main(["detect", "--algo", "nope", "--obs", "x", "--placement", "y"])
+
+
+@pytest.mark.parametrize("key,value", [
+    ("n_inputs", "6"),
+    ("trials", "2"),
+    ("learn", 1),
+    ("l_values", 2),
+    ("l_values", [True]),
+    ("algorithms", "bayes"),
+    ("overlap_groups", [["a"]]),
+    ("overlap_groups", []),
+    ("seed", -1),
+    ("seed", 1.5),
+    ("preset", ["x"]),
+    ("algo_config", []),
+    ("algo_config", {"setint": 3}),
+    *(("algo_config", {algo: {"bogus": 1}}) for algo in ALGO_CHOICES),
+    ("algo_config", {"setint": {"threshold": "x"}}),
+    ("algo_config", {"bayes": {"p_in": "x"}}),
+    ("algo_config", {"composite": {"contextual": {"p_out": None}}}),
+    ("algo_config", {"corefamily": {"l_max": 1.5}}),
+])
+def test_wrong_typed_config_is_a_config_error(capsys, tmp_path, key, value):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**TINY, key: value}))
+    code, out, err = run(capsys, "report", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {key}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--config", "{config}", "--store", "{file}"),
+    ("simulate", "--config", "{config}", "--out-dir", "{file}"),
+    ("report", "--config", "{config}", "--store", "{file}"),
+    ("report", "--config", "{config}", "--out", "{missing}/report.json"),
+    ("report", "--config", "{config}", "--csv", "{missing}/report.csv"),
+    ("sweep", "--config", "{config}", "--n-values", "4", "--out", "{missing}/sweep.json"),
+    ("threshold", "--l", "2", "--r", "2", "--out", "{missing}/threshold.json"),
+])
+def test_unwritable_destination_is_a_config_error(capsys, tmp_path, tiny_config, argv):
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    paths = {"config": tiny_config, "file": str(a_file), "missing": str(tmp_path / "missing")}
+    code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -1,0 +1,154 @@
+"""The CLI contract on arbitrary input: every run exits 0, 2 or 3, a
+configuration problem prints one ``error:`` line, and nothing escapes as
+a traceback.
+
+``report`` and ``simulate`` get a tiny working config with up to three
+keys replaced by bounded arbitrary JSON values, or by values of the
+key's own JSON type (so that many drawn configs are valid and run);
+``detect`` gets arbitrary JSON documents, or a valid placement and
+observation set with keys replaced the same way.  Integers stay within
+[-2, 12] and floats within [-2, 2], so no drawn config is a large run.
+"""
+
+import io
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from xcorr.cli import ALGO_CHOICES, main
+from xcorr.experiment import ScenarioConfig, simulate_trial
+
+TINY = {
+    "n_inputs": 5,
+    "n_targeted": 2,
+    "n_untargeted": 1,
+    "n_accounts": 10,
+    "trials": 1,
+    "seed": 0,
+    "p_in": 0.7,
+    "collect_contextual": True,
+    "algorithms": list(ALGO_CHOICES),
+}
+MATCHED = {
+    **TINY,
+    "n_inputs": 6,
+    "overlap_groups": [[0, 1, 2], [3, 4, 5]],
+    "matching": True,
+    "displays_per_input": 10,
+}
+
+WORDS = (
+    *ALGO_CHOICES, "auto", "behavioral", "contextual", "gmail_like", "removal",
+    "agglomerative", "6",
+)
+KEYS = (
+    *ALGO_CHOICES, "threshold", "min_active_accounts", "max_combination_size",
+    "p_in", "p_out", "p_empty", "score_floor", "contextual", "method", "x",
+    "l_max", "r_max", "test_budget", "min_members", "0", "1",
+)
+
+numbers = st.integers(-2, 12) | st.floats(-2, 2, allow_nan=False)
+json_values = st.recursive(
+    st.none() | st.booleans() | numbers | st.sampled_from(WORDS) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _typed(value):
+    """Bounded JSON values of the same type as ``value``."""
+    if isinstance(value, bool):
+        return st.booleans()
+    if isinstance(value, (int, float)):
+        return numbers
+    if isinstance(value, str):
+        return st.sampled_from(WORDS) | st.text("01", max_size=8)
+    if isinstance(value, list):
+        return st.lists(_typed(value[0]) if value else json_values, max_size=4)
+    if isinstance(value, dict):
+        inner = _typed(next(iter(value.values()))) if value else json_values
+        return st.dictionaries(st.sampled_from(KEYS), json_values | inner, max_size=3)
+    return json_values
+
+
+@st.composite
+def _replaced(draw, doc: dict, template: dict):
+    """``doc`` with up to three keys of ``template`` set to arbitrary JSON
+    or to values of the template value's type."""
+    chosen = draw(st.lists(st.sampled_from(sorted(template)), max_size=3, unique=True))
+    return {**doc, **{k: draw(json_values | _typed(template[k])) for k in chosen}}
+
+
+#: every config key with a value of its type; "unknown" is no key at all
+TEMPLATE = {
+    **ScenarioConfig.from_dict(MATCHED).to_dict(),
+    "preset": "gmail_like",
+    "unknown": None,
+}
+configs = st.sampled_from([TINY, MATCHED]).flatmap(lambda base: _replaced(base, TEMPLATE))
+
+
+def _valid_artifacts() -> tuple[dict, dict]:
+    cfg = ScenarioConfig.from_dict(TINY)
+    sim = simulate_trial(cfg, np.random.SeedSequence(0))
+    return json.loads(sim.placement.to_json()), json.loads(sim.observations.to_json())
+
+
+PLACEMENT, OBSERVATIONS = _valid_artifacts()
+
+
+def _damaged(doc: dict):
+    """Arbitrary JSON, or ``doc`` with some keys replaced."""
+    return json_values | _replaced(doc, doc)
+
+
+def _check(argv: list[str]) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    stderr = err.getvalue()
+    assert code in (0, 2, 3), (code, stderr)
+    assert "Traceback" not in stderr
+    if code == 2:
+        assert stderr.startswith("error: "), stderr
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=configs)
+def test_report_contract(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        _check([
+            "report", "--config", str(path), "--store", str(Path(tmp) / "store"),
+            "--require-recall", "0.5",
+        ])
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=configs)
+def test_simulate_contract(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        _check(["simulate", "--config", str(path), "--out-dir", str(Path(tmp) / "out")])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    algo=st.sampled_from(ALGO_CHOICES),
+    placement=_damaged(PLACEMENT),
+    observations=_damaged(OBSERVATIONS),
+)
+def test_detect_contract(algo, placement, observations):
+    with tempfile.TemporaryDirectory() as tmp:
+        pm_path, obs_path = Path(tmp) / "placement.json", Path(tmp) / "obs.json"
+        pm_path.write_text(json.dumps(placement))
+        obs_path.write_text(json.dumps(observations))
+        _check(["detect", "--algo", algo, "--placement", str(pm_path), "--obs", str(obs_path)])

@@ -12,6 +12,7 @@ from xcorr.experiment import (
     PRESETS,
     ScenarioConfig,
     build_specs,
+    canonical_json,
     detect_knee,
     matching_specs,
     precision_recall,
@@ -39,9 +40,9 @@ def test_config_json_roundtrip():
         algorithms=("bayes", "setint"), algo_config={"setint": {"threshold": 0.8}},
         seed=42,
     )
-    again = ScenarioConfig.from_json(cfg.canonical_json())
+    again = ScenarioConfig.from_json(canonical_json(cfg.to_dict()))
     assert again == cfg
-    assert again.canonical_json() == cfg.canonical_json()
+    assert canonical_json(again.to_dict()) == canonical_json(cfg.to_dict())
 
 
 def test_config_preset_merge_and_override():
@@ -239,8 +240,8 @@ def test_run_trial_covers_all_outputs_and_algorithms():
     assert set(res.metrics) == set(TINY.algorithms)
     for preds in res.predictions.values():
         assert sorted(preds) == list(range(5))
-    assert set(res.truth) == set(range(5))
-    assert sum(1 for f in res.truth.values() if f is not None) == 3
+    assert set(res.sim.truth) == set(range(5))
+    assert sum(1 for f in res.sim.truth.values() if f is not None) == 3
 
 
 def test_run_scenario_report_shape_and_pooling():

@@ -14,8 +14,6 @@ from xcorr.input_matching import (
     build_signatures,
     cluster_inputs,
     cluster_purity,
-    groups_from_json,
-    groups_to_json,
     signature_distance,
 )
 from xcorr.simulator import CONTEXTUAL, TargetingSpec, simulate_contextual
@@ -142,13 +140,6 @@ def test_purity_metric():
     assert cluster_purity([[0, 1, 2], [3, 4, 5]], truth) == 1.0
     assert cluster_purity([[0, 1, 3], [2, 4, 5]], truth) == pytest.approx(4 / 6)
     assert cluster_purity([], []) == 1.0
-
-
-def test_groups_json_roundtrip():
-    groups = [[3, 1], [2], [0, 5]]
-    text = groups_to_json(groups)
-    assert text == "[[0, 5], [1, 3], [2]]"
-    assert groups_from_json(text) == [[0, 5], [1, 3], [2]]
 
 
 def _category_workload(seed, n_groups=6, per_group=3, ads_per_group=4):
