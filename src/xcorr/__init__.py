@@ -63,6 +63,7 @@ from .core_family_search import (  # noqa: F401
     detect_targeting,
     find_x_intersecting_subset,
     predict_core_family,
+    predict_core_family_batch,
     removal_core_search,
 )
 from .input_matching import (  # noqa: F401

@@ -7,12 +7,17 @@ intersect" is then an OR over a few rows plus a popcount, and the
 witness search walks candidate combinations smallest size first,
 lexicographic within each size, stopping at the first hit.
 
-Sizes 1 and 2 are answered from per-row degrees: a single row covers
-its own popcount, and a pair covers deg_i + deg_j - |b_i & b_j| by
-inclusion-exclusion, evaluated over all pairs at once in
-``np.triu_indices`` order, which is lexicographic order.  Sizes of 3
-and up enumerate candidates in chunks and OR their rows.  There is one
-engine, plain numpy (``np.bitwise_count`` needs numpy 2.0).
+The kernel answers many searches at once: :func:`find_witness_batch`
+takes a stack of Q families over one input universe, as lock-step
+core-family searches produce them (one pending query per output of a
+trial), and :func:`find_witness` is its one-query call.  Size 1 is
+read off a Q x n degree matrix.  Size 2 covers popcount(b_i | b_j)
+(= deg_i + deg_j - |b_i & b_j|) for every pair of every open query at
+once, taken in blocks of first rows i against all rows j and masked to
+i < j, so row-major order within a block is lexicographic order.
+Sizes of 3 and up enumerate candidates per query, in chunks, over that
+query's nonzero rows.  There is one engine, plain numpy
+(``np.bitwise_count`` needs numpy 2.0).
 """
 
 from __future__ import annotations
@@ -56,19 +61,35 @@ def popcount_u64(x: np.ndarray) -> np.ndarray:
     return np.bitwise_count(np.asarray(x, dtype=np.uint64)).astype(np.int64)
 
 
-def _first_pair(bitsets: np.ndarray, deg: np.ndarray, threshold: int):
-    """First pair (i < j), lexicographic, with deg_i + deg_j - |b_i & b_j|
-    at or above threshold."""
-    n = bitsets.shape[0]
-    rows, cols = np.triu_indices(n, 1)
-    for start in range(0, rows.size, _CHUNK):
-        i, j = rows[start : start + _CHUNK], cols[start : start + _CHUNK]
-        shared = popcount_u64(bitsets[i] & bitsets[j]).sum(axis=1)
-        hits = np.flatnonzero(deg[i] + deg[j] - shared >= threshold)
-        if hits.size:
-            h = hits[0]
-            return np.array([i[h], j[h]], dtype=np.int64)
-    return None
+def _first_pairs(stack, thresholds, queries, out) -> list[int]:
+    """Fill ``out[q]`` with each query's first pair (i < j), lexicographic,
+    whose OR covers its threshold.  Returns the queries left without one.
+
+    Pairs are taken for blocks of first rows i against all rows j, so
+    row-major order within a block is lexicographic order."""
+    live = np.asarray(queries, dtype=np.int64)
+    sub, thr = stack[live], thresholds[live, None, None]
+    n, words = stack.shape[1:]
+    cols = np.arange(n)
+    step = max(1, _CHUNK * 32 // (live.size * n * words))
+    for start in range(0, n - 1, step):
+        cover = np.bitwise_count(sub[:, start : start + step, None] | sub[:, None])
+        cover = cover[..., 0] if words == 1 else cover.sum(axis=3, dtype=np.int64)
+        upper = cols > cols[start : start + step, None]
+        hit = ((cover >= thr) & upper).reshape(live.size, -1)
+        still = []
+        for pos, (k, any_hit, h) in enumerate(
+            zip(live.tolist(), hit.any(axis=1).tolist(), hit.argmax(axis=1).tolist())
+        ):
+            if any_hit:
+                out[k] = np.array([start + h // n, h % n], dtype=np.int64)
+            else:
+                still.append(pos)
+        if not still:
+            return []
+        if len(still) < live.size:
+            live, sub, thr = live[still], sub[still], thr[still]
+    return live.tolist()
 
 
 def _first_combination(bitsets: np.ndarray, threshold: int, size: int):
@@ -86,6 +107,58 @@ def _first_combination(bitsets: np.ndarray, threshold: int, size: int):
     return None
 
 
+def find_witness_batch(stack: np.ndarray, thresholds, l_max: int) -> list:
+    """:func:`find_witness` for Q bitset families at once.
+
+    ``stack`` has shape (Q, n, n_words): query q's rows, zero-padded to a
+    common word count (zero rows and words cover nothing, so padding
+    never changes a witness).  ``thresholds`` holds one threshold per
+    query.  Returns a list of Q results, each a sorted int64 index array
+    or None.
+
+    Size 1 is read off a Q x n degree matrix, size 2 off the pair
+    coverages of every query still open, and sizes of 3 and up run per
+    query over that query's nonzero rows.  No combination holding a zero
+    row can be the first hit (dropping the row leaves a smaller
+    combination with the same coverage, already tried), so each answer
+    is the one the query would get on its own.
+    """
+    stack = np.ascontiguousarray(stack, dtype=np.uint64)
+    if stack.ndim != 3:
+        raise ValueError(f"expected a 3-d (queries, rows, words) stack, got {stack.ndim}-d")
+    thresholds = np.asarray(thresholds)
+    if thresholds.shape != stack.shape[:1] or thresholds.dtype.kind not in "iu":
+        raise ValueError(
+            f"expected {stack.shape[0]} integer thresholds, got shape {thresholds.shape}"
+        )
+    if min(thresholds.tolist(), default=1) < 1:
+        raise ValueError(f"thresholds must be >= 1, got {thresholds.min()}")
+    if l_max < 1:
+        raise ValueError(f"l_max must be >= 1, got {l_max}")
+    q, n, _ = stack.shape
+    out: list = [None] * q
+    if q == 0 or n == 0:
+        return out
+    deg = np.bitwise_count(stack).sum(axis=2, dtype=np.int64)
+    hit = deg >= thresholds[:, None]
+    pending = []
+    for k, (any_hit, h) in enumerate(zip(hit.any(axis=1).tolist(), hit.argmax(axis=1).tolist())):
+        if any_hit:
+            out[k] = np.array([h], dtype=np.int64)
+        else:
+            pending.append(k)
+    if l_max < 2 or n < 2 or not pending:
+        return out
+    for k in _first_pairs(stack, thresholds, pending, out):
+        keep = np.flatnonzero(deg[k])
+        for size in range(3, min(l_max, keep.size) + 1):
+            idx = _first_combination(stack[k, keep], int(thresholds[k]), size)
+            if idx is not None:
+                out[k] = keep[idx]
+                break
+    return out
+
+
 def find_witness(bitsets: np.ndarray, threshold: int, l_max: int):
     """First combination of ≤ l_max rows whose OR covers ≥ threshold members.
 
@@ -93,27 +166,9 @@ def find_witness(bitsets: np.ndarray, threshold: int, l_max: int):
     Returns a sorted int64 index array, or None when no such combination
     exists.  Candidates are tried smallest size first, lexicographic
     within a size, so the result is deterministic and minimal-size.
+    This is the one-query call of :func:`find_witness_batch`.
     """
-    bitsets = np.ascontiguousarray(bitsets, dtype=np.uint64)
+    bitsets = np.asarray(bitsets)
     if bitsets.ndim != 2:
         raise ValueError(f"expected 2-d bitsets, got {bitsets.ndim}-d")
-    if threshold < 1:
-        raise ValueError(f"threshold must be >= 1, got {threshold}")
-    if l_max < 1:
-        raise ValueError(f"l_max must be >= 1, got {l_max}")
-    n = bitsets.shape[0]
-    if n == 0:
-        return None
-    deg = popcount_u64(bitsets).sum(axis=1)
-    hits = np.flatnonzero(deg >= threshold)
-    if hits.size:
-        return hits[:1].astype(np.int64)
-    if l_max >= 2 and n >= 2:
-        pair = _first_pair(bitsets, deg, threshold)
-        if pair is not None:
-            return pair
-    for size in range(3, min(l_max, n) + 1):
-        found = _first_combination(bitsets, threshold, size)
-        if found is not None:
-            return found
-    return None
+    return find_witness_batch(bitsets[None], np.array([threshold]), l_max)[0]

@@ -92,6 +92,22 @@ def _resolve_seed(args, cfg: ScenarioConfig, config_has_seed: bool) -> ScenarioC
     return dataclasses.replace(cfg, seed=0)
 
 
+def _check_writable(*paths: str | None) -> None:
+    """Fail before any work when an output file could not be written:
+    a long run must not end, after every trial (and every store append),
+    on a bad destination."""
+    for path in paths:
+        if path is None:
+            continue
+        target = Path(path)
+        if target.is_dir():
+            raise ConfigError(f"cannot write {path}: it is a directory")
+        if not target.parent.is_dir():
+            raise ConfigError(f"cannot write {path}: no directory {target.parent}")
+        if not os.access(target if target.exists() else target.parent, os.W_OK):
+            raise ConfigError(f"cannot write {path}: permission denied")
+
+
 def _emit(doc: dict | str, out: str | None) -> None:
     text = doc if isinstance(doc, str) else canonical_json(doc)
     if out is None:
@@ -160,6 +176,7 @@ def _cmd_detect(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg, has_seed = _load_config(args)
     cfg = _resolve_seed(args, cfg, has_seed)
+    _check_writable(args.out, args.csv)
     try:
         n_values = [int(v) for v in args.n_values.split(",") if v.strip()]
     except ValueError as exc:
@@ -237,6 +254,7 @@ def _cmd_match(args) -> int:
 def _cmd_report(args) -> int:
     cfg, has_seed = _load_config(args)
     cfg = _resolve_seed(args, cfg, has_seed)
+    _check_writable(args.out, args.csv)
     store = CorrelationStore(args.store) if args.store else None
     report = run_scenario(cfg, store=store)
     _emit(report.to_canonical_json(), args.out)

@@ -14,6 +14,19 @@ minimal positives.  The removal search grows a containing set along
 detection witnesses, whittles it down input by input, then restarts
 behind exclusion sets to find the remaining members; it needs no bound
 on the member order.
+
+Every search is written as a generator.  Each witness search it needs
+is yielded as a query, a family view plus its member threshold, and the
+witness comes back as a list of input ids (or None).  The memo, the
+budget and the trace stay inside the generator, so a search does the
+same tests in the same order whoever answers its queries.  One driver
+answers them: it advances its searches in lock-step rounds, answering
+every pending query of a round with one
+:func:`~xcorr._kernels.find_witness_batch` call over the queries'
+stacked rows.  :func:`predict_core_family_batch` runs all outputs of a
+trial through it; the public single-family functions run one search, a
+batch of one query per round.  The searches stay sequential within an
+output; only their queries are batched.
 """
 
 from __future__ import annotations
@@ -23,17 +36,24 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable
+from typing import Generator, Iterable, TypeVar
 
 import numpy as np
 
-from ._kernels import find_witness, pack_bitsets, popcount_u64
+from ._kernels import find_witness_batch, pack_bitsets, popcount_u64
 from .core_model import EMPTY_COMBINATION, Combination, Family
 from .errors import BudgetExceeded, ConfigError, DomainError, EmptyFamily
 from .placement import PlacementMatrix
 from .prediction import Prediction, Verdict
 
 MODEL_NAME = "core_family"
+
+#: A search step yields witness queries, a family view and its member
+#: threshold, and is sent each witness back as input ids (None if none);
+#: it returns its result.
+_R = TypeVar("_R")
+Query = tuple["AdFamily", int]
+Step = Generator[Query, "list[int] | None", _R]
 
 
 @dataclass(frozen=True)
@@ -80,13 +100,13 @@ class AdFamily:
     :func:`~xcorr._kernels.pack_bitsets`) and a member mask over the same
     bits.  The rows are packed once, by the constructor or
     :meth:`from_placement`; conditional families and exclusion
-    subfamilies are views that share the member numbering and differ
-    only in their mask (and, for a conditional, in the rows they clear).
-    Members turn back into :class:`Combination` objects only when they
-    are asked for.
+    subfamilies are views that share the rows and the member numbering
+    and differ only in their mask and, for a conditional, in the rows
+    they read as cleared.  Members turn back into :class:`Combination`
+    objects only when they are asked for.
     """
 
-    __slots__ = ("_ids", "_pos", "_rows", "_mask", "_size", "_members")
+    __slots__ = ("_ids", "_pos", "_rows", "_mask", "_cleared", "_size", "_members")
 
     def __init__(self, members: Iterable[Combination | Iterable[int]] = ()):
         combos = [c if isinstance(c, Combination) else Combination(c) for c in members]
@@ -98,19 +118,39 @@ class AdFamily:
         self._set(ids, pos, pack_bitsets(contains), _first_bits(len(combos)))
         self._members = tuple(combos)
 
-    def _set(self, ids, pos, rows: np.ndarray, mask: np.ndarray) -> None:
+    def _set(self, ids, pos, rows: np.ndarray, mask: np.ndarray, cleared=()) -> None:
         self._ids = ids
         self._pos = pos
         self._rows = rows
         self._mask = mask
+        self._cleared = cleared
         self._size = int(popcount_u64(mask).sum())
         self._members = None
 
-    def _view(self, rows: np.ndarray, mask: np.ndarray) -> "AdFamily":
-        """A family over the same universe and member numbering."""
+    def _view(self, mask: np.ndarray, cleared: tuple[int, ...]) -> "AdFamily":
+        """A family over the same rows, universe and member numbering."""
         out = object.__new__(type(self))
-        out._set(self._ids, self._pos, rows, mask)
+        out._set(self._ids, self._pos, self._rows, mask, cleared)
         return out
+
+    def _widened(self, words: int) -> "AdFamily":
+        """This family with rows and mask zero-padded to ``words`` words."""
+        extra = words - self._mask.size
+        if not extra:
+            return self
+        out = object.__new__(type(self))
+        out._set(
+            self._ids, self._pos, np.pad(self._rows, ((0, 0), (0, extra))),
+            np.pad(self._mask, (0, extra)), self._cleared,
+        )
+        return out
+
+    def _masked(self) -> np.ndarray:
+        """Per-input bitsets of this family's own members, (n, words)."""
+        masked = self._rows & self._mask
+        if self._cleared:
+            masked[list(self._cleared)] = 0
+        return masked
 
     @classmethod
     def from_placement(
@@ -133,7 +173,7 @@ class AdFamily:
     @property
     def members(self) -> tuple[Combination, ...]:
         if self._members is None:
-            bits = _unpack(self._rows)
+            bits = _unpack(self._masked())
             live = np.flatnonzero(_unpack(self._mask[None, :])[0])
             self._members = tuple(
                 Combination(self._ids[i] for i in np.flatnonzero(bits[:, k])) for k in live
@@ -189,7 +229,7 @@ def _family_bitsets(fam: AdFamily) -> tuple[np.ndarray, list[int]]:
     universe is exactly the inputs some member holds.  Bits of members
     outside the family are zero and count toward no coverage.
     """
-    masked = fam._rows & fam._mask
+    masked = fam._masked()
     keep = np.flatnonzero(masked.any(axis=1))
     return masked[keep], [fam._ids[k] for k in keep]
 
@@ -201,20 +241,20 @@ def find_x_intersecting_subset(
 
     Candidates are enumerated smallest size first, lexicographic within
     a size, so the witness is minimal-size and deterministic.  Inputs
-    absent from every member can never enlarge coverage, so the search
-    runs over the family's own input universe.
+    absent from every member can never enlarge coverage, so they never
+    appear in it.
     """
     if len(fam) == 0:
         raise EmptyFamily("witness search needs a non-empty family")
     if l_max < 1:
         raise DomainError(f"l_max must be >= 1, got {l_max}")
-    bitsets, universe = _family_bitsets(fam)
-    if not universe:
-        return None
-    idx = find_witness(bitsets, intersect_threshold(x, len(fam)), l_max)
-    if idx is None:
-        return None
-    return Combination(universe[int(k)] for k in idx)
+    found = _answer_stacked([_query(fam, x)], l_max)[0]
+    return None if found is None else Combination(found)
+
+
+def _query(fam: AdFamily, x: float) -> Query:
+    """The witness query a search yields for ``fam``."""
+    return fam, intersect_threshold(x, len(fam))
 
 
 def conditional_family(fam: AdFamily, c: Combination | Iterable[int]) -> AdFamily:
@@ -222,21 +262,22 @@ def conditional_family(fam: AdFamily, c: Combination | Iterable[int]) -> AdFamil
     if not isinstance(c, Combination):
         c = Combination(c)
     rows = [fam._pos.get(i) for i in c.inputs]
-    if None in rows:  # an input no member holds
-        return fam._view(fam._rows, np.zeros_like(fam._mask))
+    if None in rows or any(k in fam._cleared for k in rows):
+        # an input no member holds, or one this view already stripped
+        return fam._view(np.zeros_like(fam._mask), fam._cleared)
     mask = fam._mask
     for k in rows:
         mask = mask & fam._rows[k]
-    stripped = fam._rows.copy()
-    stripped[rows] = 0
-    return fam._view(stripped, mask)
+    return fam._view(mask, fam._cleared + tuple(rows))
 
 
 def _exclusion_family(fam: AdFamily, ex: Iterable[int]) -> AdFamily:
     """Members holding none of the inputs in ``ex``."""
-    rows = [k for k in (fam._pos.get(i) for i in ex) if k is not None]
+    rows = [
+        k for k in (fam._pos.get(i) for i in ex) if k is not None and k not in fam._cleared
+    ]
     hit = np.bitwise_or.reduce(fam._rows[rows], axis=0, initial=np.uint64(0))
-    return fam._view(fam._rows, fam._mask & ~hit)
+    return fam._view(fam._mask & ~hit, fam._cleared)
 
 
 def detect_targeting(fam: AdFamily, cfg: DetectionConfig) -> bool:
@@ -249,9 +290,14 @@ def detect_targeting(fam: AdFamily, cfg: DetectionConfig) -> bool:
     "not enough data" should check the support themselves (as
     :func:`predict_core_family` does, reporting UNKNOWN).
     """
+    return _run(_detect(fam, cfg), cfg.l_max)
+
+
+def _detect(fam: AdFamily, cfg: DetectionConfig) -> Step[bool]:
+    """Search step of :func:`detect_targeting`."""
     if len(fam) < cfg.min_members:
         return False
-    return find_x_intersecting_subset(fam, cfg.x, cfg.l_max) is not None
+    return (yield _query(fam, cfg.x)) is not None
 
 
 def contains_core_test(
@@ -266,10 +312,66 @@ def contains_core_test(
     dichotomy presumes enough supporting accounts, and too little data
     is a different statement than either answer.
     """
+    return _run(_contains(c, fam, cfg), cfg.l_max)
+
+
+def _contains(
+    c: Combination | Iterable[int], fam: AdFamily, cfg: DetectionConfig
+) -> Step[bool | None]:
+    """Search step of :func:`contains_core_test`."""
     cond = conditional_family(fam, c)
     if len(cond) < cfg.min_members:
         return None
-    return find_x_intersecting_subset(cond, cfg.x, cfg.l_max) is None
+    return (yield _query(cond, cfg.x)) is None
+
+
+# ------------------------------------------------------------ drivers
+
+
+def _answer_stacked(queries: list[Query], l_max: int) -> list[list[int] | None]:
+    """Answer witness queries with one kernel call over their stacked
+    masked rows.  All queries share one input universe and word count
+    (see :func:`predict_core_family_batch`).  Cleared rows are zeroed
+    inside the stack; zero rows never change a witness."""
+    fams = [fam for fam, _ in queries]
+    stack = np.array([f._rows for f in fams]) & np.array([f._mask for f in fams])[:, None]
+    n = stack.shape[1]
+    cleared = [q * n + k for q, fam in enumerate(fams) for k in fam._cleared]
+    if cleared:
+        stack.reshape(-1, stack.shape[2])[cleared] = 0
+    answers = find_witness_batch(stack, np.array([t for _, t in queries]), l_max)
+    return [
+        None if idx is None else [fam._ids[k] for k in idx.tolist()]
+        for fam, idx in zip(fams, answers)
+    ]
+
+
+def _run_lockstep(searches: list[Step[_R]], l_max: int) -> list[_R]:
+    """Run search generators to their results in lock-step rounds: each
+    round answers every pending query with one stacked kernel call and
+    sends each search its own witness back."""
+    results: list = [None] * len(searches)
+    pending: dict[int, Query] = {}
+
+    def advance(k: int, witness) -> None:
+        try:
+            pending[k] = searches[k].send(witness)
+        except StopIteration as stop:
+            pending.pop(k, None)
+            results[k] = stop.value
+
+    for k in range(len(searches)):
+        advance(k, None)
+    while pending:
+        keys = list(pending)
+        for k, witness in zip(keys, _answer_stacked([pending[k] for k in keys], l_max)):
+            advance(k, witness)
+    return results
+
+
+def _run(search: Step[_R], l_max: int) -> _R:
+    """Run one search generator to its result: lock-step rounds of one."""
+    return _run_lockstep([search], l_max)[0]
 
 
 @dataclass
@@ -324,12 +426,13 @@ class _Tester:
         self.unknown_seen = False
         self._memo: dict[tuple[int, ...], bool | None] = {}
 
-    def __call__(self, c: Combination) -> bool | None:
+    def __call__(self, c: Combination) -> Step[bool | None]:
+        """Search step: the containment test of ``c``."""
         key = c.inputs
         if key in self._memo:
             return self._memo[key]
         self.budget.charge()
-        res = contains_core_test(c, self.fam, self.cfg)
+        res = yield from _contains(c, self.fam, self.cfg)
         self._memo[key] = res
         if res is None:
             self.unknown_seen = True
@@ -338,9 +441,9 @@ class _Tester:
         return res
 
 
-def _detect_charged(fam: AdFamily, cfg: DetectionConfig, budget: _Budget) -> bool:
+def _detect_charged(fam: AdFamily, cfg: DetectionConfig, budget: _Budget) -> Step[bool]:
     budget.charge()
-    res = detect_targeting(fam, cfg)
+    res = yield from _detect(fam, cfg)
     if budget.trace is not None:
         budget.trace.log("detect", None, res)
     return res
@@ -367,6 +470,13 @@ def agglomerative_core_search(
     one-input extensions up to order ``r_max``; supersets of found
     members are dropped.
     """
+    return _run(_agglomerative(fam, cfg, trace), cfg.l_max)
+
+
+def _agglomerative(
+    fam: AdFamily, cfg: DetectionConfig, trace: SearchTrace | None
+) -> Step[Family]:
+    """Search steps of :func:`agglomerative_core_search`."""
     if cfg.r_max is None:
         raise ConfigError("agglomerative search needs r_max")
     if len(fam) == 0:
@@ -374,7 +484,7 @@ def agglomerative_core_search(
     budget = _Budget(cfg, trace)
     found: list[Combination] = []
     try:
-        if not _detect_charged(fam, cfg, budget):
+        if not (yield from _detect_charged(fam, cfg, budget)):
             return Family([])
         universe = fam.all_inputs()
         test = _Tester(fam, cfg, budget)
@@ -384,7 +494,7 @@ def agglomerative_core_search(
             c = queue.popleft()
             if any(f.issubset(c) for f in found):
                 continue
-            if test(c) is True:
+            if (yield from test(c)) is True:
                 found.append(c)
                 continue
             if c.order >= cfg.r_max:
@@ -405,35 +515,24 @@ def agglomerative_core_search(
 
 def _steering_inputs(
     cond: AdFamily, cfg: DetectionConfig, budget: _Budget
-) -> list[int] | None:
+) -> Step[list[int] | None]:
     """Witness inputs of a steering family's conditional, ordered by the
     number of members each one hits (descending, then ascending id)."""
-    if len(cond) == 0:
-        return None
-    bitsets, universe = _family_bitsets(cond)
-    if not universe:
+    if len(cond) == 0 or not cond._masked().any():
         return None
     budget.charge()
-    idx = find_witness(bitsets, intersect_threshold(cfg.x, len(cond)), cfg.l_max)
+    found = yield _query(cond, cfg.x)
     if budget.trace is not None:
-        budget.trace.log(
-            "steer",
-            None,
-            None if idx is None else [universe[int(k)] for k in idx],
-        )
-    if idx is None:
+        budget.trace.log("steer", None, found)
+    if found is None:
         return None
-    coverage = popcount_u64(bitsets).sum(axis=1)
-    order = sorted((int(k) for k in idx), key=lambda k: (-int(coverage[k]), universe[k]))
-    return [universe[k] for k in order]
+    hits = popcount_u64(cond._rows[[cond._pos[i] for i in found]] & cond._mask).sum(axis=1)
+    return [i for _, i in sorted(zip((-hits).tolist(), found))]
 
 
 def _grow(
-    steer_fam: AdFamily,
-    test: _Tester,
-    cfg: DetectionConfig,
-    budget: _Budget,
-) -> Combination | None:
+    steer_fam: AdFamily, test: _Tester, cfg: DetectionConfig, budget: _Budget
+) -> Step[Combination | None]:
     """Depth-first walk from ∅ toward a combination passing the test.
 
     Extension candidates come from the witness of the steering family's
@@ -445,34 +544,34 @@ def _grow(
     max_depth = cfg.r_max if cfg.r_max is not None else len(steer_fam.all_inputs())
     seen: set[tuple[int, ...]] = set()
 
-    def walk(c: Combination, depth: int) -> Combination | None:
+    def walk(c: Combination, depth: int) -> Step[Combination | None]:
         if c.inputs in seen:
             return None
         seen.add(c.inputs)
-        if test(c) is True:
+        if (yield from test(c)) is True:
             return c
         if depth >= max_depth:
             return None
-        inputs = _steering_inputs(conditional_family(steer_fam, c), cfg, budget)
+        inputs = yield from _steering_inputs(conditional_family(steer_fam, c), cfg, budget)
         if inputs is None:
             return None
         for i in inputs:
-            hit = walk(c.union((i,)), depth + 1)
+            hit = yield from walk(c.union((i,)), depth + 1)
             if hit is not None:
                 return hit
         return None
 
-    return walk(EMPTY_COMBINATION, 0)
+    return (yield from walk(EMPTY_COMBINATION, 0))
 
 
-def _whittle(start: Combination, test: _Tester) -> Combination:
+def _whittle(start: Combination, test: _Tester) -> Step[Combination]:
     """One removal pass, ascending input id: keep any removal that
     leaves the containment test positive.  The survivors form a minimal
     positive combination."""
     current = start
     for i in start.inputs:
         trial = current.difference((i,))
-        if test(trial) is True:
+        if (yield from test(trial)) is True:
             current = trial
     return current
 
@@ -504,20 +603,27 @@ def removal_core_search(
     subfamily of accounts disjoint from them, but every containment
     test runs against the full family.
     """
+    return _run(_removal(fam, cfg, trace), cfg.l_max)
+
+
+def _removal(
+    fam: AdFamily, cfg: DetectionConfig, trace: SearchTrace | None
+) -> Step[Family]:
+    """Search steps of :func:`removal_core_search`."""
     if len(fam) == 0:
         raise EmptyFamily("cannot search an empty ad family")
     budget = _Budget(cfg, trace)
     found: list[Combination] = []
     try:
-        if not _detect_charged(fam, cfg, budget):
+        if not (yield from _detect_charged(fam, cfg, budget)):
             return Family([])
         test = _Tester(fam, cfg, budget)
-        first = _grow(fam, test, cfg, budget)
+        first = yield from _grow(fam, test, cfg, budget)
         if first is None:
             if trace is not None:
                 trace.log("grow_exhausted", None, None)
             return Family([])
-        found.append(_whittle(first, test))
+        found.append((yield from _whittle(first, test)))
 
         exhausted: set[frozenset[int]] = set()
         progress = True
@@ -527,14 +633,16 @@ def removal_core_search(
                 if ex in exhausted:
                     continue
                 sub = _exclusion_family(fam, ex)
-                if len(sub) < cfg.min_members or not _detect_charged(sub, cfg, budget):
+                if len(sub) < cfg.min_members or not (
+                    yield from _detect_charged(sub, cfg, budget)
+                ):
                     exhausted.add(ex)
                     continue
-                grown = _grow(sub, test, cfg, budget)
+                grown = yield from _grow(sub, test, cfg, budget)
                 if grown is None:
                     exhausted.add(ex)
                     continue
-                member = _whittle(grown, test)
+                member = yield from _whittle(grown, test)
                 if member in found:
                     exhausted.add(ex)
                     continue
@@ -546,6 +654,9 @@ def removal_core_search(
             str(e), partial=_prune_to_antichain(found), tests_used=e.tests_used
         ) from None
     return _prune_to_antichain(found)
+
+
+_SEARCHES = {"removal": _removal, "agglomerative": _agglomerative}
 
 
 def predict_core_family(
@@ -561,19 +672,52 @@ def predict_core_family(
     witness search is vacuously easy on a couple of accounts, so no
     verdict is sound there.  A positive detection whose search comes
     back empty (possible when every grow path dead-ends) is also
-    UNKNOWN, not UNTARGETED.
+    UNKNOWN, not UNTARGETED, and so is a search that runs out of its
+    test budget (flag ``budget_exhausted``).
     """
-    if method not in ("removal", "agglomerative"):
+    if method not in _SEARCHES:
         raise ConfigError(f"unknown search method {method!r}")
     fam = AdFamily.from_placement(active_accounts, placement)
+    return _run(_predict(fam, cfg, method, trace), cfg.l_max)
+
+
+def predict_core_family_batch(
+    actives: Iterable[Iterable[int]],
+    placement: PlacementMatrix,
+    cfg: DetectionConfig = DetectionConfig(),
+    method: str = "removal",
+) -> list[Prediction]:
+    """:func:`predict_core_family` for every output of one placement.
+
+    The outputs' searches advance in lock-step rounds: each round
+    answers the pending witness query of every unfinished search with
+    one batched kernel call.  Each output keeps its own memo and test
+    budget, so every prediction equals the single-output one.
+    """
+    if method not in _SEARCHES:
+        raise ConfigError(f"unknown search method {method!r}")
+    fams = [AdFamily.from_placement(a, placement) for a in actives]
+    words = max((f._mask.size for f in fams), default=1)
+    searches = [_predict(f._widened(words), cfg, method, None) for f in fams]
+    return _run_lockstep(searches, cfg.l_max)
+
+
+def _predict(
+    fam: AdFamily, cfg: DetectionConfig, method: str, trace: SearchTrace | None
+) -> Step[Prediction]:
+    """Search steps of :func:`predict_core_family`."""
     if len(fam) < cfg.min_members:
         return Prediction(
             Verdict.UNKNOWN, scores={MODEL_NAME: 1.0}, flags=("below_min_members",)
         )
-    if not detect_targeting(fam, cfg):
+    if not (yield from _detect(fam, cfg)):
         return Prediction(Verdict.UNTARGETED, scores={MODEL_NAME: 1.0})
-    search = removal_core_search if method == "removal" else agglomerative_core_search
-    members = search(fam, cfg, trace=trace)
+    try:
+        members = yield from _SEARCHES[method](fam, cfg, trace)
+    except BudgetExceeded:
+        return Prediction(
+            Verdict.UNKNOWN, scores={MODEL_NAME: 1.0}, flags=("budget_exhausted",)
+        )
     if members.size == 0:
         return Prediction(
             Verdict.UNKNOWN, scores={MODEL_NAME: 1.0}, flags=("search_exhausted",)

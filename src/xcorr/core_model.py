@@ -143,9 +143,12 @@ class Family:
             out.update(c.inputs)
         return Combination(out)
 
+    def to_doc(self) -> list[list[int]]:
+        """Canonical JSON document: sorted array of sorted integer arrays."""
+        return [list(c.inputs) for c in sorted(self.combinations)]
+
     def to_json(self) -> str:
-        """Canonical serialization: sorted array of sorted integer arrays."""
-        return json.dumps([list(c.inputs) for c in sorted(self.combinations)])
+        return json.dumps(self.to_doc())
 
     @classmethod
     def from_json(cls, text: str) -> "Family":

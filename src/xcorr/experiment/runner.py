@@ -15,7 +15,6 @@ same (config, seed).
 
 from __future__ import annotations
 
-import json
 import statistics
 import time
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ import numpy as np
 
 from .. import __version__
 from ..bayes import DEFAULT_INIT, ModelParams, bayes_predict_batch, learn_params
-from ..core_family_search import DetectionConfig, predict_core_family
+from ..core_family_search import DetectionConfig, predict_core_family_batch
 from ..core_model import Combination, Family
 from ..errors import ConfigError
 from ..input_matching import build_signatures, cluster_inputs, cluster_purity
@@ -104,8 +103,7 @@ def algorithm_predictions(
     elif algo == "corefamily":
         method = opts.pop("method", "removal")
         det = DetectionConfig(**{"x": 0.95, "l_max": 2, "r_max": 2, **opts})
-        for oid, a_k in zip(oids, active):
-            preds[oid] = predict_core_family(a_k, pm, cfg=det, method=method)
+        preds = dict(zip(oids, predict_core_family_batch(active, pm, cfg=det, method=method)))
     else:
         raise ConfigError(f"unknown algorithm {algo!r}")
     return preds
@@ -145,13 +143,12 @@ class SimulatedTrial:
         truth as JSON documents.  Truth is keyed by output ID in string
         order, so each part also serializes on its own to stable bytes."""
         truth = {
-            str(oid): None if fam is None else json.loads(fam.to_json())
-            for oid, fam in self.truth.items()
+            str(oid): None if fam is None else fam.to_doc() for oid, fam in self.truth.items()
         }
         return {
             "trial": trial,
-            "placement": json.loads(self.placement.to_json()),
-            "observations": json.loads(self.observations.to_json()),
+            "placement": self.placement.to_doc(),
+            "observations": self.observations.to_doc(),
             "truth": dict(sorted(truth.items())),
         }
 

@@ -108,17 +108,20 @@ class PlacementMatrix:
     def __hash__(self) -> int:
         return hash(self.membership.tobytes())
 
+    def to_doc(self) -> dict:
+        """JSON document: sizes, provenance and one 0/1 string per account."""
+        n = self.n_inputs
+        cells = (self.membership.astype(np.uint8) + ord("0")).tobytes().decode("ascii")
+        return {
+            "m": self.n_accounts,
+            "n": n,
+            "alpha": self.alpha,
+            "seed": self.seed,
+            "rows": [cells[j * n : (j + 1) * n] for j in range(self.n_accounts)],
+        }
+
     def to_json(self) -> str:
-        rows = ["".join("1" if v else "0" for v in row) for row in self.membership]
-        return json.dumps(
-            {
-                "m": self.n_accounts,
-                "n": self.n_inputs,
-                "alpha": self.alpha,
-                "seed": self.seed,
-                "rows": rows,
-            }
-        )
+        return json.dumps(self.to_doc())
 
     @classmethod
     def from_json(cls, text: str) -> "PlacementMatrix":

@@ -119,22 +119,21 @@ class ObservationSet:
     n_inputs: int = 0
     displays_per_input: int = 0
 
+    def to_doc(self) -> dict:
+        """JSON document of the observations, outputs in ascending id."""
+        return {
+            "rounds": self.rounds,
+            "n_accounts": self.n_accounts,
+            "n_inputs": self.n_inputs,
+            "displays_per_input": self.displays_per_input,
+            "behavioral": {str(k): sorted(v) for k, v in sorted(self.behavioral.items())},
+            "contextual": {
+                str(k): [int(c) for c in v] for k, v in sorted(self.contextual.items())
+            },
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "rounds": self.rounds,
-                "n_accounts": self.n_accounts,
-                "n_inputs": self.n_inputs,
-                "displays_per_input": self.displays_per_input,
-                "behavioral": {
-                    str(k): sorted(v) for k, v in sorted(self.behavioral.items())
-                },
-                "contextual": {
-                    str(k): [int(c) for c in v]
-                    for k, v in sorted(self.contextual.items())
-                },
-            }
-        )
+        return json.dumps(self.to_doc())
 
     @classmethod
     def from_json(cls, text: str) -> "ObservationSet":

@@ -468,3 +468,54 @@ def test_unwritable_destination_is_a_config_error(capsys, tmp_path, tiny_config,
     code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("report", "--out", "{missing}/report.json"),
+    ("report", "--csv", "{missing}/report.csv"),
+    ("report", "--out", "{dir}"),
+    ("sweep", "--n-values", "4", "--out", "{missing}/sweep.json"),
+    ("sweep", "--n-values", "4", "--csv", "{missing}/sweep.csv"),
+])
+def test_bad_destination_fails_before_any_trial(capsys, tmp_path, tiny_config, monkeypatch, argv):
+    # the destination is checked first: no trial runs and the store stays empty
+    import xcorr.experiment.runner as runner
+
+    def no_trials(*_args, **_kwargs):
+        raise AssertionError("a trial ran before the destination was checked")
+
+    monkeypatch.setattr(runner, "run_trial", no_trials)
+    monkeypatch.setattr(runner, "simulate_trial", no_trials)
+    store = tmp_path / "store"
+    paths = {"missing": str(tmp_path / "missing"), "dir": str(tmp_path)}
+    extra = ("--store", str(store)) if argv[0] == "report" else ()
+    code, out, err = run(
+        capsys, argv[0], "--config", tiny_config, *extra,
+        *(arg.format(**paths) for arg in argv[1:]),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write") and "Traceback" not in err
+    assert not store.exists()
+
+
+def test_exhausted_test_budget_is_a_verdict(capsys, tmp_path):
+    # a corefamily search that runs out of its test budget answers UNKNOWN
+    # for that output; the run itself completes
+    path = tmp_path / "budget.json"
+    path.write_text(json.dumps({
+        "n_inputs": 12, "n_accounts": 40, "n_targeted": 3, "n_untargeted": 3,
+        "trials": 1, "seed": 3, "algorithms": ["corefamily"],
+        "algo_config": {"corefamily": {"test_budget": 2}},
+    }))
+    store = tmp_path / "store"
+    code, out, err = run(capsys, "report", "--config", str(path), "--store", str(store))
+    assert code == 0, err
+    assert json.loads(out)["algorithms"]["corefamily"]["pooled"]["n_outputs"] == 6
+    [key] = [p.name for p in store.iterdir()]
+    [record] = [
+        json.loads(line)
+        for line in (store / key / "predictions.jsonl").read_text().splitlines()
+    ]
+    flags = [p["flags"] for p in record["predictions"].values()]
+    assert ["budget_exhausted"] in flags

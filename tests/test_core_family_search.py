@@ -1,8 +1,10 @@
 """Witness search, containment test, and the two recovery algorithms."""
 
+import gc
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,11 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import conditional_members, exclusion_members, witness_enumerate
-from xcorr._kernels import find_witness, pack_bitsets, popcount_u64
+from xcorr._kernels import find_witness, find_witness_batch, pack_bitsets, popcount_u64
 from xcorr.core_family_search import (
     AdFamily,
+    _agglomerative,
     _exclusion_family,
     _family_bitsets,
+    _removal,
+    _run_lockstep,
     DetectionConfig,
     SearchTrace,
     agglomerative_core_search,
@@ -24,6 +29,7 @@ from xcorr.core_family_search import (
     find_x_intersecting_subset,
     intersect_threshold,
     predict_core_family,
+    predict_core_family_batch,
     removal_core_search,
 )
 from xcorr.core_model import Combination, Family
@@ -296,6 +302,27 @@ def test_removal_untargeted_returns_empty():
     assert trace.tests_used == 1  # the root detection test settles it
 
 
+def test_steering_on_an_input_free_family_costs_no_test():
+    # the two members holding input 1 hold nothing else: the containment
+    # test of {1} is unknown (2 < min_members), and steering on its
+    # conditional, which has no inputs left, is skipped without a charge
+    fam = AdFamily([[0, 2, 3]] * 9 + [[1]] * 2)
+    cfg = DetectionConfig(x=0.9, l_max=2, r_max=2, min_members=3)
+    trace = SearchTrace()
+    assert removal_core_search(fam, cfg, trace).size == 0
+    assert [(r["kind"], r["combination"], r["outcome"]) for r in trace.records] == [
+        ("detect", None, True),
+        ("contains", [], False),
+        ("steer", None, [0, 1]),
+        ("contains", [0], False),
+        ("steer", None, [2]),
+        ("contains", [0, 2], False),
+        ("contains", [1], None),
+        ("grow_exhausted", None, None),
+    ]
+    assert trace.tests_used == 7
+
+
 def test_search_trace_jsonl_roundtrip():
     trace = SearchTrace()
     removal_core_search(FIXTURE, CFG, trace=trace)
@@ -364,6 +391,101 @@ def test_find_witness_rejects_bad_arguments():
     for args in ((bits[0], 1, 1), (bits, 0, 1), (bits, 1, 0)):
         with pytest.raises(ValueError):
             find_witness(*args)
+
+
+def _random_query(rng, n):
+    """Packed rows of one random family over n inputs (some rows zero)
+    and a threshold near the coverage of all rows together."""
+    k = int(rng.integers(1, 200))
+    contains = _random_bool_matrix(rng, k, n, float(rng.uniform(0.05, 0.5)))
+    contains[:, rng.random(n) < 0.2] = False
+    bits = pack_bitsets(contains)
+    best = int(popcount_u64(np.bitwise_or.reduce(bits, axis=0)).sum())
+    thr = max(1, best - int(rng.integers(-1, max(2, best // 2))))
+    return bits, thr
+
+
+def test_find_witness_batch_matches_enumeration_oracle():
+    # each query on its own word count, zero-padded into one stack; rows
+    # that are zero in some queries; every answer as the oracle's
+    rng = np.random.default_rng(17)
+    outcomes = set()
+    for _ in range(60):
+        n = int(rng.integers(1, 12))
+        l_max = int(rng.integers(1, 5))
+        queries = [_random_query(rng, n) for _ in range(int(rng.integers(0, 41)))]
+        words = max((bits.shape[1] for bits, _ in queries), default=1)
+        stack = np.zeros((len(queries), n, words), dtype=np.uint64)
+        for q, (bits, _) in enumerate(queries):
+            stack[q, :, : bits.shape[1]] = bits
+        got = find_witness_batch(stack, np.array([t for _, t in queries], dtype=np.int64), l_max)
+        assert len(got) == len(queries)
+        for (bits, thr), g in zip(queries, got):
+            expect = witness_enumerate(bits, thr, l_max)
+            if expect is None:
+                assert g is None
+                outcomes.add("miss")
+            else:
+                assert g is not None and g.dtype == np.int64
+                assert g.tolist() == expect.tolist()
+                outcomes.add(len(expect))
+            single = find_witness(bits, thr, l_max)
+            assert (single is None) == (g is None)
+            assert single is None or single.tolist() == g.tolist()
+    assert outcomes >= {"miss", 1, 2, 3, 4}
+
+
+def test_find_witness_batch_pairs_across_row_blocks():
+    # enough queries, rows and words that pairs are taken in several
+    # blocks of first rows, with queries settled in different blocks
+    rng = np.random.default_rng(23)
+    for _ in range(6):
+        n = int(rng.integers(40, 80))
+        queries = [_random_query(rng, n) for _ in range(40)]
+        words = max(bits.shape[1] for bits, _ in queries)
+        stack = np.zeros((len(queries), n, words), dtype=np.uint64)
+        for q, (bits, _) in enumerate(queries):
+            stack[q, :, : bits.shape[1]] = bits
+        got = find_witness_batch(stack, np.array([t for _, t in queries]), 2)
+        for (bits, thr), g in zip(queries, got):
+            expect = witness_enumerate(bits, thr, 2)
+            assert (g is None) == (expect is None)
+            assert g is None or g.tolist() == expect.tolist()
+        assert {len(g) if g is not None else 0 for g in got} >= {0, 2}
+
+
+def test_find_witness_keeps_no_memory_between_calls():
+    # searches over many universe sizes: every working array, the pair
+    # masks included, is freed when its call returns
+    rng = np.random.default_rng(29)
+    families = [pack_bitsets(rng.random((20, n)) < 0.05) for n in range(40, 400, 7)]
+    find_witness(families[0][:10], 21, 2)  # numpy's own first-call state
+    tracemalloc.start()
+    try:
+        for bits in families:
+            assert find_witness(bits, 21, 2) is None
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 20
+
+
+def test_find_witness_batch_rejects_bad_arguments():
+    stack = np.zeros((2, 3, 1), dtype=np.uint64)
+    assert find_witness_batch(stack, np.array([1, 2]), 2) == [None, None]
+    empty = np.zeros((0, 3, 1), dtype=np.uint64)
+    assert find_witness_batch(empty, np.array([], dtype=int), 2) == []
+    bad = [
+        (stack[0], np.array([1, 2]), 2),  # not 3-d
+        (stack, np.array([1]), 2),  # one threshold short
+        (stack, np.array([1.0, 2.0]), 2),  # not integers
+        (stack, np.array([1, 0]), 2),  # threshold below 1
+        (stack, np.array([1, 2]), 0),  # l_max below 1
+    ]
+    for args in bad:
+        with pytest.raises(ValueError):
+            find_witness_batch(*args)
 
 
 def _random_members(rng, k, n):
@@ -499,3 +621,93 @@ def test_predict_rejects_out_of_range_accounts():
     pm = bernoulli_placement(PlacementConfig(n_inputs=4, n_accounts=10, alpha=0.5, seed=1))
     with pytest.raises(DomainError):
         predict_core_family([99], pm)
+
+
+def test_predict_budget_exhausted_is_unknown():
+    cfg = DetectionConfig(x=0.9, l_max=2, r_max=2, test_budget=1, min_members=3)
+    pm = bernoulli_placement(PlacementConfig(n_inputs=12, n_accounts=220, alpha=0.5, seed=5))
+    spec = TargetingSpec.targeted(0, Family([[1, 3], [4]]), p_in=0.9, p_out=0.0)
+    obs, _ = simulate_behavioral(pm, [spec], seed=6)
+    for method in ("removal", "agglomerative"):
+        pred = predict_core_family(obs.behavioral[0], pm, cfg, method=method)
+        assert pred.verdict is Verdict.UNKNOWN
+        assert pred.flags == ("budget_exhausted",)
+        [batched] = predict_core_family_batch([obs.behavioral[0]], pm, cfg, method=method)
+        assert batched.to_dict() == pred.to_dict()
+
+
+# ------------------------------------------------------------- lock-step
+
+
+def _trial_actives(seed, n, m, k):
+    """Active account sets of k outputs on one placement: targeted,
+    untargeted, empty and tiny ones."""
+    ss = np.random.SeedSequence(seed)
+    s_pm, s_core, s_obs = ss.spawn(3)
+    pm = bernoulli_placement(PlacementConfig(n_inputs=n, n_accounts=m, alpha=0.5, seed=s_pm))
+    rng = np.random.default_rng(s_core)
+    specs = []
+    for oid in range(k):
+        kind = oid % 4
+        if kind < 2:
+            ids = rng.choice(n, size=min(n, 2 + kind), replace=False)
+            core = Family([ids[:1], ids[1:]]) if kind else Family([ids[:2]])
+            specs.append(TargetingSpec.targeted(oid, core, p_in=0.85, p_out=0.01))
+        else:
+            specs.append(TargetingSpec.untargeted(oid, p_empty=0.3 if kind == 2 else 0.02))
+    obs, _ = simulate_behavioral(pm, specs, seed=s_obs)
+    actives = [sorted(obs.behavioral[oid]) for oid in range(k)]
+    return pm, actives + [[], [0], [0, 1]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 10),
+    m=st.integers(10, 150),
+    k=st.integers(0, 8),
+    method=st.sampled_from(["removal", "agglomerative"]),
+    l_max=st.integers(1, 3),
+    r_max=st.integers(1, 3),
+    budget=st.one_of(st.none(), st.integers(1, 40)),
+    x=st.sampled_from([0.7, 0.9, 0.99]),
+    min_members=st.integers(1, 5),
+)
+def test_batch_predictions_equal_single_output_calls(
+    seed, n, m, k, method, l_max, r_max, budget, x, min_members
+):
+    pm, actives = _trial_actives(seed, n, m, k)
+    cfg = DetectionConfig(x=x, l_max=l_max, r_max=r_max, test_budget=budget,
+                          min_members=min_members)
+    batched = predict_core_family_batch(actives, pm, cfg, method=method)
+    single = [predict_core_family(a, pm, cfg, method=method) for a in actives]
+    assert [p.to_dict() for p in batched] == [p.to_dict() for p in single]
+
+
+def test_lockstep_searches_keep_their_traces():
+    # the recovery searches themselves, run through the stacked driver
+    # side by side, log the same tests and recover the same families
+    cfg = DetectionConfig(x=0.95, l_max=2, r_max=2, min_members=3)
+    for seed in range(6):
+        pm, actives = _trial_actives(300 + seed, 12, 180, 8)
+        fams = [AdFamily.from_placement(a, pm) for a in actives if len(a) >= 3]
+        words = max(f._mask.size for f in fams)
+        for search, direct in ((_removal, removal_core_search),
+                               (_agglomerative, agglomerative_core_search)):
+            traces = [SearchTrace() for _ in fams]
+            together = _run_lockstep(
+                [search(f._widened(words), cfg, t) for f, t in zip(fams, traces)], cfg.l_max
+            )
+            for fam, trace, found in zip(fams, traces, together):
+                alone = SearchTrace()
+                assert direct(fam, cfg, alone) == found
+                assert trace.to_jsonl() == alone.to_jsonl()
+
+
+def test_batch_rejects_unknown_method_and_bad_accounts():
+    pm = bernoulli_placement(PlacementConfig(n_inputs=4, n_accounts=10, alpha=0.5, seed=1))
+    assert predict_core_family_batch([], pm) == []
+    with pytest.raises(ConfigError):
+        predict_core_family_batch([[0, 1]], pm, method="exhaustive")
+    with pytest.raises(DomainError):
+        predict_core_family_batch([[0], [99]], pm)

@@ -1,5 +1,5 @@
 """Byte-for-byte pin of the core-family search on the completeness-gate
-families.
+families and on whole simulated trials.
 
 The 400 families of acceptance test_04 (core shapes (l, r) in {1,2}^2,
 100 each, low noise) are searched with both recovery algorithms.  Three
@@ -9,6 +9,13 @@ the ``SearchTrace`` JSONL, the recovered family's canonical JSON and the
 search was moved onto packed-bitset family views; any change to a
 witness, a test answer, the order of tests or a verdict changes them.
 Do not re-record them to make a change pass.
+
+``TRIAL_DIGESTS`` pin the runner's ``corefamily`` detector: every
+prediction ``algorithm_predictions`` makes, with both methods and a few
+detection configs, over scenario_mix-shaped trials (32 inputs, 60
+accounts, 8 targeted and 8 untargeted outputs) and two matched trials.
+They were recorded before a trial's searches were advanced together in
+lock-step rounds, and are not to be re-recorded either.
 """
 
 import hashlib
@@ -25,6 +32,8 @@ from xcorr.core_family_search import (
     removal_core_search,
 )
 from xcorr.core_model import Family
+from xcorr.experiment import ScenarioConfig
+from xcorr.experiment.runner import algorithm_predictions, simulate_trial
 from xcorr.placement import PlacementConfig, bernoulli_placement
 from xcorr.simulator import TargetingSpec, simulate_behavioral
 
@@ -39,6 +48,29 @@ DIGESTS = {
     "removal.family": "a5031fe773d0340c088351ab443de077089a034bac5b09e8626d4bb3d101fc61",
     "removal.verdict": "6fbc0483028c85f286741db9147688dc2ef9bd891cb68141d3d9b318adc090a3",
 }
+
+TRIAL_DIGESTS = {
+    "agglomerative": "98de5028a7d6de0c2ec50b9a82a3e3cf7d87340e71957a2253973d204a120d4c",
+    "removal": "7add241eb46af491d8df3dbf1461cc7729e8111450fb25a60bfd3d4e346c9a15",
+}
+
+TRIAL_SCENARIOS = {
+    "mix": dict(
+        preset="gmail_like", n_inputs=32, n_accounts=60, n_targeted=8,
+        n_untargeted=8, l_values=[1, 2], r_values=[1, 2], trials=5, seed=606,
+    ),
+    "matched": dict(
+        n_inputs=18, n_targeted=6, n_untargeted=6, n_accounts=24, trials=2,
+        overlap_groups=[[3 * g, 3 * g + 1, 3 * g + 2] for g in range(6)],
+        matching=True, seed=607,
+    ),
+}
+
+TRIAL_OPTIONS = [{}, {"x": 0.9, "min_members": 5}, {"l_max": 3}]
+
+#: The breadth-first search costs about 30 times the removal search on
+#: these trials, so it runs on the first two trials of each scenario only.
+TRIAL_LIMIT = {"agglomerative": 2, "removal": None}
 
 
 def completeness_families(n=16, m=240, trials=100):
@@ -73,9 +105,36 @@ def search_digests() -> dict[str, str]:
     return {key: h.hexdigest() for key, h in hashes.items()}
 
 
+def trial_digests() -> dict[str, str]:
+    hashes = {}
+    for name, doc in TRIAL_SCENARIOS.items():
+        base = ScenarioConfig.from_dict(doc)
+        for t, ss in enumerate(np.random.SeedSequence(base.seed).spawn(base.trials)):
+            sim = simulate_trial(base, ss)
+            for method, limit in TRIAL_LIMIT.items():
+                if limit is not None and t >= limit:
+                    continue
+                h = hashes.setdefault(method, hashlib.sha256())
+                for v_idx, opts in enumerate(TRIAL_OPTIONS):
+                    cfg = ScenarioConfig.from_dict({
+                        **doc, "algo_config": {"corefamily": {"method": method, **opts}},
+                    })
+                    preds = algorithm_predictions(
+                        "corefamily", cfg, sim.observations, sim.detection_placement
+                    )
+                    for oid, pred in sorted(preds.items()):
+                        h.update(f"{name}/{t}/{v_idx}/{oid}".encode())
+                        h.update(json.dumps(pred.to_dict(), sort_keys=True).encode() + b"\n")
+    return {key: h.hexdigest() for key, h in hashes.items()}
+
+
 def test_search_output_matches_recorded_digests():
     assert search_digests() == DIGESTS
 
 
+def test_trial_predictions_match_recorded_digests():
+    assert trial_digests() == TRIAL_DIGESTS
+
+
 if __name__ == "__main__":
-    print(json.dumps(search_digests(), indent=4))
+    print(json.dumps({**search_digests(), **trial_digests()}, indent=4))
