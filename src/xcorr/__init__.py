@@ -26,8 +26,9 @@ from .placement import (  # noqa: F401
     bernoulli_placement,
     grouped_placement,
     sized_account_count,
+    spawn_rngs,
 )
-from .prediction import Prediction, Verdict  # noqa: F401
+from .prediction import Prediction, Verdict, Verdicts  # noqa: F401
 from .simulator import (  # noqa: F401
     ObservationSet,
     SimulationTrace,
@@ -39,11 +40,13 @@ from .set_intersection import (  # noqa: F401
     SetIntersectionConfig,
     predict_set_intersection,
     predict_set_intersection_batch,
+    set_intersection_verdicts,
 )
 from .bayes import (  # noqa: F401
     ModelParams,
     bayes_predict,
     bayes_predict_batch,
+    bayes_verdicts,
     learn_contextual_params,
     learn_params,
 )
@@ -60,6 +63,7 @@ from .core_family_search import (  # noqa: F401
     agglomerative_core_search,
     conditional_family,
     contains_core_test,
+    core_family_verdicts,
     detect_targeting,
     find_x_intersecting_subset,
     predict_core_family,

@@ -3,14 +3,15 @@
 Hypotheses for one output are "targeted on single input i" for each i,
 plus "untargeted".  Behavioral evidence is which accounts saw the
 output; contextual evidence is how often it was displayed next to each
-input.  All K outputs of a trial are scored in one pass: a K x m
-active-account matrix times the m x N placement gives every overlap
-|A_i ∩ A_k| at once (the contextual channel stacks its K count vectors
-instead), the K x (N+1) log-likelihood matrix follows elementwise as
-exact Bernoulli-count products in log space, and a row-wise logsumexp
-turns it into posteriors.  The composite model averages the two
-channels' posteriors hypothesis-wise.  :func:`bayes_predict` is the
-K = 1 case of the same pass.
+input.  All K outputs of a trial are scored in one pass: the K x m
+seen matrix times the m x N placement gives every overlap |A_i ∩ A_k|
+at once (the contextual channel stacks its K count vectors instead),
+the K x (N+1) log-likelihood matrix follows elementwise as exact
+Bernoulli-count products in log space, and a row-wise logsumexp turns
+it into posteriors.  The composite model averages the two channels'
+posteriors hypothesis-wise.  :func:`bayes_verdicts` returns the verdicts
+as arrays; :func:`bayes_predict_batch` and :func:`bayes_predict` (the
+K = 1 case) turn its rows into :class:`Prediction` objects.
 
 Parameter learning alternates that pass with moment-matching
 re-estimation until the parameters stop moving.  Both channels share
@@ -21,16 +22,17 @@ each iteration is one elementwise pass plus integer reductions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core_model import Combination
 from .errors import DomainError
 from .placement import PlacementMatrix, active_matrix
-from .prediction import Prediction, Verdict
+from .prediction import Posterior  # noqa: F401  (the posterior type bayes_predict returns)
+from .prediction import TARGETED, UNKNOWN, UNTARGETED, Prediction, Verdicts
 
 BEHAVIORAL_MODEL = "behavioral"
 CONTEXTUAL_MODEL = "contextual"
@@ -67,7 +69,7 @@ class ModelParams:
     def log_priors(self, n_inputs: int) -> np.ndarray:
         """Normalized log prior over (D_0..D_{N-1}, untargeted)."""
         if self.priors is None:
-            return np.full(n_inputs + 1, -math.log(n_inputs + 1))
+            return _uniform_log_prior(n_inputs)
         if len(self.priors) != n_inputs + 1:
             raise DomainError(
                 f"priors have {len(self.priors)} entries, need {n_inputs + 1}"
@@ -83,20 +85,11 @@ class ModelParams:
 DEFAULT_INIT = ModelParams(p_in=0.7, p_out=0.01, p_empty=0.1)
 
 
-@dataclass(frozen=True, eq=False)
-class Posterior:
-    """Probability over (D_0..D_{N-1}, untargeted); last entry is the
-    untargeted hypothesis.  ``log_normalizer`` is the log evidence."""
-
-    probabilities: np.ndarray
-    log_normalizer: float
-
-    def __post_init__(self):
-        self.probabilities.setflags(write=False)
-
-    @property
-    def n_inputs(self) -> int:
-        return len(self.probabilities) - 1
+@functools.lru_cache(maxsize=64)
+def _uniform_log_prior(n_inputs: int) -> np.ndarray:
+    prior = np.full(n_inputs + 1, -math.log(n_inputs + 1))
+    prior.setflags(write=False)
+    return prior
 
 
 # ------------------------------------------------------------- evidence
@@ -125,9 +118,10 @@ class Evidence:
 
 
 def behavioral_evidence(
-    active_accounts: Sequence[Iterable[int]], placement: PlacementMatrix
+    active_accounts: np.ndarray | Sequence[Iterable[int]], placement: PlacementMatrix
 ) -> Evidence:
-    """Evidence of K active-account sets: one K x m @ m x N product."""
+    """Evidence of K outputs' active accounts, given as the K x m seen
+    matrix or as K account sets: one K x m @ m x N product."""
     mem = placement.membership
     active = active_matrix(active_accounts, placement.n_accounts).astype(float)
     return Evidence(
@@ -143,7 +137,7 @@ def contextual_evidence(
 ) -> Evidence:
     """Evidence of K display-count vectors, stacked K x N.  ``n_inputs``
     fixes N when K may be 0."""
-    width = n_inputs if n_inputs is not None else len(counts[0]) if counts else 0
+    width = n_inputs if n_inputs is not None else len(counts[0]) if len(counts) else 0
     x = np.zeros((len(counts), width))
     for k, row in enumerate(counts):
         row = np.asarray(row, dtype=float)
@@ -200,89 +194,101 @@ def posteriors(
 # -------------------------------------------------------------- predict
 
 
-def bayes_predict_batch(
-    active_accounts: Sequence[Iterable[int] | None] | None = None,
-    contextual_counts: Sequence[Sequence[int] | np.ndarray | None] | None = None,
+def _present(observations) -> tuple[np.ndarray, Sequence]:
+    """The rows of one channel's observations that are not None, and
+    their values; a matrix has every row."""
+    if isinstance(observations, np.ndarray):
+        return np.arange(len(observations)), observations
+    rows = [k for k, o in enumerate(observations) if o is not None]
+    return np.array(rows, dtype=np.intp), [observations[k] for k in rows]
+
+
+def bayes_verdicts(
+    active_accounts: np.ndarray | Sequence[Iterable[int] | None] | None = None,
+    contextual_counts: np.ndarray | Sequence[Sequence[int] | np.ndarray | None] | None = None,
     placement: PlacementMatrix | None = None,
     params: ModelParams = DEFAULT_INIT,
     contextual_params: ModelParams | None = None,
     score_floor: float = 0.5,
-) -> list[Prediction]:
+) -> Verdicts:
     """Verdicts for K outputs from whichever observations each has.
 
-    Entry k of ``active_accounts`` and ``contextual_counts`` (either list
-    may be omitted, and entries may be None) are output k's behavioral
-    and contextual observations.  With both channels present the two
-    posterior vectors are averaged hypothesis-wise before the argmax, so
+    Row k of ``active_accounts`` and ``contextual_counts`` (either may be
+    omitted) are output k's behavioral and contextual observations:
+    the K x m seen matrix and the K x N count matrix, or lists whose
+    entries may be None.  With both channels present the two posterior
+    vectors are averaged hypothesis-wise before the argmax, so
     disagreeing models still produce a well-defined winner.
     TARGETED({i}) requires the winning hypothesis to be an input with
     (averaged) posterior >= score_floor; an untargeted winner or a
     sub-floor input yields UNTARGETED; an output with no observation is
-    UNKNOWN.
+    UNKNOWN (flag ``no_observations``).  Each channel's maximum
+    posterior is its score, and the winner's averaged posterior the
+    composite score.
     """
-    channels = {
-        BEHAVIORAL_MODEL: active_accounts or [],
-        CONTEXTUAL_MODEL: contextual_counts or [],
-    }
-    sizes = {len(obs) for obs in channels.values() if obs}
+    given = {BEHAVIORAL_MODEL: active_accounts, CONTEXTUAL_MODEL: contextual_counts}
+    channels = {name: obs for name, obs in given.items() if obs is not None and len(obs)}
+    sizes = {len(obs) for obs in channels.values()}
     if len(sizes) > 1:
         raise DomainError("behavioral and contextual observations list different outputs")
     n_outputs = max(sizes, default=0)
-    scored: dict[str, tuple[list[int], np.ndarray, np.ndarray]] = {}
+    scored: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     for name, obs in channels.items():
-        rows = [k for k, o in enumerate(obs) if o is not None]
-        if not rows:
+        rows, values = _present(obs)
+        if not len(rows):
             continue
         if name == BEHAVIORAL_MODEL:
             if placement is None:
                 raise DomainError("behavioral prediction needs the placement")
-            ev = behavioral_evidence([obs[k] for k in rows], placement)
+            ev = behavioral_evidence(values, placement)
             ch_params = params
         else:
-            ev = contextual_evidence([obs[k] for k in rows])
+            ev = contextual_evidence(values)
             ch_params = contextual_params or params
         probs, z = posteriors(log_likelihoods(ev, ch_params), ch_params)
         scored[name] = (rows, probs, z)
     if len({probs.shape[1] for _, probs, _ in scored.values()}) > 1:
         raise DomainError("behavioral and contextual universes disagree")
-    if not scored:
-        return [Prediction(Verdict.UNKNOWN, flags=("no_observations",))] * n_outputs
+    width = next(iter(scored.values()))[1].shape[1] if scored else 1
 
-    width = next(iter(scored.values()))[1].shape[1]
     combined = np.zeros((n_outputs, width))
     present = np.zeros(n_outputs)
     for rows, probs, _ in scored.values():
         combined[rows] += probs
         present[rows] += 1
     observed = present > 0
-    combined[observed] /= present[observed, None]
+    combined /= np.maximum(present, 1)[:, None]  # unobserved rows stay zero
     winners = combined.argmax(axis=1)
-    tops = combined[np.arange(n_outputs), winners].tolist()
+    tops = combined.max(axis=1)
+    targeted = observed & (winners < width - 1) & (tops >= score_floor)
+    codes = np.full(n_outputs, UNKNOWN, dtype=np.int8)
+    codes[observed] = UNTARGETED
+    codes[targeted] = TARGETED
+    targets = np.zeros((n_outputs, width - 1), dtype=bool)
+    targets[targeted, winners[targeted]] = True
+    scores = {}
+    for name, (rows, probs, _) in scored.items():
+        scores[name] = np.full(n_outputs, np.nan)
+        scores[name][rows] = probs.max(axis=1)
+    if scored:
+        tops[~observed] = np.nan
+        scores[COMPOSITE_MODEL] = tops
+    return Verdicts(codes, targets, scores, {"no_observations": ~observed}, scored)
 
-    posts: list[dict[str, Posterior]] = [{} for _ in range(n_outputs)]
-    scores: list[dict[str, float]] = [{} for _ in range(n_outputs)]
-    for name, (rows, probs, z) in scored.items():
-        maxima = probs.max(axis=1).tolist()
-        for r, (k, log_z) in enumerate(zip(rows, z.tolist())):
-            posts[k][name] = Posterior(probabilities=probs[r], log_normalizer=log_z)
-            scores[k][name] = maxima[r]
-    preds = []
-    n = width - 1
-    for k, winner in enumerate(winners.tolist()):
-        if not posts[k]:
-            preds.append(Prediction(Verdict.UNKNOWN, flags=("no_observations",)))
-            continue
-        scores[k][COMPOSITE_MODEL] = tops[k]
-        if winner < n and tops[k] >= score_floor:
-            preds.append(Prediction(
-                Verdict.TARGETED, target=Combination([winner]),
-                scores=scores[k], posteriors=posts[k],
-            ))
-        else:
-            preds.append(Prediction(
-                Verdict.UNTARGETED, scores=scores[k], posteriors=posts[k]
-            ))
-    return preds
+
+def bayes_predict_batch(
+    active_accounts: np.ndarray | Sequence[Iterable[int] | None] | None = None,
+    contextual_counts: np.ndarray | Sequence[Sequence[int] | np.ndarray | None] | None = None,
+    placement: PlacementMatrix | None = None,
+    params: ModelParams = DEFAULT_INIT,
+    contextual_params: ModelParams | None = None,
+    score_floor: float = 0.5,
+) -> list[Prediction]:
+    """:func:`bayes_verdicts` as one :class:`Prediction` per output, each
+    with its channels' posteriors."""
+    return bayes_verdicts(
+        active_accounts, contextual_counts, placement, params, contextual_params, score_floor
+    ).predictions()
 
 
 def bayes_predict(
@@ -380,7 +386,7 @@ def _moment_match(
 
 
 def learn_params(
-    behavioral_obs: dict[int, frozenset[int]],
+    behavioral_obs: np.ndarray | Mapping[int, Iterable[int]],
     placement: PlacementMatrix,
     init: ModelParams = DEFAULT_INIT,
     tol: float = 1e-3,
@@ -390,8 +396,12 @@ def learn_params(
     """Moment matching on the behavioral channel: p_in from (account
     holds the predicted input, account saw the output) pairs over |A_i|,
     p_out from the accounts not holding it over m - |A_i|, p_empty from
-    the hit rate of outputs predicted untargeted over m."""
-    ev = behavioral_evidence(list(behavioral_obs.values()), placement)
+    the hit rate of outputs predicted untargeted over m.
+    ``behavioral_obs`` is the K x m seen matrix or maps output ids to
+    active-account sets."""
+    if not isinstance(behavioral_obs, np.ndarray):
+        behavioral_obs = list(behavioral_obs.values())
+    ev = behavioral_evidence(behavioral_obs, placement)
     sizes = ev.sizes.astype(np.int64)
     m = placement.n_accounts
     return _moment_match(ev, sizes, m - sizes, m, init, tol, max_iter, score_floor)

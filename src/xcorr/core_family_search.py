@@ -23,10 +23,11 @@ same tests in the same order whoever answers its queries.  One driver
 answers them: it advances its searches in lock-step rounds, answering
 every pending query of a round with one
 :func:`~xcorr._kernels.find_witness_batch` call over the queries'
-stacked rows.  :func:`predict_core_family_batch` runs all outputs of a
-trial through it; the public single-family functions run one search, a
-batch of one query per round.  The searches stay sequential within an
-output; only their queries are batched.
+stacked rows.  :func:`core_family_verdicts` runs all outputs of a
+trial through it and returns their verdicts as arrays; the public
+single-family functions run one search, a batch of one query per round.
+The searches stay sequential within an output; only their queries are
+batched.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ import numpy as np
 from ._kernels import find_witness_batch, pack_bitsets, popcount_u64
 from .core_model import EMPTY_COMBINATION, Combination, Family
 from .errors import BudgetExceeded, ConfigError, DomainError, EmptyFamily
-from .placement import PlacementMatrix
-from .prediction import Prediction, Verdict
+from .placement import PlacementMatrix, active_matrix
+from .prediction import TARGETED, UNKNOWN, UNTARGETED, Prediction, Verdicts
 
 MODEL_NAME = "core_family"
 
@@ -161,10 +162,17 @@ class AdFamily:
             raise DomainError(
                 f"active accounts {rows} outside 0..{placement.n_accounts - 1}"
             )
-        contains = placement.membership[rows]
+        return cls._of_rows(rows, placement)
+
+    @classmethod
+    def _of_rows(cls, rows, placement: PlacementMatrix) -> "AdFamily":
+        """The family of the placement rows ``rows`` (ascending, in range)."""
         ids = list(range(placement.n_inputs))
         out = object.__new__(cls)
-        out._set(ids, {i: i for i in ids}, pack_bitsets(contains), _first_bits(len(rows)))
+        out._set(
+            ids, {i: i for i in ids}, pack_bitsets(placement.membership[rows]),
+            _first_bits(len(rows)),
+        )
         return out
 
     def __len__(self) -> int:
@@ -331,7 +339,7 @@ def _contains(
 def _answer_stacked(queries: list[Query], l_max: int) -> list[list[int] | None]:
     """Answer witness queries with one kernel call over their stacked
     masked rows.  All queries share one input universe and word count
-    (see :func:`predict_core_family_batch`).  Cleared rows are zeroed
+    (see :func:`core_family_verdicts`).  Cleared rows are zeroed
     inside the stack; zero rows never change a witness."""
     fams = [fam for fam, _ in queries]
     stack = np.array([f._rows for f in fams]) & np.array([f._mask for f in fams])[:, None]
@@ -441,9 +449,13 @@ class _Tester:
         return res
 
 
-def _detect_charged(fam: AdFamily, cfg: DetectionConfig, budget: _Budget) -> Step[bool]:
+def _detect_charged(
+    fam: AdFamily, cfg: DetectionConfig, budget: _Budget, known: bool | None = None
+) -> Step[bool]:
+    """The charged detection test; ``known`` is its answer when the
+    caller has already asked the same query."""
     budget.charge()
-    res = yield from _detect(fam, cfg)
+    res = known if known is not None else (yield from _detect(fam, cfg))
     if budget.trace is not None:
         budget.trace.log("detect", None, res)
     return res
@@ -474,9 +486,11 @@ def agglomerative_core_search(
 
 
 def _agglomerative(
-    fam: AdFamily, cfg: DetectionConfig, trace: SearchTrace | None
+    fam: AdFamily, cfg: DetectionConfig, trace: SearchTrace | None,
+    detected: bool | None = None,
 ) -> Step[Family]:
-    """Search steps of :func:`agglomerative_core_search`."""
+    """Search steps of :func:`agglomerative_core_search`; ``detected`` is
+    the root detection answer when the caller already has it."""
     if cfg.r_max is None:
         raise ConfigError("agglomerative search needs r_max")
     if len(fam) == 0:
@@ -484,7 +498,7 @@ def _agglomerative(
     budget = _Budget(cfg, trace)
     found: list[Combination] = []
     try:
-        if not (yield from _detect_charged(fam, cfg, budget)):
+        if not (yield from _detect_charged(fam, cfg, budget, detected)):
             return Family([])
         universe = fam.all_inputs()
         test = _Tester(fam, cfg, budget)
@@ -607,15 +621,17 @@ def removal_core_search(
 
 
 def _removal(
-    fam: AdFamily, cfg: DetectionConfig, trace: SearchTrace | None
+    fam: AdFamily, cfg: DetectionConfig, trace: SearchTrace | None,
+    detected: bool | None = None,
 ) -> Step[Family]:
-    """Search steps of :func:`removal_core_search`."""
+    """Search steps of :func:`removal_core_search`; ``detected`` is the
+    root detection answer when the caller already has it."""
     if len(fam) == 0:
         raise EmptyFamily("cannot search an empty ad family")
     budget = _Budget(cfg, trace)
     found: list[Combination] = []
     try:
-        if not (yield from _detect_charged(fam, cfg, budget)):
+        if not (yield from _detect_charged(fam, cfg, budget, detected)):
             return Family([])
         test = _Tester(fam, cfg, budget)
         first = yield from _grow(fam, test, cfg, budget)
@@ -678,48 +694,76 @@ def predict_core_family(
     if method not in _SEARCHES:
         raise ConfigError(f"unknown search method {method!r}")
     fam = AdFamily.from_placement(active_accounts, placement)
-    return _run(_predict(fam, cfg, method, trace), cfg.l_max)
+    found = _run(_predict(fam, cfg, method, trace), cfg.l_max)
+    return _verdicts([found]).predictions()[0]
 
 
-def predict_core_family_batch(
-    actives: Iterable[Iterable[int]],
+def core_family_verdicts(
+    active_accounts: np.ndarray | Iterable[Iterable[int]],
     placement: PlacementMatrix,
     cfg: DetectionConfig = DetectionConfig(),
     method: str = "removal",
-) -> list[Prediction]:
-    """:func:`predict_core_family` for every output of one placement.
+) -> Verdicts:
+    """:func:`predict_core_family` for every output of one placement,
+    as arrays; the outputs' active accounts are the K x m seen matrix or
+    K account sets.
 
     The outputs' searches advance in lock-step rounds: each round
     answers the pending witness query of every unfinished search with
     one batched kernel call.  Each output keeps its own memo and test
-    budget, so every prediction equals the single-output one.
+    budget, so every verdict equals the single-output one.
     """
     if method not in _SEARCHES:
         raise ConfigError(f"unknown search method {method!r}")
-    fams = [AdFamily.from_placement(a, placement) for a in actives]
+    seen = active_matrix(active_accounts, placement.n_accounts)
+    fams = [AdFamily._of_rows(np.flatnonzero(row), placement) for row in seen]
     words = max((f._mask.size for f in fams), default=1)
     searches = [_predict(f._widened(words), cfg, method, None) for f in fams]
-    return _run_lockstep(searches, cfg.l_max)
+    return _verdicts(_run_lockstep(searches, cfg.l_max))
+
+
+def predict_core_family_batch(
+    active_accounts: np.ndarray | Iterable[Iterable[int]],
+    placement: PlacementMatrix,
+    cfg: DetectionConfig = DetectionConfig(),
+    method: str = "removal",
+) -> list[Prediction]:
+    """:func:`core_family_verdicts` as one :class:`Prediction` per output."""
+    return core_family_verdicts(active_accounts, placement, cfg, method).predictions()
+
+
+#: A search's verdict: its code, the recovered family, and a flag or None.
+_Found = tuple[int, "Family | None", "str | None"]
+
+
+def _verdicts(found: list[_Found]) -> Verdicts:
+    """The verdict arrays of ``found``, one row per search."""
+    flags: dict[str, np.ndarray] = {}
+    for row, (_, _, flag) in enumerate(found):
+        if flag is not None:
+            flags.setdefault(flag, np.zeros(len(found), dtype=bool))[row] = True
+    return Verdicts(
+        np.array([code for code, _, _ in found], dtype=np.int8),
+        tuple(fam for _, fam, _ in found),
+        {MODEL_NAME: np.ones(len(found))},
+        flags,
+    )
 
 
 def _predict(
     fam: AdFamily, cfg: DetectionConfig, method: str, trace: SearchTrace | None
-) -> Step[Prediction]:
-    """Search steps of :func:`predict_core_family`."""
+) -> Step[_Found]:
+    """Search steps of :func:`predict_core_family`.  The root detection
+    query is asked once: its answer chooses UNTARGETED and is passed to
+    the recovery search as its first, charged test."""
     if len(fam) < cfg.min_members:
-        return Prediction(
-            Verdict.UNKNOWN, scores={MODEL_NAME: 1.0}, flags=("below_min_members",)
-        )
+        return UNKNOWN, None, "below_min_members"
     if not (yield from _detect(fam, cfg)):
-        return Prediction(Verdict.UNTARGETED, scores={MODEL_NAME: 1.0})
+        return UNTARGETED, None, None
     try:
-        members = yield from _SEARCHES[method](fam, cfg, trace)
+        members = yield from _SEARCHES[method](fam, cfg, trace, detected=True)
     except BudgetExceeded:
-        return Prediction(
-            Verdict.UNKNOWN, scores={MODEL_NAME: 1.0}, flags=("budget_exhausted",)
-        )
+        return UNKNOWN, None, "budget_exhausted"
     if members.size == 0:
-        return Prediction(
-            Verdict.UNKNOWN, scores={MODEL_NAME: 1.0}, flags=("search_exhausted",)
-        )
-    return Prediction(Verdict.TARGETED, target=members, scores={MODEL_NAME: 1.0})
+        return UNKNOWN, None, "search_exhausted"
+    return TARGETED, members, None

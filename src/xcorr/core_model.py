@@ -35,7 +35,7 @@ class Combination:
 
     def __init__(self, inputs: Iterable[int] = ()):
         ids = tuple(sorted({int(i) for i in inputs}))
-        if any(i < 0 for i in ids):
+        if ids and ids[0] < 0:
             raise DomainError(f"input IDs must be non-negative, got {ids}")
         object.__setattr__(self, "inputs", ids)
 
@@ -107,7 +107,7 @@ class Family:
         members = frozenset(
             c if isinstance(c, Combination) else Combination(c) for c in combinations
         )
-        if any(c.order == 0 for c in members):
+        if EMPTY_COMBINATION in members:
             raise DomainError("the empty combination cannot be a family member")
         object.__setattr__(self, "combinations", members)
 

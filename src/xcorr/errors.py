@@ -87,11 +87,23 @@ class PlateauNotFound(XCorrError):
 
 def parse_artifact(text: str, what: str, required: tuple[str, ...]) -> dict:
     """Decode a stored JSON object, raising :class:`ConfigError` when the
-    text is not JSON, not an object, or lacks a required key."""
+    text is not JSON, repeats a key within one object, is not an object,
+    or lacks a required key."""
+    repeated: list[str] = []
+
+    def unique(pairs: list[tuple[str, object]]) -> dict:
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            keys = [k for k, _ in pairs]
+            repeated.append(next(k for i, k in enumerate(keys) if k in keys[:i]))
+        return doc
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what}: not valid JSON: {exc}") from exc
+    if repeated:
+        raise ConfigError(f"{what}: key {repeated[0]!r} appears twice in one object")
     if not isinstance(doc, dict):
         raise ConfigError(f"{what}: expected a JSON object, got {type(doc).__name__}")
     missing = [k for k in required if k not in doc]

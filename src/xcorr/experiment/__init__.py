@@ -13,11 +13,12 @@ from .runner import (
     SimulatedTrial,
     TrialResult,
     algorithm_predictions,
+    algorithm_verdicts,
     run_scenario,
     run_trial,
     simulate_trial,
 )
-from .scoring import Metrics, precision_recall, project_family, wilson_interval
+from .scoring import Metrics, Truth, precision_recall, project_family, wilson_interval
 from .store import CorrelationStore, canonical_json, scenario_hash
 from .sweep import KneeResult, SweepResult, detect_knee, scaling_sweep
 
@@ -32,10 +33,12 @@ __all__ = [
     "SimulatedTrial",
     "TrialResult",
     "algorithm_predictions",
+    "algorithm_verdicts",
     "run_scenario",
     "run_trial",
     "simulate_trial",
     "Metrics",
+    "Truth",
     "precision_recall",
     "project_family",
     "wilson_interval",

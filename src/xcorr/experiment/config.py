@@ -327,6 +327,15 @@ class ScenarioConfig:
 # ---------------------------------------------------------------- workload
 
 
+def _pick(rng: np.random.Generator, values: tuple[int, ...]) -> int:
+    """The draw ``rng.choice(values)`` makes, without its array set-up.
+    A draw from a single value consumes no randomness in numpy's bounded
+    integer sampler, so it is not made."""
+    if len(values) == 1:
+        return values[0]
+    return values[int(rng.integers(0, len(values)))]
+
+
 def build_specs(cfg: ScenarioConfig, rng: np.random.Generator) -> list[TargetingSpec]:
     """Draw one trial's ad workload.
 
@@ -336,35 +345,30 @@ def build_specs(cfg: ScenarioConfig, rng: np.random.Generator) -> list[Targeting
     members are automatically an antichain).  With overlap groups, targeted
     outputs cycle round-robin through the groups and each core is the
     group's inputs as singleton members, i.e. the ad reacts to any one
-    input of its group.  Untargeted outputs follow.
+    input of its group; the outputs of one group share its core.
+    Untargeted outputs follow.
     """
     specs: list[TargetingSpec] = []
-    oid = 0
     groups = cfg.overlap_groups
-    for t in range(cfg.n_targeted):
+    if groups is not None:
+        group_cores = [
+            (Family([(i,) for i in g]), f"group{g_idx}") for g_idx, g in enumerate(groups)
+        ]
+    for oid in range(cfg.n_targeted):
         if groups is not None:
-            g_idx = t % len(groups)
-            core = Family([(i,) for i in groups[g_idx]])
-            tag = f"group{g_idx}"
+            core, tag = group_cores[oid % len(groups)]
         else:
-            # same draws as rng.choice(values), without its array set-up
-            l = cfg.l_values[int(rng.integers(0, len(cfg.l_values)))]
-            r = cfg.r_values[int(rng.integers(0, len(cfg.r_values)))]
-            ids = rng.choice(cfg.n_inputs, size=l * r, replace=False)
-            core = Family(
-                sorted(int(i) for i in ids[k * r : (k + 1) * r]) for k in range(l)
-            )
-            tag = None
-        specs.append(
-            TargetingSpec.targeted(
-                oid, core, cfg.p_in, cfg.p_out,
-                group_tag=tag, channel=cfg.targeted_channel,
-            )
-        )
-        oid += 1
-    for _ in range(cfg.n_untargeted):
-        specs.append(TargetingSpec.untargeted(oid, cfg.p_empty))
-        oid += 1
+            l, r = _pick(rng, cfg.l_values), _pick(rng, cfg.r_values)
+            ids = rng.choice(cfg.n_inputs, size=l * r, replace=False).tolist()
+            core, tag = Family([ids[k * r : (k + 1) * r] for k in range(l)]), None
+        specs.append(TargetingSpec(
+            oid, core, cfg.p_in, cfg.p_out, group_tag=tag, channel=cfg.targeted_channel
+        ))
+    first = cfg.n_targeted
+    specs.extend(
+        TargetingSpec(oid, p_empty=cfg.p_empty)
+        for oid in range(first, first + cfg.n_untargeted)
+    )
     return specs
 
 

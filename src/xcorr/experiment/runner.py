@@ -6,15 +6,27 @@ auditor would observe, run every configured detection algorithm on the
 same observations, and score each against ground truth.  A scenario is
 ``trials`` independent trials pooled into one report.
 
+A trial is held column-wise from simulation to score: the observations
+keep the K x m seen matrix, every detector reads it and answers with
+verdict arrays, and scoring compares those with the trial's ground truth,
+projected once.  :class:`~xcorr.prediction.Prediction` objects are built
+only when asked for: a stored record, the CLI, ``TrialResult.predictions``.
+
 Determinism: a scenario seeds one SeedSequence tree; each trial gets a
 spawned child, and each stochastic stage (workload, matching, placement,
-behavioral draw, contextual draw) gets its own grandchild.  Reports
-serialize to canonical JSON that is byte-identical across reruns of the
-same (config, seed).
+behavioral draw, contextual draw) gets its own grandchild; the
+simulators give each output its own stream, one of the grandchild's
+spawned children.  A trial's grandchildren, and each stage's per-output
+streams, are derived in one vectorized step each that equals
+``SeedSequence.spawn`` draw for draw (see
+:func:`~xcorr.placement.spawn_seeds`), so ``RNG_ALGORITHM`` still names
+the streams exactly.  Reports serialize to canonical JSON that is
+byte-identical across reruns of the same (config, seed).
 """
 
 from __future__ import annotations
 
+import functools
 import statistics
 import time
 from dataclasses import dataclass
@@ -22,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import __version__
-from ..bayes import DEFAULT_INIT, ModelParams, bayes_predict_batch, learn_params
-from ..core_family_search import DetectionConfig, predict_core_family_batch
+from ..bayes import DEFAULT_INIT, ModelParams, bayes_verdicts, learn_params
+from ..core_family_search import DetectionConfig, core_family_verdicts
 from ..core_model import Combination, Family
 from ..errors import ConfigError
 from ..input_matching import build_signatures, cluster_inputs, cluster_purity
@@ -31,21 +43,23 @@ from ..placement import (
     RNG_ALGORITHM,
     PlacementConfig,
     PlacementMatrix,
+    SpawnedSeed,
     bernoulli_placement,
     grouped_placement,
     make_rng,
+    spawn_seeds,
 )
-from ..prediction import Prediction, Verdict
-from ..set_intersection import SetIntersectionConfig, predict_set_intersection_batch
+from ..prediction import Prediction, Verdicts
+from ..set_intersection import SetIntersectionConfig, set_intersection_verdicts
 from ..simulator import ObservationSet, simulate_behavioral, simulate_contextual
 from .config import ScenarioConfig, build_specs, matching_specs
-from .scoring import Metrics, precision_recall, wilson_interval
+from .scoring import Metrics, Truth, precision_recall, wilson_interval
 from .store import CorrelationStore, canonical_json, scenario_hash
 
 
-def _seed_int(ss: np.random.SeedSequence) -> int:
-    """Collapse a spawned SeedSequence to a plain int for APIs that store
-    their seed in JSON."""
+def _seed_int(ss: SpawnedSeed) -> int:
+    """Collapse a spawned seed to a plain int for APIs that store their
+    seed in JSON."""
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -58,27 +72,24 @@ def _reduced_counts(
     return np.array([int(sum(counts[i] for i in c)) for c in clusters], dtype=np.int64)
 
 
-def algorithm_predictions(
+def algorithm_verdicts(
     algo: str,
     cfg: ScenarioConfig,
     obs: ObservationSet,
     pm: PlacementMatrix,
     clusters: list[list[int]] | None = None,
-) -> dict[int, Prediction]:
-    """Run one detection algorithm over every observed output; the
-    scoring detectors score all of them in one batched call.
+) -> Verdicts:
+    """Run one detection algorithm over every observed output, rows in
+    ascending output id; every detector reads the seen matrix and
+    scores all outputs in one call.
 
     ``pm`` is the placement the algorithm sees.  Under input matching it
     has one column per cluster, and ``clusters`` pools the contextual
     counts the same way; without it the counts are used as given."""
     opts = dict(cfg.algo_config.get(algo, {}))
-    oids = sorted(obs.behavioral)
-    active = [obs.behavioral[oid] for oid in oids]
-    preds: dict[int, Prediction] = {}
     if algo == "setint":
-        si = SetIntersectionConfig(**opts)
-        preds = dict(zip(oids, predict_set_intersection_batch(active, pm, si)))
-    elif algo in ("bayes", "composite"):
+        return set_intersection_verdicts(obs.seen, pm, SetIntersectionConfig(**opts))
+    if algo in ("bayes", "composite"):
         floor = float(opts.pop("score_floor", 0.5))
         params = ModelParams(
             p_in=float(opts.pop("p_in", cfg.p_in)),
@@ -89,35 +100,34 @@ def algorithm_predictions(
         ctx_params = ModelParams(**ctx_opts) if ctx_opts else None
         counts = None
         if algo == "composite" and obs.contextual:
-            counts = [obs.contextual.get(oid) for oid in oids]
+            counts = [obs.contextual.get(oid) for oid in obs.output_ids]
             if clusters is not None:
                 counts = [None if c is None else _reduced_counts(c, clusters) for c in counts]
-        preds = dict(zip(oids, bayes_predict_batch(
-            active_accounts=active,
+        return bayes_verdicts(
+            active_accounts=obs.seen,
             contextual_counts=counts,
             placement=pm,
             params=params,
             contextual_params=ctx_params,
             score_floor=floor,
-        )))
-    elif algo == "corefamily":
+        )
+    if algo == "corefamily":
         method = opts.pop("method", "removal")
         det = DetectionConfig(**{"x": 0.95, "l_max": 2, "r_max": 2, **opts})
-        preds = dict(zip(oids, predict_core_family_batch(active, pm, cfg=det, method=method)))
-    else:
-        raise ConfigError(f"unknown algorithm {algo!r}")
-    return preds
+        return core_family_verdicts(obs.seen, pm, cfg=det, method=method)
+    raise ConfigError(f"unknown algorithm {algo!r}")
 
 
-def _translate(pred: Prediction, reps: list[int] | None) -> Prediction:
-    """Map a prediction from reduced (cluster-representative) input IDs
-    back to the original universe."""
-    if reps is None or pred.verdict is not Verdict.TARGETED:
-        return pred
-    members = [Combination(reps[i] for i in c.inputs) for c in pred.target_family()]
-    return Prediction(
-        pred.verdict, target=Family(members), scores=pred.scores, flags=pred.flags
-    )
+def algorithm_predictions(
+    algo: str,
+    cfg: ScenarioConfig,
+    obs: ObservationSet,
+    pm: PlacementMatrix,
+    clusters: list[list[int]] | None = None,
+) -> dict[int, Prediction]:
+    """:func:`algorithm_verdicts` as one :class:`Prediction` per output id."""
+    verdicts = algorithm_verdicts(algo, cfg, obs, pm, clusters)
+    return dict(zip(obs.output_ids, verdicts.predictions()))
 
 
 @dataclass
@@ -156,32 +166,40 @@ class SimulatedTrial:
 @dataclass
 class TrialResult:
     """Everything one trial produced: the simulated world it was scored
-    on, each algorithm's predictions and metrics, and learned parameters
-    when the scenario learns them."""
+    on, each algorithm's verdicts (in the original input universe) and
+    metrics, and learned parameters when the scenario learns them."""
 
     sim: SimulatedTrial
     metrics: dict[str, Metrics]
-    predictions: dict[str, dict[int, Prediction]]
+    verdicts: dict[str, Verdicts]
     learned: dict | None = None
+
+    @functools.cached_property
+    def predictions(self) -> dict[str, dict[int, Prediction]]:
+        """algorithm -> output id -> :class:`Prediction`, built on first use."""
+        ids = self.sim.observations.output_ids
+        return {algo: dict(zip(ids, v.predictions())) for algo, v in self.verdicts.items()}
 
 
 def simulate_trial(
     cfg: ScenarioConfig, trial_seed: np.random.SeedSequence
 ) -> SimulatedTrial:
-    """Draw one trial's workload, placement and observations."""
-    w_ss, match_ss, p_ss, b_ss, c_ss = trial_seed.spawn(5)
+    """Draw one trial's workload, placement and observations.  Each stage
+    draws from its own child of ``trial_seed`` (see
+    :func:`~xcorr.placement.spawn_seeds`; the spawn counter of
+    ``trial_seed`` is not advanced)."""
+    w_ss, match_ss, p_ss, b_ss, c_ss = spawn_seeds(trial_seed, 5)
     specs = build_specs(cfg, make_rng(w_ss))
     n = cfg.n_inputs
     m = cfg.resolved_account_count()
     alpha = cfg.resolved_alpha()
-    all_inputs = Combination(range(n))
 
     purity = None
     clusters = None
     reps: list[int] | None = None
     if cfg.matching:
         cat_counts = simulate_contextual(
-            all_inputs, matching_specs(cfg), cfg.displays_per_input,
+            Combination(range(n)), matching_specs(cfg), cfg.displays_per_input,
             seed=match_ss, n_inputs=n,
         )
         clusters = cluster_inputs(
@@ -207,11 +225,11 @@ def simulate_trial(
     if cfg.collect_contextual:
         obs.merge_contextual(
             simulate_contextual(
-                all_inputs, specs, cfg.displays_per_input, seed=c_ss, n_inputs=n
+                Combination(range(n)), specs, cfg.displays_per_input, seed=c_ss, n_inputs=n
             ),
             cfg.displays_per_input,
         )
-    truth = {oid: trace.true_family(oid) for oid in sorted(trace.specs)}
+    truth = {oid: trace.true_family(oid) for oid in trace.output_ids}
     return SimulatedTrial(
         placement=placement,
         detection_placement=det_pm,
@@ -227,18 +245,17 @@ def run_trial(cfg: ScenarioConfig, trial_seed: np.random.SeedSequence) -> TrialR
     """Simulate and score a single trial of the scenario."""
     sim = simulate_trial(cfg, trial_seed)
     obs, det_pm = sim.observations, sim.detection_placement
-    gm = cfg.group_map()
+    truth = Truth.of(sim.truth, cfg.group_map(), cfg.n_inputs)
     metrics: dict[str, Metrics] = {}
-    predictions: dict[str, dict[int, Prediction]] = {}
+    verdicts: dict[str, Verdicts] = {}
     for algo in cfg.algorithms:
-        raw = algorithm_predictions(algo, cfg, obs, det_pm, sim.clusters)
-        preds = {oid: _translate(p, sim.reps) for oid, p in raw.items()}
-        predictions[algo] = preds
-        metrics[algo] = precision_recall(preds, sim.truth, group_map=gm)
+        found = algorithm_verdicts(algo, cfg, obs, det_pm, sim.clusters)
+        verdicts[algo] = found.translated(sim.reps, cfg.n_inputs)
+        metrics[algo] = precision_recall(verdicts[algo], truth)
 
     learned = None
     if cfg.learn:
-        res = learn_params(obs.behavioral, det_pm, init=DEFAULT_INIT)
+        res = learn_params(obs.seen, det_pm, init=DEFAULT_INIT)
         learned = {
             "p_in": res.params.p_in,
             "p_out": res.params.p_out,
@@ -247,7 +264,7 @@ def run_trial(cfg: ScenarioConfig, trial_seed: np.random.SeedSequence) -> TrialR
             "converged": res.converged,
         }
 
-    return TrialResult(sim=sim, metrics=metrics, predictions=predictions, learned=learned)
+    return TrialResult(sim=sim, metrics=metrics, verdicts=verdicts, learned=learned)
 
 
 # ------------------------------------------------------------------ report

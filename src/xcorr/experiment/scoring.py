@@ -9,6 +9,11 @@ unexplained still costs recall.
 When the service works at coarser granularity than single inputs (overlap
 groups), both sides are projected through the group map before comparison,
 so naming any input of the right group counts as finding the association.
+
+Scoring reads a trial's verdict arrays (:class:`~xcorr.prediction.Verdicts`)
+against its :class:`Truth`, which projects the true cores once per trial.
+A detector whose targets are single combinations (a K x N matrix) is
+scored by comparing rows; family targets are compared as families.
 """
 
 from __future__ import annotations
@@ -17,9 +22,11 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from ..core_model import Combination, Family
 from ..errors import MismatchedUniverse
-from ..prediction import Prediction, Verdict
+from ..prediction import TARGETED, UNKNOWN, Prediction, Verdicts
 
 
 def project_family(fam: Family, group_map: Mapping[int, int]) -> Family:
@@ -80,46 +87,126 @@ class Metrics:
         }
 
 
+@dataclass(frozen=True, eq=False)
+class Truth:
+    """One trial's ground truth as the scorer reads it, rows in
+    ascending output id.
+
+    ``families[k]`` is output k's true core projected through the group
+    map (None when untargeted).  When that projected core has a single
+    member, ``single[k]`` is set and row k of the K x N matrix ``combos``
+    marks its inputs.  ``projection`` is the N x N boolean matrix that
+    maps input i to its group's representative (None without groups).
+    """
+
+    output_ids: tuple[int, ...]
+    families: tuple[Family | None, ...]
+    single: np.ndarray
+    combos: np.ndarray
+    group_map: Mapping[int, int] | None = None
+    projection: np.ndarray | None = None
+
+    @classmethod
+    def of(
+        cls,
+        truth: Mapping[int, Family | None],
+        group_map: Mapping[int, int] | None = None,
+        n_inputs: int | None = None,
+    ) -> "Truth":
+        """``truth`` maps output id to true core (None: untargeted);
+        ``n_inputs`` is the universe size N, by default one past the
+        largest input the cores or the group map name."""
+        ids = tuple(sorted(truth))
+        families = tuple(truth[oid] for oid in ids)
+        if group_map:
+            families = tuple(
+                None if fam is None else project_family(fam, group_map) for fam in families
+            )
+        if n_inputs is None:
+            named = [i for fam in families if fam is not None for i in fam.all_inputs()]
+            n_inputs = 1 + max([*named, *(group_map or {})], default=-1)
+        rows: list[int] = []
+        cols: list[int] = []
+        for row, fam in enumerate(families):
+            if fam is not None and fam.size == 1:
+                (member,) = fam.combinations
+                rows += [row] * member.order
+                cols += member.inputs
+        single = np.zeros(len(ids), dtype=bool)
+        single[rows] = True
+        combos = np.zeros((len(ids), n_inputs), dtype=bool)
+        combos[rows, cols] = True
+        projection = None
+        if group_map:
+            projection = np.eye(n_inputs, dtype=bool)
+            for i, rep in group_map.items():
+                projection[i] = False
+                projection[i, rep] = True
+        return cls(ids, families, single, combos, group_map or None, projection)
+
+    def __len__(self) -> int:
+        return len(self.output_ids)
+
+    def correct(self, verdicts: Verdicts) -> int:
+        """How many TARGETED rows of ``verdicts`` name exactly the true
+        core, after both sides are projected through the group map."""
+        rows = np.flatnonzero(verdicts.codes == TARGETED)
+        if isinstance(verdicts.targets, np.ndarray):
+            got = verdicts.targets[rows]
+            if got.shape[1] != self.combos.shape[1]:
+                raise MismatchedUniverse(
+                    f"verdict targets cover {got.shape[1]} inputs, "
+                    f"truth covers {self.combos.shape[1]}"
+                )
+            if self.projection is not None:
+                got = got @ self.projection
+            hits = self.single[rows] & (got == self.combos[rows]).all(axis=1)
+            return int(np.count_nonzero(hits))
+        correct = 0
+        for row in rows.tolist():
+            got, fam = verdicts.targets[row], self.families[row]
+            if fam is None:
+                continue
+            if self.group_map:
+                got = project_family(got, self.group_map)
+            correct += got == fam
+        return correct
+
+
 def precision_recall(
-    predictions: Mapping[int, Prediction],
-    truth: Mapping[int, Family | None],
+    predictions: Verdicts | Mapping[int, Prediction],
+    truth: Truth | Mapping[int, Family | None],
     group_map: Mapping[int, int] | None = None,
 ) -> Metrics:
     """Score one verdict per output against ground truth.
 
-    ``truth`` maps output ID to the true core family, or None for an
-    untargeted output.  Both mappings must cover exactly the same IDs;
-    anything else raises :class:`MismatchedUniverse` rather than guessing
-    which side dropped data.
+    Either ``predictions`` is a trial's verdict arrays and ``truth`` its
+    :class:`Truth`, row for row, or both map output ID to a
+    :class:`Prediction` and to the true core family (None for an
+    untargeted output), with ``group_map`` as in :meth:`Truth.of`.  The
+    two sides must cover exactly the same outputs; anything else raises
+    :class:`MismatchedUniverse` rather than guessing which side dropped
+    data.
     """
-    missing = sorted(set(truth) - set(predictions))
-    extra = sorted(set(predictions) - set(truth))
-    if missing or extra:
+    if not isinstance(truth, Truth):
+        missing = sorted(set(truth) - set(predictions))
+        extra = sorted(set(predictions) - set(truth))
+        if missing or extra:
+            raise MismatchedUniverse(
+                f"predictions and truth disagree on output IDs "
+                f"(unpredicted: {missing}, unknown to truth: {extra})"
+            )
+        truth = Truth.of(truth, group_map)
+        predictions = Verdicts.from_predictions([predictions[oid] for oid in truth.output_ids])
+    if len(predictions) != len(truth):
         raise MismatchedUniverse(
-            f"predictions and truth disagree on output IDs "
-            f"(unpredicted: {missing}, unknown to truth: {extra})"
+            f"{len(predictions)} verdicts for {len(truth)} outputs of ground truth"
         )
 
-    true_targeted = sum(1 for fam in truth.values() if fam is not None)
-    emitted = 0
-    correct = 0
-    unknown = 0
-    for oid, pred in predictions.items():
-        if pred.verdict is Verdict.UNKNOWN:
-            unknown += 1
-            continue
-        if pred.verdict is not Verdict.TARGETED:
-            continue
-        emitted += 1
-        fam = truth[oid]
-        if fam is None:
-            continue
-        got = pred.target_family()
-        if group_map:
-            got = project_family(got, group_map)
-            fam = project_family(fam, group_map)
-        if got == fam:
-            correct += 1
+    true_targeted = len(truth) - truth.families.count(None)
+    emitted = int(np.count_nonzero(predictions.codes == TARGETED))
+    unknown = int(np.count_nonzero(predictions.codes == UNKNOWN))
+    correct = truth.correct(predictions)
 
     flags: list[str] = []
     if emitted == 0:

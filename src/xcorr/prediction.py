@@ -1,10 +1,18 @@
-"""Shared verdict type emitted by every detection algorithm."""
+"""Shared verdict types emitted by every detection algorithm.
+
+A detector scores all K outputs of a trial at once and answers with
+:class:`Verdicts`, one row per output held in arrays.  A
+:class:`Prediction` is one row of it as an object, built only when a
+caller asks for one: a stored record, the CLI, or a single-output call.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from .core_model import Combination, Family
 from .errors import DomainError
@@ -14,6 +22,27 @@ class Verdict(str, Enum):
     TARGETED = "targeted"
     UNTARGETED = "untargeted"
     UNKNOWN = "unknown"
+
+
+#: Row codes of :attr:`Verdicts.codes`: code c stands for ``VERDICTS[c]``.
+VERDICTS = tuple(Verdict)
+TARGETED, UNTARGETED, UNKNOWN = (VERDICTS.index(v) for v in Verdict)
+
+
+@dataclass(frozen=True, eq=False)
+class Posterior:
+    """Probability over (D_0..D_{N-1}, untargeted); last entry is the
+    untargeted hypothesis.  ``log_normalizer`` is the log evidence."""
+
+    probabilities: np.ndarray
+    log_normalizer: float
+
+    def __post_init__(self):
+        self.probabilities.setflags(write=False)
+
+    @property
+    def n_inputs(self) -> int:
+        return len(self.probabilities) - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,3 +89,86 @@ class Prediction:
             "scores": {k: float(v) for k, v in sorted(self.scores.items())},
             "flags": list(self.flags),
         }
+
+
+@dataclass(frozen=True, eq=False)
+class Verdicts:
+    """Verdicts of K outputs, row k for output k, held column-wise.
+
+    ``codes[k]`` is the verdict code (see :data:`VERDICTS`).  ``targets``
+    is either a K x N boolean matrix whose row k marks the inputs of
+    output k's target combination (set intersection, Bayes), or one
+    Family or None per row (core-family search); rows that are not
+    TARGETED have no target.  ``scores`` maps a model name to K scores,
+    NaN where that model gave output k none.  ``flags`` maps a flag name
+    to the K-row boolean mask of outputs carrying it.  ``posteriors``
+    maps a Bayes channel to (rows, probabilities, log normalizers): the
+    rows it scored and, per row, its posterior over (D_0..D_{N-1},
+    untargeted).
+    """
+
+    codes: np.ndarray
+    targets: np.ndarray | tuple[Family | None, ...]
+    scores: Mapping[str, np.ndarray] = field(default_factory=dict)
+    flags: Mapping[str, np.ndarray] = field(default_factory=dict)
+    posteriors: Mapping[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+        default_factory=dict
+    )
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    @classmethod
+    def from_predictions(cls, preds: Sequence[Prediction]) -> "Verdicts":
+        """The rows of ``preds``; targets become families, and scores,
+        flags and posteriors are dropped."""
+        return cls(
+            codes=np.array([VERDICTS.index(p.verdict) for p in preds], dtype=np.int8),
+            targets=tuple(
+                p.target_family() if p.verdict is Verdict.TARGETED else None for p in preds
+            ),
+        )
+
+    def translated(self, reps: Sequence[int] | None, n_inputs: int) -> "Verdicts":
+        """Targets mapped from reduced input ids (column c stands for
+        input ``reps[c]``) to a universe of ``n_inputs``; unchanged when
+        ``reps`` is None."""
+        if reps is None:
+            return self
+        if isinstance(self.targets, np.ndarray):
+            targets = np.zeros((len(self), n_inputs), dtype=bool)
+            targets[:, list(reps)] = self.targets
+        else:
+            targets = tuple(
+                None if fam is None
+                else Family(Combination(reps[i] for i in c.inputs) for c in fam)
+                for fam in self.targets
+            )
+        return Verdicts(self.codes, targets, self.scores, self.flags, self.posteriors)
+
+    def predictions(self) -> list[Prediction]:
+        """One :class:`Prediction` per row, with its scores, flags and
+        posteriors."""
+        k = len(self)
+        scores = [{} for _ in range(k)]
+        for name, col in self.scores.items():
+            for row, s in enumerate(col.tolist()):
+                if s == s:  # NaN: no score from this model
+                    scores[row][name] = s
+        flags = [() for _ in range(k)]
+        for name, mask in self.flags.items():
+            for row in np.flatnonzero(mask).tolist():
+                flags[row] += (name,)
+        posts: list[dict | None] = [None] * k
+        for name, (rows, probs, z) in self.posteriors.items():
+            for row, p, log_z in zip(rows.tolist(), probs, z.tolist()):
+                posts[row] = {**(posts[row] or {}), name: Posterior(p, log_z)}
+        out = []
+        for row, code in enumerate(self.codes.tolist()):
+            target = None
+            if code == TARGETED:
+                target = self.targets[row]
+                if isinstance(self.targets, np.ndarray):
+                    target = Combination(np.flatnonzero(target).tolist())
+            out.append(Prediction(VERDICTS[code], target, scores[row], flags[row], posts[row]))
+        return out

@@ -4,12 +4,15 @@ a time.
 The three published steps: gate on having enough active accounts, keep
 the inputs present in more than a threshold fraction of them, then
 demand that the same fraction of active accounts contain the whole kept
-set at once.  All K outputs of a trial share one pass: a K x m
-active-account matrix times the m x N placement gives the K x N matrix
-of per-input fractions for steps 1 and 2, and step 3 checks the
-co-occurrence of each kept row's set.  :func:`predict_set_intersection`
-is the K = 1 case.  Non-probabilistic — the emitted score is 1 for
-whatever verdict is chosen.
+set at once.  All K outputs of a trial share one pass: the K x m seen
+matrix times the m x N placement gives the K x N matrix of per-input
+fractions for steps 1 and 2, and for step 3 the placement times the
+kept sets gives, per account, whether it holds each output's whole set.
+:func:`set_intersection_verdicts` returns the verdicts as arrays;
+:func:`predict_set_intersection_batch` and
+:func:`predict_set_intersection` (the K = 1 case) turn its rows into
+:class:`Prediction` objects.  Non-probabilistic — the emitted score is
+1 for whatever verdict is chosen.
 """
 
 from __future__ import annotations
@@ -19,10 +22,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core_model import Combination
 from .errors import ConfigError
 from .placement import PlacementMatrix, active_matrix
-from .prediction import Prediction, Verdict
+from .prediction import TARGETED, UNKNOWN, UNTARGETED, Prediction, Verdicts
 
 MODEL_NAME = "set_intersection"
 
@@ -44,18 +46,21 @@ class SetIntersectionConfig:
             raise ConfigError("max_combination_size must be >= 1 when set")
 
 
-def predict_set_intersection_batch(
-    active_accounts: Sequence[Iterable[int]],
+def set_intersection_verdicts(
+    active_accounts: np.ndarray | Sequence[Iterable[int]],
     placement: PlacementMatrix,
     cfg: SetIntersectionConfig = SetIntersectionConfig(),
-) -> list[Prediction]:
-    """Run the three steps on K outputs' active-account sets.
+) -> Verdicts:
+    """Run the three steps on K outputs' active accounts, given as the
+    K x m seen matrix or as K account sets.
 
-    Below the activity gate the answer is UNKNOWN (not UNTARGETED):
-    too little data is a different statement than evidence of no
-    targeting, and the harness accounts for the two separately.
+    Below the activity gate the answer is UNKNOWN (not UNTARGETED), flag
+    ``below_min_active``: too little data is a different statement than
+    evidence of no targeting, and the harness accounts for the two
+    separately.  A kept set larger than ``max_combination_size`` is
+    UNTARGETED with flag ``oversized_set_rejected``.
     """
-    mem = placement.membership
+    mem = placement.membership.astype(float)
     active = active_matrix(active_accounts, placement.n_accounts, ConfigError)
     n_active = active.sum(axis=1)
     # Steps 1 and 2: the activity gate, then the inputs present in more
@@ -63,41 +68,35 @@ def predict_set_intersection_batch(
     gated = n_active >= cfg.min_active_accounts
     keep = np.zeros((len(active), placement.n_inputs), dtype=bool)
     if gated.any():
-        counts = active[gated].astype(float) @ mem.astype(float)
+        counts = active[gated].astype(float) @ mem
         keep[gated] = counts / n_active[gated, None] > cfg.threshold
-    return [
-        _step3(mem[row], row_keep, cfg) if row_gated else Prediction(
-            Verdict.UNKNOWN, scores={MODEL_NAME: 1.0}, flags=("below_min_active",)
-        )
-        for row, row_keep, row_gated in zip(active, keep, gated)
-    ]
-
-
-def _step3(
-    accounts: np.ndarray, keep: np.ndarray, cfg: SetIntersectionConfig
-) -> Prediction:
-    """Verdict of one gated output from its step-2 inputs ``keep``;
-    ``accounts`` are the placement rows of its active accounts."""
-    targeted_ids = np.flatnonzero(keep)
-    flags: tuple[str, ...] = ()
-    if not targeted_ids.size:
-        targeted = False
-    elif (
-        cfg.max_combination_size is not None
-        and targeted_ids.size > cfg.max_combination_size
-    ):
-        targeted, flags = False, ("oversized_set_rejected",)
-    else:
-        # Step 3: the whole set must co-occur in a threshold fraction
-        whole = accounts[:, targeted_ids].all(axis=1).mean()
-        targeted = whole >= cfg.threshold
-    if not targeted:
-        return Prediction(Verdict.UNTARGETED, scores={MODEL_NAME: 1.0}, flags=flags)
-    return Prediction(
-        Verdict.TARGETED,
-        target=Combination(targeted_ids.tolist()),
-        scores={MODEL_NAME: 1.0},
+    n_keep = keep.sum(axis=1)
+    limit = cfg.max_combination_size
+    oversized = gated & (n_keep > limit) if limit is not None else np.zeros_like(gated)
+    # Step 3: the whole kept set must co-occur in a threshold fraction
+    checked = gated & (n_keep > 0) & ~oversized
+    whole = np.zeros(len(active))
+    if checked.any():
+        holds = mem @ keep[checked].T.astype(float) == n_keep[checked]
+        whole[checked] = (active[checked] & holds.T).sum(axis=1) / n_active[checked]
+    targeted = checked & (whole >= cfg.threshold)
+    codes = np.where(targeted, TARGETED, np.where(gated, UNTARGETED, UNKNOWN))
+    return Verdicts(
+        codes.astype(np.int8),
+        keep & targeted[:, None],
+        {MODEL_NAME: np.ones(len(active))},
+        {"below_min_active": ~gated, "oversized_set_rejected": oversized},
     )
+
+
+def predict_set_intersection_batch(
+    active_accounts: np.ndarray | Sequence[Iterable[int]],
+    placement: PlacementMatrix,
+    cfg: SetIntersectionConfig = SetIntersectionConfig(),
+) -> list[Prediction]:
+    """:func:`set_intersection_verdicts` as one :class:`Prediction` per
+    output."""
+    return set_intersection_verdicts(active_accounts, placement, cfg).predictions()
 
 
 def predict_set_intersection(

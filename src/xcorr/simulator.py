@@ -5,6 +5,16 @@ behavioral channel decides, per shadow account, whether the account ever
 sees the output; the contextual channel counts how often the output is
 displayed next to each input in the user's own account.  Ground truth
 is recorded in a trace the detection engine never sees.
+
+A simulation works on whole matrices: each spec keeps its own RNG
+stream, all K of them derived in one vectorized step by
+:func:`~xcorr.placement.spawn_rngs` (the streams of ``seed.spawn(K)``);
+each stream fills its spec's row of one K x m uniform draw, and one
+gather of the placement's core-member columns, reduced per member and
+per core, gives every in-target mask.  Observations keep the K x m seen matrix; per-output
+account sets are derived from it when read.  The simulators do not
+advance a passed SeedSequence's spawn counter, so hand each seed
+sequence to one simulation only.
 """
 
 from __future__ import annotations
@@ -16,9 +26,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core_model import Combination, Family, eval_targeting
-from .errors import ConfigError, SpecError, parse_artifact, require_count
-from .placement import PlacementMatrix, make_rng
+from .core_model import Combination, Family
+from .errors import ConfigError, DomainError, SpecError, parse_artifact, require_count
+from .placement import PlacementMatrix, SpawnedSeed, active_matrix, spawn_rngs
 
 BEHAVIORAL = "behavioral"
 CONTEXTUAL = "contextual"
@@ -103,21 +113,53 @@ _OBSERVATION_COUNTS = ("rounds", "n_accounts", "n_inputs", "displays_per_input")
 _INT64_MAX = np.iinfo(np.int64).max
 
 
+def _output_id(key: str, what: str) -> int:
+    """An output id stored as a JSON key: canonical decimal form only, so
+    no two keys name the same output."""
+    try:
+        oid = int(key)
+    except ValueError:
+        oid = None
+    if oid is None or str(oid) != key:
+        raise ConfigError(f"{what}: output id {key!r} is not a canonical decimal integer")
+    return oid
+
+
 @dataclass
 class ObservationSet:
     """What the engine gets to see.
 
-    ``behavioral`` maps output_id to A_k (accounts that saw the output
-    at least once); ``contextual`` maps output_id to the length-N vector
-    of display counts next to each input.
+    ``seen`` is the K x m boolean matrix whose row k marks A_k, the
+    accounts that saw output ``output_ids[k]`` at least once; rows are in
+    ascending output id.  ``contextual`` maps output_id to the length-N
+    vector of display counts next to each input.
     """
 
-    behavioral: dict[int, frozenset[int]] = field(default_factory=dict)
+    output_ids: tuple[int, ...] = ()
+    seen: np.ndarray | None = None
     contextual: dict[int, np.ndarray] = field(default_factory=dict)
     rounds: int = 1
     n_accounts: int = 0
     n_inputs: int = 0
     displays_per_input: int = 0
+
+    def __post_init__(self):
+        if self.seen is None:
+            self.seen = np.zeros((0, self.n_accounts), dtype=bool)
+        if self.seen.shape != (len(self.output_ids), self.n_accounts):
+            raise DomainError(
+                f"seen matrix of shape {self.seen.shape} for {len(self.output_ids)} "
+                f"outputs and {self.n_accounts} accounts"
+            )
+        self.seen.setflags(write=False)
+
+    @functools.cached_property
+    def behavioral(self) -> dict[int, frozenset[int]]:
+        """output_id -> A_k, read off ``seen``."""
+        return {
+            oid: frozenset(np.flatnonzero(row).tolist())
+            for oid, row in zip(self.output_ids, self.seen)
+        }
 
     def to_doc(self) -> dict:
         """JSON document of the observations, outputs in ascending id."""
@@ -126,7 +168,9 @@ class ObservationSet:
             "n_accounts": self.n_accounts,
             "n_inputs": self.n_inputs,
             "displays_per_input": self.displays_per_input,
-            "behavioral": {str(k): sorted(v) for k, v in sorted(self.behavioral.items())},
+            "behavioral": {
+                str(k): np.flatnonzero(row).tolist() for k, row in zip(self.output_ids, self.seen)
+            },
             "contextual": {
                 str(k): [int(c) for c in v] for k, v in sorted(self.contextual.items())
             },
@@ -138,9 +182,9 @@ class ObservationSet:
     @classmethod
     def from_json(cls, text: str) -> "ObservationSet":
         """Inverse of :meth:`to_json`.  Raises :class:`ConfigError` on
-        missing keys, output ids that are not integers, accounts outside
-        0..n_accounts-1, or contextual vectors that are not n_inputs
-        non-negative JSON integers that fit in int64."""
+        missing keys, output ids not in canonical decimal form, accounts
+        outside 0..n_accounts-1, or contextual vectors that are not
+        n_inputs non-negative JSON integers that fit in int64."""
         what = "observations"
         doc = parse_artifact(text, what, ("behavioral", "contextual", *_OBSERVATION_COUNTS))
         counts = {k: require_count(doc, k, what) for k in _OBSERVATION_COUNTS}
@@ -148,14 +192,13 @@ class ObservationSet:
         behavioral, contextual = doc["behavioral"], doc["contextual"]
         if not isinstance(behavioral, dict) or not isinstance(contextual, dict):
             raise ConfigError(f"{what}: behavioral and contextual must be JSON objects")
-        try:
-            beh = {int(k): frozenset(v) for k, v in behavioral.items()}
-            ctx = {int(k): v for k, v in contextual.items()}
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{what}: malformed output entry: {exc}") from exc
-        for oid, accounts in beh.items():
-            if not all(type(j) is int and 0 <= j < m for j in accounts):
-                raise ConfigError(f"{what}: output {oid} names accounts outside 0..{m - 1}")
+        beh = sorted((_output_id(k, what), v) for k, v in behavioral.items())
+        ctx = {_output_id(k, what): v for k, v in contextual.items()}
+        for oid, accounts in beh:
+            if not isinstance(accounts, list) or not all(
+                type(j) is int and 0 <= j < m for j in accounts
+            ):
+                raise ConfigError(f"{what}: output {oid} must list accounts in 0..{m - 1}")
         for oid, vec in ctx.items():
             if not isinstance(vec, list) or len(vec) != n:
                 raise ConfigError(
@@ -167,7 +210,12 @@ class ObservationSet:
                     f"integers, got {vec}"
                 )
             ctx[oid] = np.array(vec, dtype=np.int64)
-        return cls(behavioral=beh, contextual=ctx, **counts)
+        return cls(
+            output_ids=tuple(oid for oid, _ in beh),
+            seen=active_matrix([accounts for _, accounts in beh], m, ConfigError),
+            contextual=ctx,
+            **counts,
+        )
 
     def merge_contextual(self, counts: Mapping[int, np.ndarray], displays: int) -> None:
         self.contextual.update(counts)
@@ -177,11 +225,29 @@ class ObservationSet:
 @dataclass
 class SimulationTrace:
     """Ground truth per output: the specs themselves plus the split of
-    active accounts into genuinely in-target vs noise."""
+    active accounts into genuinely in-target vs noise.
 
-    specs: dict[int, TargetingSpec] = field(default_factory=dict)
-    in_target: dict[int, frozenset[int]] = field(default_factory=dict)
-    out_of_target: dict[int, frozenset[int]] = field(default_factory=dict)
+    ``seen`` and ``in_target_mask`` are K x m matrices, rows in ascending
+    output id (``output_ids``); the per-output splits are read off them."""
+
+    specs: dict[int, TargetingSpec]
+    output_ids: tuple[int, ...]
+    seen: np.ndarray
+    in_target_mask: np.ndarray
+
+    @property
+    def in_target(self) -> dict[int, frozenset[int]]:
+        return self._split(self.seen & self.in_target_mask)
+
+    @property
+    def out_of_target(self) -> dict[int, frozenset[int]]:
+        return self._split(self.seen & ~self.in_target_mask)
+
+    def _split(self, accounts: np.ndarray) -> dict[int, frozenset[int]]:
+        return {
+            oid: frozenset(np.flatnonzero(row).tolist())
+            for oid, row in zip(self.output_ids, accounts)
+        }
 
     def true_family(self, output_id: int) -> Family | None:
         spec = self.specs[output_id]
@@ -194,17 +260,38 @@ def _effective(p: float, rounds: int) -> float:
     return -np.expm1(rounds * np.log1p(-p)) if p < 1.0 else 1.0
 
 
+def _in_target(placement: PlacementMatrix, cores: Sequence[Family]) -> np.ndarray:
+    """len(cores) x m boolean matrix: row k marks the accounts that hold
+    some member of ``cores[k]`` whole.  The members' input columns are
+    gathered once; an AND over each member's columns and an OR over each
+    core's members reduce them.  Every core must have a member unless
+    none has."""
+    starts: list[int] = []  # first gathered column of each member
+    cols: list[int] = []
+    first: list[int] = []  # first member of each core
+    for core in cores:
+        first.append(len(starts))
+        for member in core.combinations:
+            starts.append(len(cols))
+            cols += member.inputs
+    if not cols:
+        return np.zeros((len(cores), placement.n_accounts), dtype=bool)
+    whole = np.logical_and.reduceat(placement.membership[:, cols], starts, axis=1)
+    return np.logical_or.reduceat(whole, first, axis=1).T
+
+
 def in_target_mask(placement: PlacementMatrix, core: Family) -> np.ndarray:
     """Boolean vector over accounts: does the account trip the core?"""
-    mem = placement.membership
-    mask = np.zeros(placement.n_accounts, dtype=bool)
-    for member in core.combinations:
-        mask |= mem[:, list(member.inputs)].all(axis=1)
-    return mask
+    return _in_target(placement, [core])[0]
 
 
-def _check_spec_universe(spec: TargetingSpec, n_inputs: int) -> None:
-    if spec.is_targeted:
+def _check_specs(specs: Sequence[TargetingSpec], n_inputs: int) -> None:
+    ids = [s.output_id for s in specs]
+    if len(set(ids)) != len(ids):
+        raise SpecError("duplicate output_id in specs")
+    for spec in specs:
+        if not spec.is_targeted:
+            continue
         for member in spec.core.combinations:
             if any(i >= n_inputs for i in member.inputs):
                 raise SpecError(
@@ -217,7 +304,7 @@ def simulate_behavioral(
     placement: PlacementMatrix,
     specs: Sequence[TargetingSpec],
     rounds: int = 1,
-    seed: int | np.random.SeedSequence = 0,
+    seed: int | np.random.SeedSequence | SpawnedSeed = 0,
 ) -> tuple[ObservationSet, SimulationTrace]:
     """Draw the seen/not-seen signal for every (output, account) pair.
 
@@ -226,42 +313,42 @@ def simulate_behavioral(
     outputs hit every account at 1-(1-p_empty)^rounds.  A
     contextual-channel spec has no behavioral audience: it shows up in
     shadow accounts only at its out-of-context rate p_out.
+
+    Spec k draws its row of uniforms from the k-th child stream of
+    ``seed`` (see :func:`~xcorr.placement.spawn_rngs`); ``seed``'s spawn
+    counter is not advanced.
     """
     if rounds < 1:
         raise SpecError(f"rounds must be >= 1, got {rounds}")
+    _check_specs(specs, placement.n_inputs)
+    k, m = len(specs), placement.n_accounts
+    rngs = spawn_rngs(seed, k)
     ids = [s.output_id for s in specs]
-    if len(set(ids)) != len(ids):
-        raise SpecError("duplicate output_id in specs")
-    m = placement.n_accounts
-    ss = (
-        seed
-        if isinstance(seed, np.random.SeedSequence)
-        else np.random.SeedSequence(int(seed))
+    if ids != sorted(ids):
+        # rows go in ascending output id; each spec keeps its own stream
+        order = sorted(range(k), key=ids.__getitem__)
+        specs, rngs, ids = [specs[j] for j in order], [rngs[j] for j in order], sorted(ids)
+    draws = np.empty((k, m))
+    for row, rng in zip(draws, rngs):
+        rng.random(out=row)
+    aimed = [s.is_targeted and s.channel == BEHAVIORAL for s in specs]
+    in_mask = np.zeros((k, m), dtype=bool)
+    in_mask[np.array(aimed, dtype=bool)] = _in_target(
+        placement, [s.core for s, a in zip(specs, aimed) if a]
     )
+    p_hit = [_effective(s.p_in, rounds) if s.is_targeted else 0.0 for s in specs]
+    p_rest = [_effective(s.p_out if s.is_targeted else s.p_empty, rounds) for s in specs]
+    seen = draws < np.where(in_mask, np.array(p_hit)[:, None], np.array(p_rest)[:, None])
     obs = ObservationSet(
-        rounds=rounds, n_accounts=m, n_inputs=placement.n_inputs
+        output_ids=tuple(ids), seen=seen, rounds=rounds, n_accounts=m,
+        n_inputs=placement.n_inputs,
     )
-    trace = SimulationTrace()
-    for spec, child in zip(specs, ss.spawn(len(specs))):
-        _check_spec_universe(spec, placement.n_inputs)
-        rng = make_rng(child)
-        in_mask = np.zeros(m, dtype=bool)
-        if spec.is_targeted and spec.channel == BEHAVIORAL:
-            in_mask = in_target_mask(placement, spec.core)
-            p = np.where(
-                in_mask,
-                _effective(spec.p_in, rounds),
-                _effective(spec.p_out, rounds),
-            )
-        else:
-            # no behavioral audience: every account sees it at one rate
-            p = _effective(spec.p_out if spec.is_targeted else spec.p_empty, rounds)
-        seen = rng.random(m) < p
-        hit = seen & in_mask
-        obs.behavioral[spec.output_id] = frozenset(seen.nonzero()[0].tolist())
-        trace.specs[spec.output_id] = spec
-        trace.in_target[spec.output_id] = frozenset(hit.nonzero()[0].tolist())
-        trace.out_of_target[spec.output_id] = frozenset((seen ^ hit).nonzero()[0].tolist())
+    trace = SimulationTrace(
+        specs={s.output_id: s for s in specs},
+        output_ids=obs.output_ids,
+        seen=obs.seen,
+        in_target_mask=in_mask,
+    )
     return obs, trace
 
 
@@ -269,7 +356,7 @@ def simulate_contextual(
     user_inputs: Combination,
     specs: Sequence[TargetingSpec],
     displays_per_input: int,
-    seed: int | np.random.SeedSequence = 0,
+    seed: int | np.random.SeedSequence | SpawnedSeed = 0,
     n_inputs: int | None = None,
 ) -> dict[int, np.ndarray]:
     """Display counts next to each of the user's inputs.
@@ -278,36 +365,25 @@ def simulate_contextual(
     to input i, a contextual spec fires with p_in when {i} is one of its
     core members and p_out otherwise, a behavioral spec fires at p_out
     regardless (it does not react to the displayed input), and an
-    untargeted spec fires at p_empty.
+    untargeted spec fires at p_empty.  Spec k draws from the k-th child
+    stream of ``seed``, whose spawn counter is not advanced.
     """
     if displays_per_input < 1:
         raise SpecError(f"displays_per_input must be >= 1, got {displays_per_input}")
     if n_inputs is None:
         n_inputs = (max(user_inputs.inputs) + 1) if user_inputs.order else 0
-    ids = [s.output_id for s in specs]
-    if len(set(ids)) != len(ids):
-        raise SpecError("duplicate output_id in specs")
-    ss = (
-        seed
-        if isinstance(seed, np.random.SeedSequence)
-        else np.random.SeedSequence(int(seed))
-    )
-    counts: dict[int, np.ndarray] = {}
+    _check_specs(specs, n_inputs)
     user = list(user_inputs.inputs)
-    for spec, child in zip(specs, ss.spawn(len(specs))):
-        _check_spec_universe(spec, n_inputs)
-        rng = make_rng(child)
-        x = np.zeros(n_inputs, dtype=np.int64)
-        if user:
-            if not spec.is_targeted:
-                p = np.full(len(user), spec.p_empty)
-            elif spec.channel == CONTEXTUAL:
-                hits = np.array(
-                    [eval_targeting(spec.core, Combination([i])) for i in user]
-                )
-                p = np.where(hits, spec.p_in, spec.p_out)
-            else:
-                p = np.full(len(user), spec.p_out)
-            x[user] = rng.binomial(displays_per_input, p)
-        counts[spec.output_id] = x
-    return counts
+    # contextual cores have order 1: {i} is a member iff input i fires it
+    keyed = np.zeros((len(specs), n_inputs), dtype=bool)
+    for k, spec in enumerate(specs):
+        if spec.is_targeted and spec.channel == CONTEXTUAL:
+            keyed[k, [c.inputs[0] for c in spec.core.combinations]] = True
+    p_hit = np.array([s.p_in if s.is_targeted else s.p_empty for s in specs])
+    p_rest = np.array([s.p_out if s.is_targeted else s.p_empty for s in specs])
+    p = np.where(keyed[:, user], p_hit[:, None], p_rest[:, None])
+    counts = np.zeros((len(specs), n_inputs), dtype=np.int64)
+    if user:
+        for row, p_row, rng in zip(counts, p, spawn_rngs(seed, len(specs))):
+            row[user] = rng.binomial(displays_per_input, p_row)
+    return {spec.output_id: row for spec, row in zip(specs, counts)}

@@ -18,6 +18,10 @@ The scoring oracles stand in for the batched Bayes scorer: likelihoods
 from set sizes and plain sums, posteriors hypothesis by hypothesis with
 a scalar logsumexp, one output at a time, and the moment-matching loop
 output by output.
+
+The simulation oracles stand in for the columnar simulators: one spec
+at a time, each with a generator built from its own spawned
+SeedSequence child, and the in-target test evaluated member by member.
 """
 
 from __future__ import annotations
@@ -348,3 +352,57 @@ def learn_oracle(observations, score, in_slots, out_slots, empty_slots, init,
             converged = True
             break
     return params, iterations, converged, tuple(history)
+
+
+# --------------------------------------------------------- simulation
+
+
+def _spec_streams(seed, k):
+    """One generator per spec, from ``seed.spawn(k)`` children."""
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
+    return [np.random.Generator(np.random.PCG64(child)) for child in ss.spawn(k)]
+
+
+def _effective(p, rounds):
+    return -np.expm1(rounds * np.log1p(-p)) if p < 1.0 else 1.0
+
+
+def simulate_behavioral_oracle(membership, specs, rounds, seed):
+    """Per-spec behavioral draw: ``(seen, in_target, out_of_target)``,
+    each mapping output id to a frozenset of accounts."""
+    m = membership.shape[0]
+    seen, in_target, out_of_target = {}, {}, {}
+    for spec, rng in zip(specs, _spec_streams(seed, len(specs))):
+        in_mask = np.zeros(m, dtype=bool)
+        if spec.is_targeted and spec.channel == "behavioral":
+            for member in spec.core.combinations:
+                in_mask |= membership[:, list(member.inputs)].all(axis=1)
+            p = np.where(
+                in_mask, _effective(spec.p_in, rounds), _effective(spec.p_out, rounds)
+            )
+        else:
+            p = _effective(spec.p_out if spec.is_targeted else spec.p_empty, rounds)
+        row = rng.random(m) < p
+        hit = row & in_mask
+        seen[spec.output_id] = frozenset(row.nonzero()[0].tolist())
+        in_target[spec.output_id] = frozenset(hit.nonzero()[0].tolist())
+        out_of_target[spec.output_id] = frozenset((row ^ hit).nonzero()[0].tolist())
+    return seen, in_target, out_of_target
+
+
+def simulate_contextual_oracle(user, specs, displays, seed, n_inputs):
+    """Per-spec contextual draw: output id -> length-n_inputs counts."""
+    counts = {}
+    for spec, rng in zip(specs, _spec_streams(seed, len(specs))):
+        x = np.zeros(n_inputs, dtype=np.int64)
+        if user:
+            if not spec.is_targeted:
+                p = np.full(len(user), spec.p_empty)
+            elif spec.channel == "contextual":
+                keyed = {c.inputs for c in spec.core.combinations}
+                p = np.array([spec.p_in if (i,) in keyed else spec.p_out for i in user])
+            else:
+                p = np.full(len(user), spec.p_out)
+            x[list(user)] = rng.binomial(displays, p)
+        counts[spec.output_id] = x
+    return counts

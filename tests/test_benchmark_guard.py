@@ -1,10 +1,12 @@
-"""The benchmark harness names xcorr functions as strings; a rename in
-``src/`` must fail here, not silently break ``perfbench/run.py --trace 1``."""
+"""The benchmark harness names xcorr functions as strings and times its
+ops through module attributes; a rename or an inlined call in ``src/``
+must fail here, not silently break ``perfbench/run.py``."""
 
 import importlib.util
 from pathlib import Path
 
 from xcorr import _kernels
+from xcorr.experiment import ScenarioConfig, runner
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -28,3 +30,20 @@ def test_every_traced_layer_resolves():
 def test_run_header_fields_exist():
     # perfbench/run.py prints the numba path in its environment line
     assert _kernels.HAS_NUMBA is False
+
+
+def test_run_scenario_calls_run_trial_once_per_trial(monkeypatch):
+    # knee_sweep times each of its ops by replacing runner.run_trial, so
+    # run_scenario must reach every trial through that module attribute
+    calls = []
+    inner = runner.run_trial
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "run_trial", counted)
+    cfg = ScenarioConfig(n_inputs=4, n_targeted=2, n_untargeted=1, n_accounts=6, trials=3)
+    report = runner.run_scenario(cfg)
+    assert len(calls) == cfg.trials
+    assert report.algorithms["bayes"]["pooled"]["n_outputs"] == 3 * cfg.trials

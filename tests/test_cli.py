@@ -231,6 +231,20 @@ OBSERVATION_DAMAGE = {
     "output id": lambda text: _corrupt(
         json.loads(text), lambda d: d["behavioral"].__setitem__("first", [0])
     ),
+    # keys that int() reads as one id would load as one output, dropping others
+    "colliding output ids": lambda text: _corrupt(
+        json.loads(text),
+        lambda d: d["behavioral"].update({"1": [0, 1], "01": [2], " 1": [3]}),
+    ),
+    "non-canonical behavioral id": lambda text: _corrupt(
+        json.loads(text), lambda d: d["behavioral"].__setitem__("+0", d["behavioral"].pop("0"))
+    ),
+    "non-canonical contextual id": lambda text: _corrupt(
+        json.loads(text), lambda d: d["contextual"].__setitem__("00", [0] * d["n_inputs"])
+    ),
+    "repeated output id": lambda text: text.replace(
+        '"behavioral": {', '"behavioral": {"0": [0], ', 1
+    ),
     "fewer accounts than the placement": lambda text: _corrupt(
         json.loads(text), lambda d: d.update(n_accounts=d["n_accounts"] - 1)
     ),

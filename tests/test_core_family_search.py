@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import conditional_members, exclusion_members, witness_enumerate
+from xcorr import core_family_search
 from xcorr._kernels import find_witness, find_witness_batch, pack_bitsets, popcount_u64
 from xcorr.core_family_search import (
     AdFamily,
@@ -634,6 +635,33 @@ def test_predict_budget_exhausted_is_unknown():
         assert pred.flags == ("budget_exhausted",)
         [batched] = predict_core_family_batch([obs.behavioral[0]], pm, cfg, method=method)
         assert batched.to_dict() == pred.to_dict()
+
+
+def test_predict_asks_the_root_detection_query_once(monkeypatch):
+    # the detection that rules out UNTARGETED is also the search's first
+    # charged test, so every witness query answered is a charged test; a
+    # charged containment test on too small a conditional asks none
+    queries = []
+
+    def counted(stack, thresholds, l_max):
+        queries.append(len(thresholds))
+        return find_witness_batch(stack, thresholds, l_max)
+
+    monkeypatch.setattr(core_family_search, "find_witness_batch", counted)
+    cfg = DetectionConfig(x=0.99, l_max=2, r_max=2)
+    pm = bernoulli_placement(PlacementConfig(n_inputs=12, n_accounts=220, alpha=0.5, seed=5))
+    spec = TargetingSpec.targeted(0, Family([[1, 3], [4]]), p_in=0.9, p_out=0.0)
+    obs, _ = simulate_behavioral(pm, [spec], seed=6)
+    for method in ("removal", "agglomerative"):
+        queries.clear()
+        trace = SearchTrace()
+        pred = predict_core_family(obs.behavioral[0], pm, cfg, method=method, trace=trace)
+        assert pred.verdict is Verdict.TARGETED
+        unasked = sum(
+            1 for r in trace.records if r["kind"] == "contains" and r["outcome"] is None
+        )
+        assert trace.records[0] == {"kind": "detect", "combination": None, "outcome": True}
+        assert sum(queries) == trace.tests_used - unasked
 
 
 # ------------------------------------------------------------- lock-step

@@ -118,6 +118,14 @@ def test_build_specs_shapes_and_ids():
         assert s.p_empty == cfg.p_empty
 
 
+def test_a_one_value_draw_consumes_no_randomness():
+    # build_specs skips rng.integers(0, 1) for a one-value l_values or
+    # r_values on this ground; the recorded digests depend on it
+    drawn, untouched = np.random.default_rng(9), np.random.default_rng(9)
+    assert drawn.integers(0, 1) == 0
+    assert drawn.bit_generator.state == untouched.bit_generator.state
+
+
 def test_build_specs_overlap_round_robin():
     cfg = ScenarioConfig(
         n_inputs=6, n_targeted=4, n_untargeted=0,

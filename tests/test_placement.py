@@ -10,7 +10,10 @@ from xcorr.placement import (
     PlacementMatrix,
     bernoulli_placement,
     grouped_placement,
+    make_rng,
     sized_account_count,
+    spawn_rngs,
+    spawn_seeds,
 )
 
 # chi-squared critical value, 1 degree of freedom, p = 0.01
@@ -145,3 +148,78 @@ def test_json_roundtrip():
     assert back == pm
     assert back.alpha == 0.25
     assert back.seed == 8
+
+
+# ------------------------------------------------------------- streams
+
+
+def _seed_sequences():
+    """Seed sequences of every shape spawn_rngs must follow, each built
+    twice so one copy can be spawned from and the other left alone."""
+    shapes = [
+        dict(entropy=0),
+        dict(entropy=5),
+        dict(entropy=2**200 + 7),  # multi-word int entropy
+        dict(entropy=[1, 2, 3, 4, 5, 6]),  # list entropy longer than the pool
+        dict(entropy=[9]),
+        dict(entropy=3, spawn_key=(4, 5)),  # nested spawn key
+        dict(entropy=7, spawn_key=(2**40,)),  # multi-word spawn-key entry
+        dict(entropy=11, pool_size=8),
+        dict(entropy=[1, 2, 3, 4, 5, 6, 7, 8, 9], spawn_key=(1,), pool_size=5),
+    ]
+    rng = np.random.default_rng(20)
+    for _ in range(40):
+        entropy = (
+            int(rng.integers(0, 2**63)) if rng.random() < 0.5
+            else [int(w) for w in rng.integers(0, 2**32, size=int(rng.integers(1, 9)))]
+        )
+        shapes.append(dict(
+            entropy=entropy,
+            spawn_key=tuple(int(w) for w in rng.integers(0, 50, size=int(rng.integers(0, 4)))),
+            pool_size=int(rng.choice([4, 5, 8])),
+        ))
+    for shape in shapes:
+        yield np.random.SeedSequence(**shape), np.random.SeedSequence(**shape)
+
+
+@pytest.mark.parametrize("already_spawned", [0, 3])
+@pytest.mark.parametrize("k", [0, 1, 7, 19])
+def test_spawn_rngs_equals_spawned_children(k, already_spawned):
+    for ours, theirs in _seed_sequences():
+        ours.spawn(already_spawned)
+        theirs.spawn(already_spawned)
+        got = [g.random(4).tobytes() for g in spawn_rngs(ours, k)]
+        want = [make_rng(c).random(4).tobytes() for c in theirs.spawn(k)]
+        assert got == want
+        # the derivation reads the spawn counter but cannot advance it
+        assert ours.n_children_spawned == already_spawned
+
+
+def test_spawn_rngs_accepts_an_int_seed():
+    got = [g.integers(0, 2**63) for g in spawn_rngs(42, 3)]
+    want = [make_rng(c).integers(0, 2**63) for c in np.random.SeedSequence(42).spawn(3)]
+    assert got == want
+
+
+@pytest.mark.parametrize("already_spawned", [0, 2])
+def test_spawn_seeds_equal_spawned_children_and_grandchildren(already_spawned):
+    for ours, theirs in _seed_sequences():
+        ours.spawn(already_spawned)
+        theirs.spawn(already_spawned)
+        children = theirs.spawn(5)
+        for got, want in zip(spawn_seeds(ours, 5), children, strict=True):
+            assert got.entropy == want.entropy
+            assert got.spawn_key == want.spawn_key
+            assert got.pool_size == want.pool_size
+            assert got.pool.tolist() == want.pool.tolist()
+            for n_words, dtype in [(1, np.uint64), (4, np.uint64), (3, np.uint32), (8, np.uint32)]:
+                assert got.generate_state(n_words, dtype).tolist() == (
+                    want.generate_state(n_words, dtype).tolist()
+                )
+            assert make_rng(got).random(3).tobytes() == make_rng(want).random(3).tobytes()
+            # a child's own children follow from its pool alone
+            assert [g.random(2).tobytes() for g in spawn_rngs(got, 3)] == [
+                make_rng(c).random(2).tobytes() for c in want.spawn(3)
+            ]
+    with pytest.raises(ValueError):
+        spawn_seeds(5, 1)[0].generate_state(5, np.uint64)

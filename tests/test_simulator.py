@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import simulate_behavioral_oracle, simulate_contextual_oracle
 from xcorr.core_model import Combination, Family
 from xcorr.errors import SpecError
 from xcorr.placement import PlacementConfig, PlacementMatrix, bernoulli_placement
@@ -221,3 +224,70 @@ def test_observation_set_json_roundtrip():
     for k in obs.contextual:
         assert np.array_equal(back.contextual[k], obs.contextual[k])
     assert back.rounds == 2 and back.displays_per_input == 20
+
+
+# ------------------------------------------------------------ oracle
+
+
+@st.composite
+def _workloads(draw):
+    """A placement, a spec list of every kind (multi-member behavioral
+    cores, contextual-channel cores, untargeted; possibly empty, ids in
+    any order), rounds and a seed."""
+    n = draw(st.integers(1, 9))
+    m = draw(st.integers(1, 30))
+    membership = np.array(
+        draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n)), dtype=bool
+    ).reshape(m, n)
+    ids = draw(st.permutations(range(draw(st.integers(0, 8)))))
+    specs = []
+    for oid in ids:
+        kind = draw(st.sampled_from(["behavioral", "contextual", "untargeted"]))
+        if kind == "untargeted":
+            specs.append(TargetingSpec.untargeted(oid, draw(st.floats(0.01, 1.0))))
+            continue
+        p_out = draw(st.floats(0.0, 0.5))
+        p_in = draw(st.floats(p_out + 0.01, 1.0))
+        if kind == "contextual":
+            inputs = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3))
+            core = [(i,) for i in inputs]
+        else:
+            # disjoint members are an antichain
+            pool = draw(st.permutations(range(n)))
+            sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+            core, start = [], 0
+            for size in sizes:
+                if start + size > n:
+                    break
+                core.append(tuple(pool[start : start + size]))
+                start += size
+            core = core or [(pool[0],)]
+        specs.append(TargetingSpec.targeted(oid, core, p_in, p_out, channel=kind))
+    rounds = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**64 - 1))
+    return membership, specs, rounds, seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(_workloads(), st.integers(1, 40))
+def test_columnar_simulators_equal_the_per_spec_oracle(workload, displays):
+    membership, specs, rounds, seed = workload
+    pm = PlacementMatrix(membership)
+    obs, trace = simulate_behavioral(pm, specs, rounds=rounds, seed=seed)
+    seen, in_target, out_of_target = simulate_behavioral_oracle(membership, specs, rounds, seed)
+    assert obs.output_ids == tuple(sorted(seen))
+    assert obs.seen.shape == (len(specs), pm.n_accounts)
+    for oid, row in zip(obs.output_ids, obs.seen):
+        assert frozenset(np.flatnonzero(row).tolist()) == seen[oid]
+    assert obs.behavioral == seen
+    assert trace.in_target == in_target
+    assert trace.out_of_target == out_of_target
+    assert ObservationSet.from_json(obs.to_json()).behavioral == seen
+
+    n = pm.n_inputs
+    user = Combination(i for i in range(n) if (seed >> i) & 1)
+    got = simulate_contextual(user, specs, displays, seed=seed, n_inputs=n)
+    want = simulate_contextual_oracle(user.inputs, specs, displays, seed, n)
+    assert sorted(got) == sorted(want)
+    for oid in want:
+        assert got[oid].tolist() == want[oid].tolist()
