@@ -39,13 +39,11 @@ from .simulator import (  # noqa: F401
 from .set_intersection import (  # noqa: F401
     SetIntersectionConfig,
     predict_set_intersection,
-    predict_set_intersection_batch,
     set_intersection_verdicts,
 )
 from .bayes import (  # noqa: F401
     ModelParams,
     bayes_predict,
-    bayes_predict_batch,
     bayes_verdicts,
     learn_contextual_params,
     learn_params,
@@ -67,7 +65,6 @@ from .core_family_search import (  # noqa: F401
     detect_targeting,
     find_x_intersecting_subset,
     predict_core_family,
-    predict_core_family_batch,
     removal_core_search,
 )
 from .input_matching import (  # noqa: F401

@@ -10,8 +10,8 @@ the K x (N+1) log-likelihood matrix follows elementwise as exact
 Bernoulli-count products in log space, and a row-wise logsumexp turns
 it into posteriors.  The composite model averages the two channels'
 posteriors hypothesis-wise.  :func:`bayes_verdicts` returns the verdicts
-as arrays; :func:`bayes_predict_batch` and :func:`bayes_predict` (the
-K = 1 case) turn its rows into :class:`Prediction` objects.
+as arrays; :func:`bayes_predict` is its K = 1 case as a
+:class:`Prediction`.
 
 Parameter learning alternates that pass with moment-matching
 re-estimation until the parameters stop moving.  Both channels share
@@ -276,21 +276,6 @@ def bayes_verdicts(
     return Verdicts(codes, targets, scores, {"no_observations": ~observed}, scored)
 
 
-def bayes_predict_batch(
-    active_accounts: np.ndarray | Sequence[Iterable[int] | None] | None = None,
-    contextual_counts: np.ndarray | Sequence[Sequence[int] | np.ndarray | None] | None = None,
-    placement: PlacementMatrix | None = None,
-    params: ModelParams = DEFAULT_INIT,
-    contextual_params: ModelParams | None = None,
-    score_floor: float = 0.5,
-) -> list[Prediction]:
-    """:func:`bayes_verdicts` as one :class:`Prediction` per output, each
-    with its channels' posteriors."""
-    return bayes_verdicts(
-        active_accounts, contextual_counts, placement, params, contextual_params, score_floor
-    ).predictions()
-
-
 def bayes_predict(
     active_accounts: Iterable[int] | None = None,
     contextual_counts: Sequence[int] | np.ndarray | None = None,
@@ -299,11 +284,11 @@ def bayes_predict(
     contextual_params: ModelParams | None = None,
     score_floor: float = 0.5,
 ) -> Prediction:
-    """Verdict for one output: :func:`bayes_predict_batch` with K = 1."""
-    return bayes_predict_batch(
+    """Verdict for one output: :func:`bayes_verdicts` with K = 1."""
+    return bayes_verdicts(
         [active_accounts], [contextual_counts], placement,
         params, contextual_params, score_floor,
-    )[0]
+    ).predictions()[0]
 
 
 # --------------------------------------------------------------- learning

@@ -28,11 +28,12 @@ from pathlib import Path
 import numpy as np
 
 from .core_model import Combination
-from .errors import ConfigError, XCorrError
+from .errors import ConfigError, XCorrError, parse_artifact
 from .experiment import (
+    ALGORITHMS,
     CorrelationStore,
     ScenarioConfig,
-    algorithm_predictions,
+    algorithm_verdicts,
     canonical_json,
     matching_specs,
     run_scenario,
@@ -51,8 +52,6 @@ from .threshold_analysis import (
     theoretical_account_constant,
 )
 
-ALGO_CHOICES = ("setint", "bayes", "composite", "corefamily")
-
 
 def _read_text(path: str) -> str:
     try:
@@ -65,15 +64,8 @@ def _load_config(args) -> tuple[ScenarioConfig, bool]:
     """Config plus whether the file pinned a seed explicitly."""
     if args.config is None:
         raise ConfigError("this command needs --config (a scenario JSON file)")
-    text = _read_text(args.config)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{args.config}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{args.config}: config must be a JSON object")
-    cfg = ScenarioConfig.from_dict(doc)
-    return cfg, "seed" in doc
+    doc = parse_artifact(_read_text(args.config), args.config, ())
+    return ScenarioConfig.from_dict(doc), "seed" in doc
 
 
 def _resolve_seed(args, cfg: ScenarioConfig, config_has_seed: bool) -> ScenarioConfig:
@@ -162,14 +154,8 @@ def _cmd_detect(args) -> int:
             )
     else:
         cfg = ScenarioConfig(n_inputs=pm.n_inputs)
-    preds = algorithm_predictions(args.algo, cfg, obs, pm)
-    _emit(
-        {
-            "algo": args.algo,
-            "predictions": {str(oid): p.to_dict() for oid, p in sorted(preds.items())},
-        },
-        args.out,
-    )
+    verdicts = algorithm_verdicts(args.algo, cfg, obs, pm)
+    _emit({"algo": args.algo, "predictions": verdicts.to_doc(obs.output_ids)}, args.out)
     return 0
 
 
@@ -216,7 +202,7 @@ def _cmd_threshold(args) -> int:
                     rec.x, rec.alpha, args.l
                 ),
             }
-    if args.curve:
+    if args.curve is not None:
         doc["curve"] = [
             [z, x, value] for z, x, value in phi_curve(args.l, args.r, args.curve)
         ]
@@ -301,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("detect", help="run one algorithm on stored observations")
-    p.add_argument("--algo", required=True, choices=ALGO_CHOICES)
+    p.add_argument("--algo", required=True, choices=ALGORITHMS)
     p.add_argument("--obs", required=True, help="observation set JSON file")
     p.add_argument("--placement", required=True, help="placement matrix JSON file")
     p.add_argument("--config", help="scenario config JSON (params + algo options)")
@@ -311,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="knee detection across universe sizes")
     add_config_seed(p)
     p.add_argument("--n-values", required=True, help="comma-separated universe sizes")
-    p.add_argument("--algo", default="bayes", choices=ALGO_CHOICES)
+    p.add_argument("--algo", default="bayes", choices=ALGORITHMS)
     p.add_argument("--m-hi", type=int, help="largest account budget to probe")
     p.add_argument("--trials", type=int, help="trials per probe (default: config)")
     p.add_argument("--out", help="write sweep JSON here instead of stdout")

@@ -722,16 +722,6 @@ def core_family_verdicts(
     return _verdicts(_run_lockstep(searches, cfg.l_max))
 
 
-def predict_core_family_batch(
-    active_accounts: np.ndarray | Iterable[Iterable[int]],
-    placement: PlacementMatrix,
-    cfg: DetectionConfig = DetectionConfig(),
-    method: str = "removal",
-) -> list[Prediction]:
-    """:func:`core_family_verdicts` as one :class:`Prediction` per output."""
-    return core_family_verdicts(active_accounts, placement, cfg, method).predictions()
-
-
 #: A search's verdict: its code, the recovered family, and a flag or None.
 _Found = tuple[int, "Family | None", "str | None"]
 

@@ -70,7 +70,7 @@ class Inadmissible(XCorrError):
 
 
 class MismatchedUniverse(XCorrError, ValueError):
-    """Predictions and ground truth cover different output IDs.
+    """Verdicts and ground truth cover different outputs or inputs.
 
     Scoring refuses to guess which side is wrong; the caller must align
     them explicitly.

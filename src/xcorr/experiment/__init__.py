@@ -12,7 +12,6 @@ from .runner import (
     Report,
     SimulatedTrial,
     TrialResult,
-    algorithm_predictions,
     algorithm_verdicts,
     run_scenario,
     run_trial,
@@ -32,7 +31,6 @@ __all__ = [
     "Report",
     "SimulatedTrial",
     "TrialResult",
-    "algorithm_predictions",
     "algorithm_verdicts",
     "run_scenario",
     "run_trial",

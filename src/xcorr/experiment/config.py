@@ -17,7 +17,6 @@ overlap experiment.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -26,7 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from ..core_model import Family
-from ..errors import ConfigError, Inadmissible
+from ..errors import ConfigError, Inadmissible, parse_artifact
 from ..placement import sized_account_count
 from ..simulator import BEHAVIORAL, CONTEXTUAL, TargetingSpec
 from ..threshold_analysis import recommend_config
@@ -315,13 +314,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
-        return cls.from_dict(doc)
+        return cls.from_dict(parse_artifact(text, "config", ()))
 
 
 # ---------------------------------------------------------------- workload

@@ -9,8 +9,8 @@ same observations, and score each against ground truth.  A scenario is
 A trial is held column-wise from simulation to score: the observations
 keep the K x m seen matrix, every detector reads it and answers with
 verdict arrays, and scoring compares those with the trial's ground truth,
-projected once.  :class:`~xcorr.prediction.Prediction` objects are built
-only when asked for: a stored record, the CLI, ``TrialResult.predictions``.
+projected once.  A stored record writes the verdicts with
+:meth:`~xcorr.prediction.Verdicts.to_doc`.
 
 Determinism: a scenario seeds one SeedSequence tree; each trial gets a
 spawned child, and each stochastic stage (workload, matching, placement,
@@ -26,7 +26,6 @@ byte-identical across reruns of the same (config, seed).
 
 from __future__ import annotations
 
-import functools
 import statistics
 import time
 from dataclasses import dataclass
@@ -49,11 +48,11 @@ from ..placement import (
     make_rng,
     spawn_seeds,
 )
-from ..prediction import Prediction, Verdicts
+from ..prediction import Verdicts
 from ..set_intersection import SetIntersectionConfig, set_intersection_verdicts
 from ..simulator import ObservationSet, simulate_behavioral, simulate_contextual
 from .config import ScenarioConfig, build_specs, matching_specs
-from .scoring import Metrics, Truth, precision_recall, wilson_interval
+from .scoring import Metrics, Truth, precision_recall, rates, wilson_interval
 from .store import CorrelationStore, canonical_json, scenario_hash
 
 
@@ -118,18 +117,6 @@ def algorithm_verdicts(
     raise ConfigError(f"unknown algorithm {algo!r}")
 
 
-def algorithm_predictions(
-    algo: str,
-    cfg: ScenarioConfig,
-    obs: ObservationSet,
-    pm: PlacementMatrix,
-    clusters: list[list[int]] | None = None,
-) -> dict[int, Prediction]:
-    """:func:`algorithm_verdicts` as one :class:`Prediction` per output id."""
-    verdicts = algorithm_verdicts(algo, cfg, obs, pm, clusters)
-    return dict(zip(obs.output_ids, verdicts.predictions()))
-
-
 @dataclass
 class SimulatedTrial:
     """One trial's observable world, before any detection runs.
@@ -173,12 +160,6 @@ class TrialResult:
     metrics: dict[str, Metrics]
     verdicts: dict[str, Verdicts]
     learned: dict | None = None
-
-    @functools.cached_property
-    def predictions(self) -> dict[str, dict[int, Prediction]]:
-        """algorithm -> output id -> :class:`Prediction`, built on first use."""
-        ids = self.sim.observations.output_ids
-        return {algo: dict(zip(ids, v.predictions())) for algo, v in self.verdicts.items()}
 
 
 def simulate_trial(
@@ -334,17 +315,7 @@ def _pool(per_trial: list[Metrics]) -> dict:
     correct = sum(m.correct for m in per_trial)
     unknown = sum(m.unknown for m in per_trial)
     outputs = sum(m.n_outputs for m in per_trial)
-    flags = []
-    if emitted == 0:
-        precision = 1.0
-        flags.append("empty_emission")
-    else:
-        precision = correct / emitted
-    if true_targeted == 0:
-        recall = 1.0
-        flags.append("no_true_associations")
-    else:
-        recall = correct / true_targeted
+    precision, recall, flags = rates(correct, emitted, true_targeted)
     return {
         "n_outputs": outputs,
         "true_targeted": true_targeted,
@@ -385,18 +356,12 @@ def run_scenario(cfg: ScenarioConfig, store: CorrelationStore | None = None) -> 
             learned_rows.append(res.learned)
         if store is not None:
             store.append(key, "trials", res.sim.to_record(t))
+            ids = res.sim.observations.output_ids
             for algo in cfg.algorithms:
                 store.append(
                     key,
                     "predictions",
-                    {
-                        "trial": t,
-                        "algo": algo,
-                        "predictions": {
-                            str(oid): p.to_dict()
-                            for oid, p in sorted(res.predictions[algo].items())
-                        },
-                    },
+                    {"trial": t, "algo": algo, "predictions": res.verdicts[algo].to_doc(ids)},
                 )
 
     algorithms = {

@@ -14,6 +14,8 @@ Scoring reads a trial's verdict arrays (:class:`~xcorr.prediction.Verdicts`)
 against its :class:`Truth`, which projects the true cores once per trial.
 A detector whose targets are single combinations (a K x N matrix) is
 scored by comparing rows; family targets are compared as families.
+:func:`rates` turns confusion counts into the two rates, for one trial
+and for a scenario's pooled counts alike.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from ..core_model import Combination, Family
 from ..errors import MismatchedUniverse
-from ..prediction import TARGETED, UNKNOWN, Prediction, Verdicts
+from ..prediction import TARGETED, UNKNOWN, Verdicts
 
 
 def project_family(fam: Family, group_map: Mapping[int, int]) -> Family:
@@ -173,41 +175,9 @@ class Truth:
         return correct
 
 
-def precision_recall(
-    predictions: Verdicts | Mapping[int, Prediction],
-    truth: Truth | Mapping[int, Family | None],
-    group_map: Mapping[int, int] | None = None,
-) -> Metrics:
-    """Score one verdict per output against ground truth.
-
-    Either ``predictions`` is a trial's verdict arrays and ``truth`` its
-    :class:`Truth`, row for row, or both map output ID to a
-    :class:`Prediction` and to the true core family (None for an
-    untargeted output), with ``group_map`` as in :meth:`Truth.of`.  The
-    two sides must cover exactly the same outputs; anything else raises
-    :class:`MismatchedUniverse` rather than guessing which side dropped
-    data.
-    """
-    if not isinstance(truth, Truth):
-        missing = sorted(set(truth) - set(predictions))
-        extra = sorted(set(predictions) - set(truth))
-        if missing or extra:
-            raise MismatchedUniverse(
-                f"predictions and truth disagree on output IDs "
-                f"(unpredicted: {missing}, unknown to truth: {extra})"
-            )
-        truth = Truth.of(truth, group_map)
-        predictions = Verdicts.from_predictions([predictions[oid] for oid in truth.output_ids])
-    if len(predictions) != len(truth):
-        raise MismatchedUniverse(
-            f"{len(predictions)} verdicts for {len(truth)} outputs of ground truth"
-        )
-
-    true_targeted = len(truth) - truth.families.count(None)
-    emitted = int(np.count_nonzero(predictions.codes == TARGETED))
-    unknown = int(np.count_nonzero(predictions.codes == UNKNOWN))
-    correct = truth.correct(predictions)
-
+def rates(correct: int, emitted: int, true_targeted: int) -> tuple[float, float, list[str]]:
+    """Precision, recall and the degenerate-denominator flags of
+    :class:`Metrics` from confusion counts."""
     flags: list[str] = []
     if emitted == 0:
         precision = 1.0
@@ -219,12 +189,27 @@ def precision_recall(
         flags.append("no_true_associations")
     else:
         recall = correct / true_targeted
+    return precision, recall, flags
+
+
+def precision_recall(verdicts: Verdicts, truth: Truth) -> Metrics:
+    """Score a trial's verdict arrays against its :class:`Truth`, row for
+    row.  Differing row counts raise :class:`MismatchedUniverse` rather
+    than guessing which side dropped data."""
+    if len(verdicts) != len(truth):
+        raise MismatchedUniverse(
+            f"{len(verdicts)} verdicts for {len(truth)} outputs of ground truth"
+        )
+    true_targeted = len(truth) - truth.families.count(None)
+    emitted = int(np.count_nonzero(verdicts.codes == TARGETED))
+    correct = truth.correct(verdicts)
+    precision, recall, flags = rates(correct, emitted, true_targeted)
     return Metrics(
         n_outputs=len(truth),
         true_targeted=true_targeted,
         emitted=emitted,
         correct=correct,
-        unknown=unknown,
+        unknown=int(np.count_nonzero(verdicts.codes == UNKNOWN)),
         precision=precision,
         recall=recall,
         flags=tuple(flags),

@@ -2,8 +2,10 @@
 
 A detector scores all K outputs of a trial at once and answers with
 :class:`Verdicts`, one row per output held in arrays.  A
-:class:`Prediction` is one row of it as an object, built only when a
-caller asks for one: a stored record, the CLI, or a single-output call.
+:class:`Prediction` is one row of it as an object: single-output calls
+return one, and :meth:`Verdicts.to_doc` writes each row through
+:meth:`Prediction.to_dict`, the one definition of a row's JSON form, for
+stored records and the CLI.
 """
 
 from __future__ import annotations
@@ -69,14 +71,6 @@ class Prediction:
             if not 0.0 <= s <= 1.0:
                 raise DomainError(f"score {name}={s} outside [0,1]")
 
-    def target_family(self) -> Family | None:
-        """The target normalized to a Family (singleton for combinations)."""
-        if self.target is None:
-            return None
-        if isinstance(self.target, Family):
-            return self.target
-        return Family([self.target])
-
     def to_dict(self) -> dict:
         target: list | None = None
         if isinstance(self.target, Family):
@@ -117,17 +111,6 @@ class Verdicts:
 
     def __len__(self) -> int:
         return len(self.codes)
-
-    @classmethod
-    def from_predictions(cls, preds: Sequence[Prediction]) -> "Verdicts":
-        """The rows of ``preds``; targets become families, and scores,
-        flags and posteriors are dropped."""
-        return cls(
-            codes=np.array([VERDICTS.index(p.verdict) for p in preds], dtype=np.int8),
-            targets=tuple(
-                p.target_family() if p.verdict is Verdict.TARGETED else None for p in preds
-            ),
-        )
 
     def translated(self, reps: Sequence[int] | None, n_inputs: int) -> "Verdicts":
         """Targets mapped from reduced input ids (column c stands for
@@ -172,3 +155,9 @@ class Verdicts:
                     target = Combination(np.flatnonzero(target).tolist())
             out.append(Prediction(VERDICTS[code], target, scores[row], flags[row], posts[row]))
         return out
+
+    def to_doc(self, output_ids: Sequence[int]) -> dict[str, dict]:
+        """The rows as JSON, keyed by output id: row k is output
+        ``output_ids[k]``, one id per row."""
+        rows = zip(output_ids, self.predictions(), strict=True)
+        return {str(oid): p.to_dict() for oid, p in rows}

@@ -9,10 +9,9 @@ matrix times the m x N placement gives the K x N matrix of per-input
 fractions for steps 1 and 2, and for step 3 the placement times the
 kept sets gives, per account, whether it holds each output's whole set.
 :func:`set_intersection_verdicts` returns the verdicts as arrays;
-:func:`predict_set_intersection_batch` and
-:func:`predict_set_intersection` (the K = 1 case) turn its rows into
-:class:`Prediction` objects.  Non-probabilistic — the emitted score is
-1 for whatever verdict is chosen.
+:func:`predict_set_intersection` is its K = 1 case as a
+:class:`Prediction`.  Non-probabilistic — the emitted score is 1 for
+whatever verdict is chosen.
 """
 
 from __future__ import annotations
@@ -89,21 +88,11 @@ def set_intersection_verdicts(
     )
 
 
-def predict_set_intersection_batch(
-    active_accounts: np.ndarray | Sequence[Iterable[int]],
-    placement: PlacementMatrix,
-    cfg: SetIntersectionConfig = SetIntersectionConfig(),
-) -> list[Prediction]:
-    """:func:`set_intersection_verdicts` as one :class:`Prediction` per
-    output."""
-    return set_intersection_verdicts(active_accounts, placement, cfg).predictions()
-
-
 def predict_set_intersection(
     active_accounts: Iterable[int],
     placement: PlacementMatrix,
     cfg: SetIntersectionConfig = SetIntersectionConfig(),
 ) -> Prediction:
-    """The three steps on one output: :func:`predict_set_intersection_batch`
+    """The three steps on one output: :func:`set_intersection_verdicts`
     with K = 1."""
-    return predict_set_intersection_batch([active_accounts], placement, cfg)[0]
+    return set_intersection_verdicts([active_accounts], placement, cfg).predictions()[0]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError, Inadmissible
 
@@ -196,12 +196,15 @@ def theoretical_account_constant(x: float, alpha: float, l: int) -> float:
     return 3.0 * q / (x - q) ** 2
 
 
-def phi_curve(
-    l: int, r: int, n_points: int = 199
-) -> Iterator[tuple[float, float, float]]:
-    """(z, x, phi) samples over a uniform z grid, for plotting."""
+def phi_curve(l: int, r: int, n_points: int = 199) -> list[tuple[float, float, float]]:
+    """(z, x, phi) samples at ``n_points`` >= 1 points of a uniform z
+    grid, for plotting."""
     _check_l_r(l, r)
+    if n_points < 1:
+        raise DomainError(f"n_points must be >= 1, got {n_points}")
+    rows = []
     for k in range(1, n_points + 1):
         z = k / (n_points + 1)
         x = 1.0 - z**l
-        yield z, x, phi(l, r, x)
+        rows.append((z, x, phi(l, r, x)))
+    return rows

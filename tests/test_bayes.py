@@ -9,7 +9,7 @@ from xcorr.bayes import (
     ModelParams,
     Posterior,
     bayes_predict,
-    bayes_predict_batch,
+    bayes_verdicts,
     behavioral_evidence,
     contextual_evidence,
     learn_contextual_params,
@@ -391,9 +391,9 @@ def test_batch_matches_scalar_oracle():
     checked = 0
     for _ in range(400):
         membership, params, ctx_params, active, counts, floor = _random_batch(rng)
-        preds = bayes_predict_batch(
+        preds = bayes_verdicts(
             active, counts, PlacementMatrix(membership), params, ctx_params, floor
-        )
+        ).predictions()
         assert len(preds) == len(active)
         for a_k, x, pred in zip(active, counts, preds):
             want = bayes_oracle(a_k, x, membership, params, ctx_params, floor)
@@ -425,7 +425,7 @@ def test_batch_rows_equal_single_output_calls():
     for _ in range(100):
         membership, params, ctx_params, active, counts, floor = _random_batch(rng)
         pm = PlacementMatrix(membership)
-        batch = bayes_predict_batch(active, counts, pm, params, ctx_params, floor)
+        batch = bayes_verdicts(active, counts, pm, params, ctx_params, floor).predictions()
         for a_k, x, pred in zip(active, counts, batch):
             one = bayes_predict(a_k, x, pm, params, ctx_params, floor)
             assert one.to_dict() == pred.to_dict()
@@ -436,23 +436,23 @@ def test_batch_rows_equal_single_output_calls():
 
 def test_batch_rejects_bad_observations():
     pm = PlacementMatrix(np.array([[True, False], [False, True], [True, True]]))
-    assert bayes_predict_batch([], [], pm) == []
+    assert bayes_verdicts([], [], pm).predictions() == []
     with pytest.raises(DomainError):
-        bayes_predict_batch([[0, 3]], None, pm)
+        bayes_verdicts([[0, 3]], None, pm)
     with pytest.raises(DomainError):
-        bayes_predict_batch([[0], [-1]], None, pm)
+        bayes_verdicts([[0], [-1]], None, pm)
     with pytest.raises(DomainError):
-        bayes_predict_batch([[0]], None, None)
+        bayes_verdicts([[0]], None, None)
     with pytest.raises(DomainError):
-        bayes_predict_batch(None, [[1, -2]])
+        bayes_verdicts(None, [[1, -2]])
     with pytest.raises(DomainError):
         bayes_predict(contextual_counts=[-4, 2])
     with pytest.raises(DomainError):
-        bayes_predict_batch(None, [[1, 2], [1, 2, 3]])
+        bayes_verdicts(None, [[1, 2], [1, 2, 3]])
     with pytest.raises(DomainError):
-        bayes_predict_batch([[0]], [[1, 2, 3]], pm)
+        bayes_verdicts([[0]], [[1, 2, 3]], pm)
     with pytest.raises(DomainError):
-        bayes_predict_batch([[0], [1]], [[1, 2]], pm)
+        bayes_verdicts([[0], [1]], [[1, 2]], pm)
 
 
 def test_learners_match_scalar_oracle():

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from xcorr.cli import ALGO_CHOICES, main
+from xcorr.cli import main
+from xcorr.experiment import ALGORITHMS
 
 TINY = {
     "n_inputs": 8,
@@ -76,6 +77,14 @@ def test_threshold_with_ratio_and_curve(capsys):
     assert len(doc["curve"]) == 7
     for z, x, value in doc["curve"]:
         assert 0.0 < z < 1.0 and 0.0 < x < 1.0 and value >= 0.0
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_threshold_curve_needs_a_point(capsys, points):
+    code, out, err = run(capsys, "threshold", "--l", "3", "--r", "3", "--curve", points)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "n_points" in err
 
 
 def test_threshold_inadmissible_ratio(capsys):
@@ -432,6 +441,23 @@ def test_malformed_config_json(capsys, tmp_path):
     assert "not valid JSON" in err
 
 
+@pytest.mark.parametrize("text", [
+    '{"n_inputs": 4, ' + json.dumps(TINY)[1:],
+    '{"algo_config": {"setint": {}, "setint": {"threshold": 0.5}}, ' + json.dumps(TINY)[1:],
+], ids=["top level", "nested"])
+@pytest.mark.parametrize(
+    "argv", [("report",), ("simulate", "--out-dir", "trials")], ids=["report", "simulate"]
+)
+def test_config_with_repeated_key_is_a_config_error(capsys, tmp_path, monkeypatch, text, argv):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "twice.json"
+    path.write_text(text)
+    code, out, err = run(capsys, *argv, "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "appears twice" in err
+
+
 def test_unknown_algo_rejected_by_parser(capsys, tmp_path):
     with pytest.raises(SystemExit):
         main(["detect", "--algo", "nope", "--obs", "x", "--placement", "y"])
@@ -451,7 +477,7 @@ def test_unknown_algo_rejected_by_parser(capsys, tmp_path):
     ("preset", ["x"]),
     ("algo_config", []),
     ("algo_config", {"setint": 3}),
-    *(("algo_config", {algo: {"bogus": 1}}) for algo in ALGO_CHOICES),
+    *(("algo_config", {algo: {"bogus": 1}}) for algo in ALGORITHMS),
     ("algo_config", {"setint": {"threshold": "x"}}),
     ("algo_config", {"bayes": {"p_in": "x"}}),
     ("algo_config", {"composite": {"contextual": {"p_out": None}}}),

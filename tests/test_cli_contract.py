@@ -20,8 +20,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xcorr.cli import ALGO_CHOICES, main
-from xcorr.experiment import ScenarioConfig, simulate_trial
+from xcorr.cli import main
+from xcorr.experiment import ALGORITHMS, ScenarioConfig, simulate_trial
 
 TINY = {
     "n_inputs": 5,
@@ -32,7 +32,7 @@ TINY = {
     "seed": 0,
     "p_in": 0.7,
     "collect_contextual": True,
-    "algorithms": list(ALGO_CHOICES),
+    "algorithms": list(ALGORITHMS),
 }
 MATCHED = {
     **TINY,
@@ -43,11 +43,11 @@ MATCHED = {
 }
 
 WORDS = (
-    *ALGO_CHOICES, "auto", "behavioral", "contextual", "gmail_like", "removal",
+    *ALGORITHMS, "auto", "behavioral", "contextual", "gmail_like", "removal",
     "agglomerative", "6",
 )
 KEYS = (
-    *ALGO_CHOICES, "threshold", "min_active_accounts", "max_combination_size",
+    *ALGORITHMS, "threshold", "min_active_accounts", "max_combination_size",
     "p_in", "p_out", "p_empty", "score_floor", "contextual", "method", "x",
     "l_max", "r_max", "test_budget", "min_members", "0", "1",
 )
@@ -142,7 +142,7 @@ def test_simulate_contract(config):
 
 @settings(max_examples=80, deadline=None)
 @given(
-    algo=st.sampled_from(ALGO_CHOICES),
+    algo=st.sampled_from(ALGORITHMS),
     placement=_damaged(PLACEMENT),
     observations=_damaged(OBSERVATIONS),
 )

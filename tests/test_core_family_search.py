@@ -26,11 +26,11 @@ from xcorr.core_family_search import (
     agglomerative_core_search,
     conditional_family,
     contains_core_test,
+    core_family_verdicts,
     detect_targeting,
     find_x_intersecting_subset,
     intersect_threshold,
     predict_core_family,
-    predict_core_family_batch,
     removal_core_search,
 )
 from xcorr.core_model import Combination, Family
@@ -607,7 +607,7 @@ def test_predict_untargeted_and_targeted():
     obs, _ = simulate_behavioral(pm, specs, seed=s_obs)
     hit = predict_core_family(obs.behavioral[0], pm, cfg)
     assert hit.verdict is Verdict.TARGETED
-    assert set(hit.target_family().combinations) == set(core.combinations)
+    assert set(hit.target.combinations) == set(core.combinations)
     miss = predict_core_family(obs.behavioral[1], pm, cfg)
     assert miss.verdict is Verdict.UNTARGETED
 
@@ -633,7 +633,8 @@ def test_predict_budget_exhausted_is_unknown():
         pred = predict_core_family(obs.behavioral[0], pm, cfg, method=method)
         assert pred.verdict is Verdict.UNKNOWN
         assert pred.flags == ("budget_exhausted",)
-        [batched] = predict_core_family_batch([obs.behavioral[0]], pm, cfg, method=method)
+        batched = core_family_verdicts([obs.behavioral[0]], pm, cfg, method=method)
+        [batched] = batched.predictions()
         assert batched.to_dict() == pred.to_dict()
 
 
@@ -707,7 +708,7 @@ def test_batch_predictions_equal_single_output_calls(
     pm, actives = _trial_actives(seed, n, m, k)
     cfg = DetectionConfig(x=x, l_max=l_max, r_max=r_max, test_budget=budget,
                           min_members=min_members)
-    batched = predict_core_family_batch(actives, pm, cfg, method=method)
+    batched = core_family_verdicts(actives, pm, cfg, method=method).predictions()
     single = [predict_core_family(a, pm, cfg, method=method) for a in actives]
     assert [p.to_dict() for p in batched] == [p.to_dict() for p in single]
 
@@ -734,8 +735,8 @@ def test_lockstep_searches_keep_their_traces():
 
 def test_batch_rejects_unknown_method_and_bad_accounts():
     pm = bernoulli_placement(PlacementConfig(n_inputs=4, n_accounts=10, alpha=0.5, seed=1))
-    assert predict_core_family_batch([], pm) == []
+    assert core_family_verdicts([], pm).predictions() == []
     with pytest.raises(ConfigError):
-        predict_core_family_batch([[0, 1]], pm, method="exhaustive")
+        core_family_verdicts([[0, 1]], pm, method="exhaustive")
     with pytest.raises(DomainError):
-        predict_core_family_batch([[0], [99]], pm)
+        core_family_verdicts([[0], [99]], pm)

@@ -11,6 +11,7 @@ from xcorr.experiment import (
     Metrics,
     PRESETS,
     ScenarioConfig,
+    Truth,
     build_specs,
     canonical_json,
     detect_knee,
@@ -25,7 +26,7 @@ from xcorr.experiment import (
 )
 from xcorr.experiment.config import MATCH_AD_BASE
 from xcorr.placement import PlacementMatrix
-from xcorr.prediction import Prediction, Verdict
+from xcorr.prediction import TARGETED, UNKNOWN, UNTARGETED, Verdict, Verdicts
 from xcorr.set_intersection import SetIntersectionConfig, predict_set_intersection
 from xcorr.simulator import CONTEXTUAL, ObservationSet
 from xcorr.threshold_analysis import recommend_config
@@ -155,12 +156,30 @@ def test_matching_specs_are_contextual_category_ads():
 # --------------------------------------------------------------- scoring
 
 
-def _pred(target=None, verdict=None):
-    if verdict is Verdict.UNKNOWN:
-        return Prediction(Verdict.UNKNOWN)
-    if target is None:
-        return Prediction(Verdict.UNTARGETED)
-    return Prediction(Verdict.TARGETED, target=Family(target))
+def _verdicts(rows, width=None):
+    """Verdicts of one row per entry: a target family (TARGETED), None
+    (UNTARGETED) or ``Verdict.UNKNOWN``.  Targets are families, or with
+    ``width`` rows of a K x width matrix (each family must then have one
+    member)."""
+    codes = np.array(
+        [UNKNOWN if r is Verdict.UNKNOWN else UNTARGETED if r is None else TARGETED
+         for r in rows],
+        dtype=np.int8,
+    )
+    families = [r if isinstance(r, Family) else None for r in rows]
+    if width is None:
+        return Verdicts(codes, tuple(families))
+    targets = np.zeros((len(rows), width), dtype=bool)
+    for k, fam in enumerate(families):
+        if fam is not None:
+            (member,) = fam
+            targets[k, list(member.inputs)] = True
+    return Verdicts(codes, targets)
+
+
+#: ``width`` of both target forms: families (core-family search) and a
+#: K x N matrix over 10 inputs (set intersection, Bayes)
+TARGET_FORMS = (None, 10)
 
 
 def test_precision_recall_hand_counted():
@@ -172,48 +191,50 @@ def test_precision_recall_hand_counted():
         4: None,                # correct silence
         5: Family([(5,)]),      # abstained
     }
-    preds = {
-        0: _pred([(1,)]),
-        1: _pred([(2,)]),
-        2: _pred(),
-        3: _pred([(9,)]),
-        4: _pred(),
-        5: _pred(verdict=Verdict.UNKNOWN),
-    }
-    m = precision_recall(preds, truth)
-    assert (m.true_targeted, m.emitted, m.correct, m.unknown) == (4, 3, 1, 1)
-    assert m.precision == pytest.approx(1 / 3)
-    assert m.recall == pytest.approx(1 / 4)
-    assert m.flags == ()
+    rows = [Family([(1,)]), Family([(2,)]), None, Family([(9,)]), None, Verdict.UNKNOWN]
+    for width in TARGET_FORMS:
+        m = precision_recall(_verdicts(rows, width), Truth.of(truth, n_inputs=width))
+        assert (m.true_targeted, m.emitted, m.correct, m.unknown) == (4, 3, 1, 1)
+        assert m.precision == pytest.approx(1 / 3)
+        assert m.recall == pytest.approx(1 / 4)
+        assert m.flags == ()
 
 
 def test_precision_recall_partial_match_earns_nothing():
-    truth = {0: Family([(1,), (2,)])}
-    m = precision_recall({0: _pred([(1,)])}, truth)
-    assert m.correct == 0 and m.emitted == 1
+    for width in TARGET_FORMS:
+        truth = Truth.of({0: Family([(1,), (2,)])}, n_inputs=width)
+        m = precision_recall(_verdicts([Family([(1,)])], width), truth)
+        assert m.correct == 0 and m.emitted == 1
 
 
 def test_precision_recall_degenerate_denominators():
-    m = precision_recall({0: _pred()}, {0: Family([(1,)])})
+    m = precision_recall(_verdicts([None]), Truth.of({0: Family([(1,)])}))
     assert m.precision == 1.0 and "empty_emission" in m.flags
-    m2 = precision_recall({0: _pred([(1,)])}, {0: None})
+    m2 = precision_recall(_verdicts([Family([(1,)])]), Truth.of({0: None}))
     assert m2.recall == 1.0 and "no_true_associations" in m2.flags
     assert m2.precision == 0.0
 
 
 def test_precision_recall_mismatched_universe():
-    with pytest.raises(MismatchedUniverse, match="unpredicted"):
-        precision_recall({}, {0: None})
-    with pytest.raises(MismatchedUniverse, match="unknown to truth"):
-        precision_recall({0: _pred(), 1: _pred()}, {0: None})
+    truth = Truth.of({0: None}, n_inputs=5)
+    with pytest.raises(MismatchedUniverse, match="0 verdicts for 1 outputs"):
+        precision_recall(_verdicts([]), truth)
+    with pytest.raises(MismatchedUniverse, match="2 verdicts for 1 outputs"):
+        precision_recall(_verdicts([None, None]), truth)
+    # a target matrix over another input universe than the truth's
+    with pytest.raises(MismatchedUniverse, match="cover 3 inputs, truth covers 5"):
+        precision_recall(_verdicts([Family([(1,)])], width=3), truth)
+    with pytest.raises(MismatchedUniverse, match="cover 3 inputs, truth covers 5"):
+        truth.correct(_verdicts([None], width=3))
 
 
 def test_group_projection_scoring():
     gm = {0: 0, 1: 0, 2: 0}
-    truth = {7: Family([(0,), (1,), (2,)])}
-    # naming any single input of the right group counts after projection
-    m = precision_recall({7: _pred([(1,)])}, truth, group_map=gm)
-    assert m.correct == 1
+    for width in TARGET_FORMS:
+        truth = Truth.of({7: Family([(0,), (1,), (2,)])}, gm, n_inputs=width)
+        # naming any single input of the right group counts after projection
+        m = precision_recall(_verdicts([Family([(1,)])], width), truth)
+        assert m.correct == 1
     assert project_family(Family([(1,), (2,)]), gm) == Family([(0,)])
     # an input outside the map projects to itself
     assert project_family(Family([(1, 5)]), gm) == Family([(0, 5)])
@@ -246,10 +267,22 @@ TINY = ScenarioConfig(
 def test_run_trial_covers_all_outputs_and_algorithms():
     res = run_trial(TINY, np.random.SeedSequence(5))
     assert set(res.metrics) == set(TINY.algorithms)
-    for preds in res.predictions.values():
-        assert sorted(preds) == list(range(5))
+    assert res.sim.observations.output_ids == tuple(range(5))
+    for verdicts in res.verdicts.values():
+        assert len(verdicts) == 5
     assert set(res.sim.truth) == set(range(5))
     assert sum(1 for f in res.sim.truth.values() if f is not None) == 3
+
+
+def test_verdicts_to_doc_keys_rows_by_output_id():
+    res = run_trial(TINY, np.random.SeedSequence(5))
+    ids = res.sim.observations.output_ids
+    for verdicts in res.verdicts.values():
+        doc = verdicts.to_doc(ids)
+        assert list(doc) == [str(oid) for oid in ids]
+        assert list(doc.values()) == [p.to_dict() for p in verdicts.predictions()]
+        with pytest.raises(ValueError):
+            verdicts.to_doc(ids[:-1])
 
 
 def test_run_scenario_report_shape_and_pooling():
@@ -301,10 +334,9 @@ def test_matched_trial_emits_original_input_ids():
     rep = run_scenario(cfg)
     assert rep.matching is not None and 0.0 < rep.matching["mean_purity"] <= 1.0
     res = run_trial(cfg, np.random.SeedSequence(11))
-    for pred in res.predictions["bayes"].values():
+    for pred in res.verdicts["bayes"].predictions():
         if pred.verdict is Verdict.TARGETED:
-            for member in pred.target_family():
-                assert all(0 <= i < 6 for i in member.inputs)
+            assert all(0 <= i < 6 for i in pred.target.inputs)
 
 
 def test_composite_uses_contextual_channel_when_collected():

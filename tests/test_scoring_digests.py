@@ -32,7 +32,7 @@ from xcorr.bayes import (
 from xcorr.core_model import Combination
 from xcorr.experiment import ScenarioConfig
 from xcorr.experiment.config import build_specs
-from xcorr.experiment.runner import algorithm_predictions, simulate_trial
+from xcorr.experiment.runner import algorithm_verdicts, simulate_trial
 from xcorr.placement import (
     PlacementConfig,
     PlacementMatrix,
@@ -196,8 +196,8 @@ def scoring_digests() -> dict[str, str]:
                 run_cfg = ScenarioConfig.from_dict(
                     {**cfg.to_dict(), "algo_config": {algo: opts}}
                 )
-                preds = algorithm_predictions(algo, run_cfg, obs, pm, sim.clusters)
-                for oid, pred in sorted(preds.items()):
+                preds = algorithm_verdicts(algo, run_cfg, obs, pm, sim.clusters).predictions()
+                for oid, pred in zip(obs.output_ids, preds):
                     hashes[algo].update(f"{name}/{t}/{v_idx}/{oid}".encode())
                     hashes[algo].update(_posterior_bytes(pred))
         for init in learn_inits:

@@ -11,7 +11,7 @@ witness, a test answer, the order of tests or a verdict changes them.
 Do not re-record them to make a change pass.
 
 ``TRIAL_DIGESTS`` pin the runner's ``corefamily`` detector: every
-prediction ``algorithm_predictions`` makes, with both methods and a few
+verdict ``algorithm_verdicts`` gives, with both methods and a few
 detection configs, over scenario_mix-shaped trials (32 inputs, 60
 accounts, 8 targeted and 8 untargeted outputs) and two matched trials.
 They were recorded before a trial's searches were advanced together in
@@ -33,7 +33,7 @@ from xcorr.core_family_search import (
 )
 from xcorr.core_model import Family
 from xcorr.experiment import ScenarioConfig
-from xcorr.experiment.runner import algorithm_predictions, simulate_trial
+from xcorr.experiment.runner import algorithm_verdicts, simulate_trial
 from xcorr.placement import PlacementConfig, bernoulli_placement
 from xcorr.simulator import TargetingSpec, simulate_behavioral
 
@@ -119,10 +119,10 @@ def trial_digests() -> dict[str, str]:
                     cfg = ScenarioConfig.from_dict({
                         **doc, "algo_config": {"corefamily": {"method": method, **opts}},
                     })
-                    preds = algorithm_predictions(
+                    preds = algorithm_verdicts(
                         "corefamily", cfg, sim.observations, sim.detection_placement
-                    )
-                    for oid, pred in sorted(preds.items()):
+                    ).predictions()
+                    for oid, pred in zip(sim.observations.output_ids, preds):
                         h.update(f"{name}/{t}/{v_idx}/{oid}".encode())
                         h.update(json.dumps(pred.to_dict(), sort_keys=True).encode() + b"\n")
     return {key: h.hexdigest() for key, h in hashes.items()}

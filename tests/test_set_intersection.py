@@ -8,7 +8,7 @@ from xcorr.prediction import Verdict
 from xcorr.set_intersection import (
     SetIntersectionConfig,
     predict_set_intersection,
-    predict_set_intersection_batch,
+    set_intersection_verdicts,
 )
 from xcorr.simulator import TargetingSpec, simulate_behavioral
 
@@ -124,7 +124,7 @@ def test_rejects_foreign_accounts():
     with pytest.raises(ConfigError):
         predict_set_intersection([0, 5], pm)
     with pytest.raises(ConfigError):
-        predict_set_intersection_batch([[0], [-1]], pm)
+        set_intersection_verdicts([[0], [-1]], pm)
 
 
 # ------------------------------------------------------------ properties
@@ -179,7 +179,7 @@ def test_batch_matches_oracle_and_single_calls():
             threshold=float(rng.choice([0.5, 0.6, 0.75, 0.9, 1.0])),
             max_combination_size=int(rng.integers(1, 3)) if rng.random() < 0.3 else None,
         )
-        preds = predict_set_intersection_batch(outputs, pm, cfg)
+        preds = set_intersection_verdicts(outputs, pm, cfg).predictions()
         assert len(preds) == len(outputs)
         for a_k, pred in zip(outputs, preds):
             want_verdict, want_set = dumb_predict(a_k, sets, cfg)

@@ -221,6 +221,12 @@ def test_phi_curve_shape():
     assert best[0] == pytest.approx(0.5, abs=0.01)
 
 
+@pytest.mark.parametrize("n_points", [0, -3])
+def test_phi_curve_needs_a_point(n_points):
+    with pytest.raises(DomainError, match="n_points"):
+        phi_curve(2, 2, n_points=n_points)
+
+
 def test_runtime_budget():
     import time
 
