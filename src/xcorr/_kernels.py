@@ -9,8 +9,9 @@ lexicographic within each size, stopping at the first hit.
 
 The kernel answers many searches at once: :func:`find_witness_batch`
 takes a stack of Q families over one input universe, as lock-step
-core-family searches produce them (one pending query per output of a
-trial), and :func:`find_witness` is its one-query call.  Size 1 is
+core-family searches produce them (the pending queries of a trial's
+outputs, a breadth-first level of containment tests among them), and
+:func:`find_witness` is its one-query call.  Size 1 is
 read off a Q x n degree matrix.  Size 2 covers popcount(b_i | b_j)
 (= deg_i + deg_j - |b_i & b_j|) for every pair of every open query at
 once, taken in blocks of first rows i against all rows j and masked to

@@ -15,26 +15,28 @@ detection witnesses, whittles it down input by input, then restarts
 behind exclusion sets to find the remaining members; it needs no bound
 on the member order.
 
-Every search is written as a generator.  Each witness search it needs
-is yielded as a query, a family view plus its member threshold, and the
-witness comes back as a list of input ids (or None).  The memo, the
-budget and the trace stay inside the generator, so a search does the
-same tests in the same order whoever answers its queries.  One driver
-answers them: it advances its searches in lock-step rounds, answering
-every pending query of a round with one
-:func:`~xcorr._kernels.find_witness_batch` call over the queries'
-stacked rows.  :func:`core_family_verdicts` runs all outputs of a
-trial through it and returns their verdicts as arrays; the public
-single-family functions run one search, a batch of one query per round.
-The searches stay sequential within an output; only their queries are
-batched.
+Every search is written as a generator.  Each step yields a block of
+witness queries over one family's rows, their member masks, cleared rows
+and thresholds, and is sent back one witness per query, as row indices
+(or None).  The memo, the budget and the trace stay inside the
+generator, so a search does the same tests in the same order whoever
+answers its queries.  One driver answers them: it advances its
+searches in lock-step rounds, answering every pending block of a round
+with one :func:`~xcorr._kernels.find_witness_batch` call over the
+blocks' stacked masked rows.  :func:`core_family_verdicts` runs all
+outputs of a trial through it and returns their verdicts as arrays; the
+public single-family functions run one search through the same driver.
+Most steps are blocks of one query.  The agglomerative search asks a
+whole breadth-first level at once: its candidates are fixed before any
+of them is tested, so it yields the level's containment queries as one
+block (a few, for a level too wide for :data:`_BLOCK_BYTES`) and replays
+the answers in queue order.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Generator, Iterable, TypeVar
@@ -49,12 +51,18 @@ from .prediction import TARGETED, UNKNOWN, UNTARGETED, Prediction, Verdicts
 
 MODEL_NAME = "core_family"
 
-#: A search step yields witness queries, a family view and its member
-#: threshold, and is sent each witness back as input ids (None if none);
-#: it returns its result.
+#: A search step yields blocks of witness queries over one family's rows:
+#: the (n, words) rows, Q member masks (Q, words), the rows each query
+#: reads as cleared and Q member thresholds.  It is sent back Q witnesses
+#: as sorted row indices (None if none), and returns its result.
 _R = TypeVar("_R")
-Query = tuple["AdFamily", int]
-Step = Generator[Query, "list[int] | None", _R]
+Block = tuple[np.ndarray, np.ndarray, list[tuple[int, ...]], list[int]]
+Step = Generator[Block, "list[np.ndarray | None]", _R]
+
+#: Bytes of stacked rows in one agglomerative block: a wider level is
+#: asked in several blocks, as ``_kernels._CHUNK`` caps the kernel's own
+#: candidate chunks.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -256,13 +264,13 @@ def find_x_intersecting_subset(
         raise EmptyFamily("witness search needs a non-empty family")
     if l_max < 1:
         raise DomainError(f"l_max must be >= 1, got {l_max}")
-    found = _answer_stacked([_query(fam, x)], l_max)[0]
-    return None if found is None else Combination(found)
+    [[found]] = _answer_stacked([_query(fam, x)], l_max)
+    return None if found is None else Combination(fam._ids[k] for k in found.tolist())
 
 
-def _query(fam: AdFamily, x: float) -> Query:
-    """The witness query a search yields for ``fam``."""
-    return fam, intersect_threshold(x, len(fam))
+def _query(fam: AdFamily, x: float) -> Block:
+    """The block of one witness query a search yields for ``fam``."""
+    return fam._rows, fam._mask[None], [fam._cleared], [intersect_threshold(x, len(fam))]
 
 
 def conditional_family(fam: AdFamily, c: Combination | Iterable[int]) -> AdFamily:
@@ -305,7 +313,7 @@ def _detect(fam: AdFamily, cfg: DetectionConfig) -> Step[bool]:
     """Search step of :func:`detect_targeting`."""
     if len(fam) < cfg.min_members:
         return False
-    return (yield _query(fam, cfg.x)) is not None
+    return (yield _query(fam, cfg.x))[0] is not None
 
 
 def contains_core_test(
@@ -330,40 +338,71 @@ def _contains(
     cond = conditional_family(fam, c)
     if len(cond) < cfg.min_members:
         return None
-    return (yield _query(cond, cfg.x)) is None
+    return (yield _query(cond, cfg.x))[0] is None
+
+
+def _contains_block(
+    fam: AdFamily, cands: list[tuple[int, ...]], cfg: DetectionConfig
+) -> Step[list[bool | None]]:
+    """Containment tests of the same-order candidates ``cands`` (input
+    ids held by ``fam``, none of them cleared), asked as one block.
+
+    Each conditional family is built from ``fam``'s rows: its mask is
+    ``fam``'s mask AND the rows of the candidate, whose own rows are
+    cleared.  Candidates below ``min_members`` support answer None
+    without a query."""
+    if not cands:
+        return []
+    rows = np.searchsorted(fam._ids, cands)  # a family's input ids are sorted
+    masks = np.bitwise_and.reduce(fam._rows[rows], axis=1) & fam._mask
+    support = popcount_u64(masks).sum(axis=1)
+    asked = np.flatnonzero(support >= cfg.min_members)
+    out: list[bool | None] = [None] * len(cands)
+    if asked.size:
+        cleared = [tuple(r) + fam._cleared for r in rows[asked].tolist()]
+        thresholds = [intersect_threshold(cfg.x, s) for s in support[asked].tolist()]
+        witnesses = yield fam._rows, masks[asked], cleared, thresholds
+        for k, w in zip(asked.tolist(), witnesses):
+            out[k] = w is None
+    return out
 
 
 # ------------------------------------------------------------ drivers
 
 
-def _answer_stacked(queries: list[Query], l_max: int) -> list[list[int] | None]:
-    """Answer witness queries with one kernel call over their stacked
-    masked rows.  All queries share one input universe and word count
-    (see :func:`core_family_verdicts`).  Cleared rows are zeroed
-    inside the stack; zero rows never change a witness."""
-    fams = [fam for fam, _ in queries]
-    stack = np.array([f._rows for f in fams]) & np.array([f._mask for f in fams])[:, None]
+def _answer_stacked(blocks: list[Block], l_max: int) -> list[list[np.ndarray | None]]:
+    """Answer blocks of witness queries with one kernel call over their
+    stacked masked rows, split back by offset.  All blocks share one
+    input universe and word count (see :func:`core_family_verdicts`).
+    Cleared rows are zeroed inside the stack; zero rows never change a
+    witness."""
+    masks = blocks[0][1] if len(blocks) == 1 else np.concatenate([b[1] for b in blocks])
+    stack = np.array([b[0] for b in blocks])
+    if len(stack) < len(masks):
+        stack = np.repeat(stack, [len(b[1]) for b in blocks], axis=0)
+    stack &= masks[:, None]
     n = stack.shape[1]
-    cleared = [q * n + k for q, fam in enumerate(fams) for k in fam._cleared]
+    cleared = [q * n + k for q, ks in enumerate(c for b in blocks for c in b[2]) for k in ks]
     if cleared:
         stack.reshape(-1, stack.shape[2])[cleared] = 0
-    answers = find_witness_batch(stack, np.array([t for _, t in queries]), l_max)
-    return [
-        None if idx is None else [fam._ids[k] for k in idx.tolist()]
-        for fam, idx in zip(fams, answers)
-    ]
+    answers = find_witness_batch(stack, np.array([t for b in blocks for t in b[3]]), l_max)
+    out, at = [], 0
+    for b in blocks:
+        out.append(answers[at : at + len(b[1])])
+        at += len(b[1])
+    return out
 
 
 def _run_lockstep(searches: list[Step[_R]], l_max: int) -> list[_R]:
     """Run search generators to their results in lock-step rounds: each
-    round answers every pending query with one stacked kernel call and
-    sends each search its own witness back."""
+    round answers every pending block with one stacked kernel call and
+    sends each search its own witnesses back."""
     results: list = [None] * len(searches)
-    pending: dict[int, Query] = {}
+    pending: dict[int, Block] = {}
 
-    def advance(k: int, witness) -> None:
+    def advance(k: int, witnesses) -> None:
         try:
-            pending[k] = searches[k].send(witness)
+            pending[k] = searches[k].send(witnesses)
         except StopIteration as stop:
             pending.pop(k, None)
             results[k] = stop.value
@@ -372,8 +411,8 @@ def _run_lockstep(searches: list[Step[_R]], l_max: int) -> list[_R]:
         advance(k, None)
     while pending:
         keys = list(pending)
-        for k, witness in zip(keys, _answer_stacked([pending[k] for k in keys], l_max)):
-            advance(k, witness)
+        for k, witnesses in zip(keys, _answer_stacked([pending[k] for k in keys], l_max)):
+            advance(k, witnesses)
     return results
 
 
@@ -389,11 +428,11 @@ class SearchTrace:
     records: list[dict] = field(default_factory=list)
     tests_used: int = 0
 
-    def log(self, kind: str, combo: Combination | None, outcome) -> None:
+    def log(self, kind: str, combo: Iterable[int] | None, outcome) -> None:
         self.records.append(
             {
                 "kind": kind,
-                "combination": list(combo.inputs) if combo is not None else None,
+                "combination": list(combo) if combo is not None else None,
                 "outcome": outcome,
             }
         )
@@ -431,7 +470,6 @@ class _Tester:
         self.fam = fam
         self.cfg = cfg
         self.budget = budget
-        self.unknown_seen = False
         self._memo: dict[tuple[int, ...], bool | None] = {}
 
     def __call__(self, c: Combination) -> Step[bool | None]:
@@ -442,8 +480,6 @@ class _Tester:
         self.budget.charge()
         res = yield from _contains(c, self.fam, self.cfg)
         self._memo[key] = res
-        if res is None:
-            self.unknown_seen = True
         if self.budget.trace is not None:
             self.budget.trace.log("contains", c, res)
         return res
@@ -475,7 +511,7 @@ def agglomerative_core_search(
 ) -> Family:
     """Breadth-first recovery of the core family.
 
-    The queue starts at the empty combination, whose test doubles as the
+    The walk starts at the empty combination, whose test doubles as the
     detection test: a residual witness at the root means targeting is
     present and the walk continues.  Positives found smallest-first are
     minimal, hence core members; negatives (and unknowns) spawn their
@@ -490,7 +526,16 @@ def _agglomerative(
     detected: bool | None = None,
 ) -> Step[Family]:
     """Search steps of :func:`agglomerative_core_search`; ``detected`` is
-    the root detection answer when the caller already has it."""
+    the root detection answer when the caller already has it.
+
+    The walk goes level by level.  Only lower-order positives prune an
+    order-k candidate, so each level is fixed before any of its tests
+    runs: its candidates are asked in blocks of at most
+    :data:`_BLOCK_BYTES` stacked rows, and the answers are replayed in
+    queue order, each charged and logged as a containment test.  The
+    walk stops at ``l_max`` members, dropping the rest of the level's
+    answers; a block asks no more candidates than the budget has left.
+    """
     if cfg.r_max is None:
         raise ConfigError("agglomerative search needs r_max")
     if len(fam) == 0:
@@ -501,25 +546,29 @@ def _agglomerative(
         if not (yield from _detect_charged(fam, cfg, budget, detected)):
             return Family([])
         universe = fam.all_inputs()
-        test = _Tester(fam, cfg, budget)
-        queue: deque[Combination] = deque(Combination([i]) for i in universe)
-        visited = {c.inputs for c in queue}
-        while queue and len(found) < cfg.l_max:
-            c = queue.popleft()
-            if any(f.issubset(c) for f in found):
-                continue
-            if (yield from test(c)) is True:
-                found.append(c)
-                continue
-            if c.order >= cfg.r_max:
-                continue
-            for i in universe:
-                if i in c:
-                    continue
-                ext = c.union((i,))
-                if ext.inputs not in visited:
-                    visited.add(ext.inputs)
-                    queue.append(ext)
+        per_block = max(1, _BLOCK_BYTES // fam._rows.nbytes)
+        level = [(i,) for i in universe]
+        while level:
+            level = [c for c in level if not any(f.issubset(c) for f in found)]
+            nxt: dict[tuple[int, ...], None] = {}
+            for start in range(0, len(level), per_block):
+                block = level[start : start + per_block]
+                room = len(block) if budget.limit is None else budget.limit - budget.used
+                answers = yield from _contains_block(fam, block[:room], cfg)
+                for k, c in enumerate(block):
+                    budget.charge()
+                    res = answers[k]
+                    if trace is not None:
+                        trace.log("contains", c, res)
+                    if res is True:
+                        found.append(Combination(c))
+                        if len(found) >= cfg.l_max:
+                            return _prune_to_antichain(found)
+                    elif len(c) < cfg.r_max:
+                        for i in universe:
+                            if i not in c:
+                                nxt.setdefault(tuple(sorted(c + (i,))))
+            level = list(nxt)
     except BudgetExceeded as e:
         raise BudgetExceeded(
             str(e), partial=_prune_to_antichain(found), tests_used=e.tests_used
@@ -535,12 +584,13 @@ def _steering_inputs(
     if len(cond) == 0 or not cond._masked().any():
         return None
     budget.charge()
-    found = yield _query(cond, cfg.x)
+    [idx] = yield _query(cond, cfg.x)
+    found = None if idx is None else [cond._ids[k] for k in idx.tolist()]
     if budget.trace is not None:
         budget.trace.log("steer", None, found)
     if found is None:
         return None
-    hits = popcount_u64(cond._rows[[cond._pos[i] for i in found]] & cond._mask).sum(axis=1)
+    hits = popcount_u64(cond._rows[idx] & cond._mask).sum(axis=1)
     return [i for _, i in sorted(zip((-hits).tolist(), found))]
 
 

@@ -25,7 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from ..core_model import Family
-from ..errors import ConfigError, Inadmissible, parse_artifact
+from ..errors import ConfigError, Inadmissible
 from ..placement import sized_account_count
 from ..simulator import BEHAVIORAL, CONTEXTUAL, TargetingSpec
 from ..threshold_analysis import recommend_config
@@ -311,10 +311,6 @@ class ScenarioConfig:
         if "n_inputs" not in merged:
             raise ConfigError("n_inputs: required")
         return cls(**merged)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioConfig":
-        return cls.from_dict(parse_artifact(text, "config", ()))
 
 
 # ---------------------------------------------------------------- workload

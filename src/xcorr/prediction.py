@@ -132,6 +132,14 @@ class Verdicts:
     def predictions(self) -> list[Prediction]:
         """One :class:`Prediction` per row, with its scores, flags and
         posteriors."""
+        posts: list[dict | None] = [None] * len(self)
+        for name, (rows, probs, z) in self.posteriors.items():
+            for row, p, log_z in zip(rows.tolist(), probs, z.tolist()):
+                posts[row] = {**(posts[row] or {}), name: Posterior(p, log_z)}
+        return self._rows(posts)
+
+    def _rows(self, posts: Sequence[dict | None]) -> list[Prediction]:
+        """One :class:`Prediction` per row, row k with posteriors ``posts[k]``."""
         k = len(self)
         scores = [{} for _ in range(k)]
         for name, col in self.scores.items():
@@ -142,10 +150,6 @@ class Verdicts:
         for name, mask in self.flags.items():
             for row in np.flatnonzero(mask).tolist():
                 flags[row] += (name,)
-        posts: list[dict | None] = [None] * k
-        for name, (rows, probs, z) in self.posteriors.items():
-            for row, p, log_z in zip(rows.tolist(), probs, z.tolist()):
-                posts[row] = {**(posts[row] or {}), name: Posterior(p, log_z)}
         out = []
         for row, code in enumerate(self.codes.tolist()):
             target = None
@@ -158,6 +162,7 @@ class Verdicts:
 
     def to_doc(self, output_ids: Sequence[int]) -> dict[str, dict]:
         """The rows as JSON, keyed by output id: row k is output
-        ``output_ids[k]``, one id per row."""
-        rows = zip(output_ids, self.predictions(), strict=True)
+        ``output_ids[k]``, one id per row.  A row's JSON holds no
+        posterior, so none is built."""
+        rows = zip(output_ids, self._rows([None] * len(self)), strict=True)
         return {str(oid): p.to_dict() for oid, p in rows}

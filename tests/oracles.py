@@ -14,6 +14,12 @@ combination in order and counts coverage with a shift-and-mask
 popcount, and the family oracles rebuild conditional and exclusion
 families member by member from their definitions.
 
+The agglomerative oracle is the breadth-first core-family walk as it
+was before a level's containment tests were answered together: one
+queue, one :func:`~xcorr.core_family_search.contains_core_test` call,
+hence one witness query, per candidate.  It shares the library's
+containment test and nothing of its level walk.
+
 The scoring oracles stand in for the batched Bayes scorer: likelihoods
 from set sizes and plain sums, posteriors hypothesis by hypothesis with
 a scalar logsumexp, one output at a time, and the moment-matching loop
@@ -27,10 +33,15 @@ SeedSequence child, and the in-target test evaluated member by member.
 from __future__ import annotations
 
 import math
+from collections import deque
 from itertools import combinations as itercombos
 from itertools import islice
 
 import numpy as np
+
+from xcorr.core_family_search import contains_core_test, detect_targeting
+from xcorr.core_model import Combination, Family
+from xcorr.errors import BudgetExceeded, ConfigError, EmptyFamily
 
 
 def superset_cone(n: int, member_mask: int) -> int:
@@ -223,6 +234,72 @@ def conditional_members(members, c) -> list:
 def exclusion_members(members, ex) -> list:
     """Members holding none of the inputs in ``ex``."""
     return [m for m in members if set(ex).isdisjoint(m.inputs)]
+
+
+def agglomerative_oracle(fam, cfg, trace=None):
+    """The agglomerative core-family search, candidate by candidate.
+
+    Same contract as :func:`~xcorr.core_family_search.agglomerative_core_search`:
+    the charged root detection, then a queue from the singletons of the
+    family's inputs; supersets of found members are skipped, positives
+    are kept, negatives and unknowns spawn their one-input extensions up
+    to order ``r_max``, and the walk stops at ``l_max`` members.  Every
+    test is charged before it runs, so a spent ``test_budget`` raises
+    ``BudgetExceeded`` with the members found so far.
+    """
+    if cfg.r_max is None:
+        raise ConfigError("agglomerative search needs r_max")
+    if len(fam) == 0:
+        raise EmptyFamily("cannot search an empty ad family")
+    found = []
+    used = 0
+
+    def antichain():
+        kept = []
+        for c in sorted(set(found), key=lambda c: (c.order, c.inputs)):
+            if not any(k.issubset(c) for k in kept):
+                kept.append(c)
+        return Family(kept)
+
+    def charge():
+        nonlocal used
+        used += 1
+        if trace is not None:
+            trace.tests_used = used
+        if cfg.test_budget is not None and used > cfg.test_budget:
+            raise BudgetExceeded(
+                f"test budget {cfg.test_budget} exhausted", partial=antichain(), tests_used=used
+            )
+
+    charge()
+    detected = detect_targeting(fam, cfg)
+    if trace is not None:
+        trace.log("detect", None, detected)
+    if not detected:
+        return Family([])
+    universe = fam.all_inputs()
+    queue = deque(Combination([i]) for i in universe)
+    visited = {c.inputs for c in queue}
+    while queue and len(found) < cfg.l_max:
+        c = queue.popleft()
+        if any(f.issubset(c) for f in found):
+            continue
+        charge()
+        res = contains_core_test(c, fam, cfg)
+        if trace is not None:
+            trace.log("contains", c, res)
+        if res is True:
+            found.append(c)
+            continue
+        if c.order >= cfg.r_max:
+            continue
+        for i in universe:
+            if i not in c:
+                ext = c.union((i,))
+                if ext.inputs not in visited:
+                    visited.add(ext.inputs)
+                    queue.append(ext)
+    return antichain()
 
 
 # ------------------------------------------------------------ scoring

@@ -11,7 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import conditional_members, exclusion_members, witness_enumerate
+from oracles import (
+    agglomerative_oracle,
+    conditional_members,
+    exclusion_members,
+    witness_enumerate,
+)
 from xcorr import core_family_search
 from xcorr._kernels import find_witness, find_witness_batch, pack_bitsets, popcount_u64
 from xcorr.core_family_search import (
@@ -640,8 +645,11 @@ def test_predict_budget_exhausted_is_unknown():
 
 def test_predict_asks_the_root_detection_query_once(monkeypatch):
     # the detection that rules out UNTARGETED is also the search's first
-    # charged test, so every witness query answered is a charged test; a
-    # charged containment test on too small a conditional asks none
+    # charged test, so every witness query the removal search has
+    # answered is a charged test; a charged containment test on too small
+    # a conditional asks none.  The agglomerative search asks the root
+    # query alone, then each level in one block: every level but the one
+    # it stops in asks exactly its charged tests
     queries = []
 
     def counted(stack, thresholds, l_max):
@@ -662,7 +670,14 @@ def test_predict_asks_the_root_detection_query_once(monkeypatch):
             1 for r in trace.records if r["kind"] == "contains" and r["outcome"] is None
         )
         assert trace.records[0] == {"kind": "detect", "combination": None, "outcome": True}
-        assert sum(queries) == trace.tests_used - unasked
+        if method == "removal":
+            assert sum(queries) == trace.tests_used - unasked
+            continue
+        orders = [len(r["combination"]) for r in trace.records[1:] if r["outcome"] is not None]
+        assert len(orders) == trace.tests_used - unasked - 1
+        assert len(queries) == 1 + max(orders)
+        assert queries[:-1] == [1] + [orders.count(k) for k in range(1, max(orders))]
+        assert queries[-1] >= orders.count(max(orders))
 
 
 # ------------------------------------------------------------- lock-step
@@ -740,3 +755,107 @@ def test_batch_rejects_unknown_method_and_bad_accounts():
         core_family_verdicts([[0, 1]], pm, method="exhaustive")
     with pytest.raises(DomainError):
         core_family_verdicts([[0], [99]], pm)
+
+
+# ------------------------------------------------------ level-batched walk
+
+
+def _search_outcome(search, fam, cfg):
+    """What a search returns or raises, with its trace, as comparable data."""
+    trace = SearchTrace()
+    try:
+        found = search(fam, cfg, trace)
+    except BudgetExceeded as e:
+        return "budget", e.partial.to_json(), e.tests_used, trace.to_jsonl(), trace.tests_used
+    return "found", found.to_json(), None, trace.to_jsonl(), trace.tests_used
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 12),
+    m=st.integers(10, 160),
+    l_max=st.integers(1, 3),
+    r_max=st.integers(1, 3),
+    min_members=st.integers(1, 6),
+    x=st.sampled_from([0.6, 0.8, 0.9, 0.99]),
+    cut=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    strip=st.booleans(),
+)
+def test_agglomerative_levels_match_the_candidate_by_candidate_oracle(
+    seed, n, m, l_max, r_max, min_members, x, cut, strip
+):
+    # the level walk against the one-query-per-candidate walk: same
+    # family, trace and tests, and the same partial result when the
+    # budget runs out, cut anywhere inside the unbudgeted walk
+    pm, actives = _trial_actives(seed, n, m, 4)
+    cfg = DetectionConfig(x=x, l_max=l_max, r_max=r_max, min_members=min_members)
+    for active in actives:
+        if not active:
+            continue
+        fam = AdFamily.from_placement(active, pm)
+        if strip and fam.all_inputs():
+            fam = conditional_family(fam, fam.all_inputs()[:1])
+            if len(fam) == 0:
+                continue
+        budgeted = cfg
+        if cut is not None:
+            used = _search_outcome(agglomerative_oracle, fam, cfg)[4]
+            budgeted = DetectionConfig(
+                x=x, l_max=l_max, r_max=r_max, min_members=min_members,
+                test_budget=max(1, int(cut * used)),
+            )
+        assert _search_outcome(agglomerative_core_search, fam, budgeted) == _search_outcome(
+            agglomerative_oracle, fam, budgeted
+        )
+    batched = core_family_verdicts(actives, pm, cfg, method="agglomerative").predictions()
+    single = [predict_core_family(a, pm, cfg, method="agglomerative") for a in actives]
+    assert [p.to_dict() for p in batched] == [p.to_dict() for p in single]
+
+
+def test_agglomerative_asks_one_kernel_call_per_level(monkeypatch):
+    # completeness-gate families (16 inputs, 240 accounts, r_max 2): the
+    # root query, then each level of containment tests in one call
+    calls = []
+
+    def counted(stack, thresholds, l_max):
+        calls.append(len(thresholds))
+        return find_witness_batch(stack, thresholds, l_max)
+
+    monkeypatch.setattr(core_family_search, "find_witness_batch", counted)
+    cfg = DetectionConfig(x=0.99, l_max=2, r_max=2)
+    for seed, core in enumerate([[[5]], [[2, 7]], [[1], [9]], [[0, 4], [8, 11]]] * 2):
+        fam, _ = _targeted_family(Family(core), 4400 + seed, n=16, m=240, p_in=0.7, p_out=1e-4)
+        calls.clear()
+        trace = SearchTrace()
+        agglomerative_core_search(fam, cfg, trace)
+        assert len(calls) <= cfg.r_max + 1
+        assert sum(calls) >= trace.tests_used - sum(
+            1 for r in trace.records if r["outcome"] is None
+        )
+
+
+def test_wide_level_is_asked_in_capped_blocks(monkeypatch):
+    # 60 inputs held at random by half of 64 accounts: every candidate up
+    # to order 3 is negative, and the third level's 34,220 containment
+    # tests would stack 16 MB of rows at once
+    blocks = []
+
+    def counted(stack, thresholds, l_max):
+        blocks.append(stack.nbytes)
+        return find_witness_batch(stack, thresholds, l_max)
+
+    monkeypatch.setattr(core_family_search, "find_witness_batch", counted)
+    rng = np.random.default_rng(5)
+    fam = AdFamily(np.flatnonzero(row) for row in rng.random((64, 60)) < 0.5)
+    cfg = DetectionConfig(x=0.4, l_max=1, r_max=3, min_members=3)
+    level_bytes = math.comb(60, 3) * fam._rows.nbytes
+    tracemalloc.start()
+    try:
+        assert agglomerative_core_search(fam, cfg).size == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(blocks) <= core_family_search._BLOCK_BYTES
+    assert len(blocks) > level_bytes // core_family_search._BLOCK_BYTES
+    assert peak < level_bytes // 2

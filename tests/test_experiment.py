@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from xcorr.core_model import Combination, Family
-from xcorr.errors import ConfigError, MismatchedUniverse, PlateauNotFound
+from xcorr.errors import ConfigError, MismatchedUniverse, PlateauNotFound, parse_artifact
 from xcorr.experiment import (
     CorrelationStore,
     Metrics,
@@ -41,7 +41,7 @@ def test_config_json_roundtrip():
         algorithms=("bayes", "setint"), algo_config={"setint": {"threshold": 0.8}},
         seed=42,
     )
-    again = ScenarioConfig.from_json(canonical_json(cfg.to_dict()))
+    again = ScenarioConfig.from_dict(parse_artifact(canonical_json(cfg.to_dict()), "config", ()))
     assert again == cfg
     assert canonical_json(again.to_dict()) == canonical_json(cfg.to_dict())
 
@@ -79,7 +79,7 @@ def test_config_rejects_unknown_keys_and_bad_values():
     with pytest.raises(ConfigError, match="r_values"):
         ScenarioConfig(n_inputs=6, targeted_channel=CONTEXTUAL, r_values=(2,))
     with pytest.raises(ConfigError, match="not valid JSON"):
-        ScenarioConfig.from_json("{nope")
+        ScenarioConfig.from_dict(parse_artifact("{nope", "config", ()))
 
 
 def test_config_resolved_values():
