@@ -68,11 +68,9 @@ from .core_family_search import (  # noqa: F401
     removal_core_search,
 )
 from .input_matching import (  # noqa: F401
-    ContextualSignature,
     build_signatures,
     cluster_inputs,
     cluster_purity,
-    signature_distance,
 )
 from .experiment import (  # noqa: F401
     CorrelationStore,

@@ -17,6 +17,7 @@ overlap experiment.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -361,26 +362,35 @@ def build_specs(cfg: ScenarioConfig, rng: np.random.Generator) -> list[Targeting
     return specs
 
 
-def matching_specs(cfg: ScenarioConfig) -> list[TargetingSpec]:
+def matching_specs(cfg: ScenarioConfig) -> tuple[TargetingSpec, ...]:
     """Category ads for the input-matching phase.
 
     Each overlap group gets ``ads_per_group`` contextual ads keyed on any
     input of the group; their display counts give same-group inputs nearly
     parallel signatures.  IDs start at :data:`MATCH_AD_BASE` so they stay
-    disjoint from the workload.
+    disjoint from the workload.  The specs depend only on the groups, the
+    ad count and the hit probabilities, so they are built once per
+    distinct set of those and shared (specs and tuple are immutable).
     """
     if cfg.overlap_groups is None:
         raise ConfigError("matching_specs: config has no overlap_groups")
+    return _matching_specs(cfg.overlap_groups, cfg.ads_per_group, cfg.p_in, cfg.p_out)
+
+
+@functools.lru_cache(maxsize=64)
+def _matching_specs(
+    groups: tuple[tuple[int, ...], ...], ads_per_group: int, p_in: float, p_out: float
+) -> tuple[TargetingSpec, ...]:
     specs: list[TargetingSpec] = []
     oid = MATCH_AD_BASE
-    for g_idx, g in enumerate(cfg.overlap_groups):
+    for g_idx, g in enumerate(groups):
         core = Family([(i,) for i in g])
-        for _ in range(cfg.ads_per_group):
+        for _ in range(ads_per_group):
             specs.append(
                 TargetingSpec.targeted(
-                    oid, core, cfg.p_in, cfg.p_out,
+                    oid, core, p_in, p_out,
                     group_tag=f"group{g_idx}", channel=CONTEXTUAL,
                 )
             )
             oid += 1
-    return specs
+    return tuple(specs)

@@ -8,130 +8,109 @@ dimension per output.  Inputs whose signatures are close get placed into
 the same shadow-account group, which concentrates the behavioral signal
 instead of diluting it over near-duplicates.
 
-Distances are Euclidean after per-signature L2 normalization, so only
-the mix of outputs matters, not the display volume; ``raw=True``
-switches to the literal count-space metric.  Clustering is
-single-linkage: merge two clusters whenever any cross pair sits at
-strictly less than the threshold.  All-zero signatures never merge —
-absence of evidence is not similarity.
+The signatures of a trial are one N×K count matrix: row i is input i,
+column j the j-th output in ascending output id.  Distances are
+Euclidean after per-row L2 normalization, so only the mix of outputs
+matters, not the display volume; ``raw=True`` switches to the literal
+count-space metric.  Pairwise distances are computed in numpy blocks
+of inputs (one block for a trial-sized matrix), summing squared
+differences over the outputs in ascending id.
+Clustering is single-linkage: merge two clusters whenever any cross pair
+sits at strictly less than the threshold.  All-zero signatures never
+merge — absence of evidence is not similarity.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import DomainError
 
 DEFAULT_DISTANCE_THRESHOLD = 0.5
-
-
-@dataclass(frozen=True)
-class ContextualSignature:
-    """One input's display-count vector, stored sparsely.
-
-    ``coords`` maps output_id to a positive display count; outputs never
-    displayed next to the input are simply absent.
-    """
-
-    input_id: int
-    coords: dict[int, int]
-
-    def __init__(self, input_id: int, coords: Mapping[int, int] = ()):
-        items = dict(coords)
-        for k, v in items.items():
-            if v < 0:
-                raise DomainError(
-                    f"display counts must be >= 0, got {v} for output {k}"
-                )
-        object.__setattr__(self, "input_id", int(input_id))
-        object.__setattr__(
-            self, "coords", {int(k): int(v) for k, v in sorted(items.items()) if v}
-        )
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(sum(v * v for v in self.coords.values()))
+# float64 elements of one (K, B, N) difference block: B rows of inputs
+# at a time, so memory stays bounded for large N×K
+_BLOCK_ELEMENTS = 1 << 20
 
 
 def build_signatures(
     contextual: Mapping[int, np.ndarray | Sequence[int]],
     n_inputs: int | None = None,
-) -> list[ContextualSignature]:
-    """One signature per input from per-output display-count vectors.
+) -> np.ndarray:
+    """The N×K int64 signature matrix from per-output display counts.
 
     ``contextual`` is the mapping produced by the contextual simulator
     (or an ObservationSet's ``contextual`` field): output_id → length-N
-    count vector.  The signature dimensions are the union of all outputs
-    present.
+    count vector.  Column j holds the j-th output in ascending id; an
+    input never displayed against has an all-zero row.
     """
     vecs = {int(k): np.asarray(v, dtype=np.int64) for k, v in contextual.items()}
+    if any(v.ndim != 1 for v in vecs.values()):
+        raise DomainError("count vectors must be one-dimensional")
     lengths = {v.shape[0] for v in vecs.values()}
     if len(lengths) > 1:
         raise DomainError(f"count vectors disagree on input count: {sorted(lengths)}")
     if n_inputs is None:
-        if not lengths:
-            return []
-        n_inputs = lengths.pop()
+        n_inputs = lengths.pop() if lengths else 0
     elif lengths and lengths != {n_inputs}:
         raise DomainError(
             f"count vectors have length {lengths.pop()}, expected {n_inputs}"
         )
-    return [
-        ContextualSignature(
-            i, {k: int(vec[i]) for k, vec in sorted(vecs.items()) if vec[i]}
+    ids = sorted(vecs)
+    counts = np.array([vecs[k] for k in ids], dtype=np.int64).reshape(len(ids), n_inputs)
+    if (counts < 0).any():
+        j, i = np.argwhere(counts < 0)[0]
+        raise DomainError(
+            f"display counts must be >= 0, got {counts[j, i]} for output {ids[j]}"
         )
-        for i in range(n_inputs)
-    ]
-
-
-def signature_distance(
-    a: ContextualSignature, b: ContextualSignature, raw: bool = False
-) -> float:
-    """Euclidean distance over the union of output dimensions.
-
-    Signatures are L2-normalized first unless ``raw`` is set; an
-    all-zero signature stays the zero vector either way.
-    """
-    na = a.norm if not raw else 1.0
-    nb = b.norm if not raw else 1.0
-    na = na or 1.0
-    nb = nb or 1.0
-    total = 0.0
-    for k in a.coords.keys() | b.coords.keys():
-        d = a.coords.get(k, 0) / na - b.coords.get(k, 0) / nb
-        total += d * d
-    return math.sqrt(total)
+    return np.ascontiguousarray(counts.T)
 
 
 def cluster_inputs(
-    signatures: Iterable[ContextualSignature],
+    signatures: np.ndarray,
     distance_threshold: float = DEFAULT_DISTANCE_THRESHOLD,
     raw: bool = False,
 ) -> list[list[int]]:
-    """Single-linkage partition of the inputs.
+    """Single-linkage partition of the inputs (the rows of ``signatures``).
 
     Two inputs end up together iff a chain of strictly-below-threshold
     pairs connects them (connected components of the threshold graph).
     All-zero signatures are never linked to anything.  The result is a
     partition: sorted id lists, ordered by first member.
     """
-    sigs = list(signatures)
-    ids = [s.input_id for s in sigs]
-    if len(set(ids)) != len(ids):
-        raise DomainError("duplicate input_id among signatures")
+    counts = np.asarray(signatures)
+    if counts.ndim != 2 or (counts.size and counts.dtype.kind not in "iu"):
+        raise DomainError(
+            f"signatures must be a 2-D integer count matrix, got {counts.dtype} "
+            f"of shape {counts.shape}"
+        )
     if distance_threshold < 0:
         raise DomainError(f"distance threshold must be >= 0, got {distance_threshold}")
+    n, k = counts.shape
+    if counts.size:
+        if counts.min() < 0:
+            raise DomainError(f"display counts must be >= 0, got {counts.min()}")
+        # the squared norms are summed exactly in int64
+        limit = math.isqrt((2**63 - 1) // k)
+        if counts.max() > limit:
+            raise DomainError(f"display counts above {limit} overflow the squared norm")
+    counts = counts.astype(np.int64, copy=False)
+    norm = np.sqrt((counts * counts).sum(axis=1))
+    active = norm > 0
+    scale = np.ones(n) if raw else np.where(active, norm, 1.0)
+    # (K, N) rows in ascending output id; summing a (K, B, N) block over
+    # axis 0 adds the outputs' terms one after another, in that order
+    u = np.ascontiguousarray((counts / scale[:, None]).T)
+    close = np.empty((n, n), dtype=bool)
+    step = max(1, _BLOCK_ELEMENTS // max(k * n, 1))
+    for lo in range(0, n, step):
+        diff = u[:, lo : lo + step, None] - u[:, None, :]
+        close[lo : lo + step] = np.sqrt((diff * diff).sum(axis=0)) < distance_threshold
+    close &= active[:, None] & active[None, :]
 
-    parent = {i: i for i in ids}
+    parent = list(range(n))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -139,15 +118,16 @@ def cluster_inputs(
             i = parent[i]
         return i
 
-    active = [s for s in sigs if not s.is_zero]
-    for a, b in combinations(active, 2):
-        if signature_distance(a, b, raw=raw) < distance_threshold:
-            parent[find(a.input_id)] = find(b.input_id)
+    first, second = np.nonzero(np.triu(close, 1))
+    for a, b in zip(first.tolist(), second.tolist()):
+        parent[find(a)] = find(b)
 
     groups: dict[int, list[int]] = {}
-    for i in ids:
+    for i in range(n):
         groups.setdefault(find(i), []).append(i)
-    return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+    # ids are visited in ascending order, so each group is sorted and the
+    # groups come in order of their first member
+    return list(groups.values())
 
 
 def cluster_purity(

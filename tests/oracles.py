@@ -28,12 +28,18 @@ output by output.
 The simulation oracles stand in for the columnar simulators: one spec
 at a time, each with a generator built from its own spawned
 SeedSequence child, and the in-target test evaluated member by member.
+
+The input-matching oracle stands in for the count-matrix clustering:
+sparse per-input signatures, one Python distance per input pair summed
+term by term over the outputs both signatures touch, and a dict
+union-find over the close pairs.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from dataclasses import dataclass
 from itertools import combinations as itercombos
 from itertools import islice
 
@@ -41,7 +47,7 @@ import numpy as np
 
 from xcorr.core_family_search import contains_core_test, detect_targeting
 from xcorr.core_model import Combination, Family
-from xcorr.errors import BudgetExceeded, ConfigError, EmptyFamily
+from xcorr.errors import BudgetExceeded, ConfigError, DomainError, EmptyFamily
 
 
 def superset_cone(n: int, member_mask: int) -> int:
@@ -483,3 +489,79 @@ def simulate_contextual_oracle(user, specs, displays, seed, n_inputs):
             x[list(user)] = rng.binomial(displays, p)
         counts[spec.output_id] = x
     return counts
+
+
+# ------------------------------------------------------ input matching
+
+
+@dataclass(frozen=True)
+class ContextualSignature:
+    """One input's display-count vector, stored sparsely.
+
+    ``coords`` maps output_id to a positive display count; outputs never
+    displayed next to the input are simply absent.
+    """
+
+    input_id: int
+    coords: dict[int, int]
+
+    def __init__(self, input_id, coords=()):
+        items = dict(coords)
+        for k, v in items.items():
+            if v < 0:
+                raise DomainError(f"display counts must be >= 0, got {v} for output {k}")
+        object.__setattr__(self, "input_id", int(input_id))
+        object.__setattr__(
+            self, "coords", {int(k): int(v) for k, v in sorted(items.items()) if v}
+        )
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coords
+
+    @property
+    def norm(self) -> float:
+        return math.sqrt(sum(v * v for v in self.coords.values()))
+
+
+def oracle_signatures(contextual, n_inputs):
+    """One sparse signature per input from output_id -> count vectors."""
+    return [
+        ContextualSignature(i, {int(k): int(v[i]) for k, v in contextual.items()})
+        for i in range(n_inputs)
+    ]
+
+
+def signature_distance(a, b, raw=False) -> float:
+    """Euclidean distance over the union of output dimensions, summed in
+    ascending output id.  Signatures are L2-normalized first unless
+    ``raw`` is set; an all-zero signature stays the zero vector."""
+    na = (a.norm if not raw else 1.0) or 1.0
+    nb = (b.norm if not raw else 1.0) or 1.0
+    total = 0.0
+    for k in sorted(a.coords.keys() | b.coords.keys()):
+        d = a.coords.get(k, 0) / na - b.coords.get(k, 0) / nb
+        total += d * d
+    return math.sqrt(total)
+
+
+def cluster_inputs_oracle(signatures, distance_threshold, raw=False):
+    """Single-linkage partition, one :func:`signature_distance` per pair
+    of non-zero signatures: sorted id lists, ordered by first member."""
+    sigs = list(signatures)
+    ids = [s.input_id for s in sigs]
+    parent = {i: i for i in ids}
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    active = [s for s in sigs if not s.is_zero]
+    for a, b in itercombos(active, 2):
+        if signature_distance(a, b, raw=raw) < distance_threshold:
+            parent[find(a.input_id)] = find(b.input_id)
+    groups = {}
+    for i in ids:
+        groups.setdefault(find(i), []).append(i)
+    return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])

@@ -4,8 +4,11 @@ import json
 
 import pytest
 
+from oracles import cluster_inputs_oracle, oracle_signatures
 from xcorr.cli import main
-from xcorr.experiment import ALGORITHMS
+from xcorr.core_model import Combination
+from xcorr.experiment import ALGORITHMS, ScenarioConfig, matching_specs
+from xcorr.simulator import simulate_contextual
 
 TINY = {
     "n_inputs": 8,
@@ -107,6 +110,28 @@ def test_match_recovers_groups(capsys, tmp_path):
     assert doc["clusters"] == [[0, 1, 2], [3, 4, 5]]
     assert doc["n_clusters"] == 2
     assert doc["purity"] == 1.0
+
+
+def test_match_raw_distance_matches_oracle(capsys, tmp_path):
+    path = tmp_path / "match.json"
+    path.write_text(json.dumps(MATCH))
+    code, out, _ = run(
+        capsys, "match", "--config", str(path), "--raw-distance", "--threshold", "15"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    cfg = ScenarioConfig.from_dict(MATCH)
+    counts = simulate_contextual(
+        Combination(range(cfg.n_inputs)), matching_specs(cfg), cfg.displays_per_input,
+        seed=cfg.seed, n_inputs=cfg.n_inputs,
+    )
+    expected = cluster_inputs_oracle(
+        oracle_signatures(counts, cfg.n_inputs), 15.0, raw=True
+    )
+    assert doc["clusters"] == expected
+    # normalized distances are at most sqrt(2), so only the raw metric
+    # keeps more than one cluster at this threshold
+    assert doc["n_clusters"] == len(expected) > 1
 
 
 def test_match_requires_groups(capsys, tiny_config):

@@ -153,6 +153,27 @@ def test_matching_specs_are_contextual_category_ads():
         matching_specs(ScenarioConfig(n_inputs=6))
 
 
+def test_matching_specs_are_built_once_per_ad_set():
+    groups = ((0, 1, 2), (3, 4, 5))
+    cfg = ScenarioConfig(n_inputs=6, overlap_groups=groups, matching=True)
+    specs = matching_specs(cfg)
+    with pytest.raises(TypeError):
+        specs[0] = specs[1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        specs[0].p_in = 0.9
+    for same in (
+        dataclasses.replace(cfg, seed=cfg.seed + 1),
+        dataclasses.replace(cfg, trials=cfg.trials + 3),
+    ):
+        assert matching_specs(same) is specs
+    for other in (
+        dataclasses.replace(cfg, ads_per_group=cfg.ads_per_group + 1),
+        dataclasses.replace(cfg, p_in=0.6),
+    ):
+        assert matching_specs(other) != specs
+    assert [s.p_in for s in matching_specs(dataclasses.replace(cfg, p_in=0.6))] == [0.6] * 8
+
+
 # --------------------------------------------------------------- scoring
 
 
