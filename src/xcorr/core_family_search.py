@@ -15,6 +15,14 @@ detection witnesses, whittles it down input by input, then restarts
 behind exclusion sets to find the remaining members; it needs no bound
 on the member order.
 
+Both searches run on the root family's packed rows alone, one per-run
+state holding the test budget, the memo, the trace and the members
+found.  A candidate combination is a sorted tuple of row indices; a
+conditional or exclusion family is a member mask over the rows, and a
+conditional query reads the candidate's own rows as cleared.  The rows
+are in ascending input id, so row order is id order; input ids are
+looked up only to write a trace record or the recovered family.
+
 Every search is written as a generator.  Each step yields a block of
 witness queries over one family's rows, their member masks, cleared rows
 and thresholds, and is sent back one witness per query, as row indices
@@ -44,7 +52,7 @@ from typing import Generator, Iterable, TypeVar
 import numpy as np
 
 from ._kernels import find_witness_batch, pack_bitsets, popcount_u64
-from .core_model import EMPTY_COMBINATION, Combination, Family
+from .core_model import Combination, Family
 from .errors import BudgetExceeded, ConfigError, DomainError, EmptyFamily
 from .placement import PlacementMatrix, active_matrix
 from .prediction import TARGETED, UNKNOWN, UNTARGETED, Prediction, Verdicts
@@ -108,14 +116,13 @@ class AdFamily:
     universe (bit k set when member k holds that input, see
     :func:`~xcorr._kernels.pack_bitsets`) and a member mask over the same
     bits.  The rows are packed once, by the constructor or
-    :meth:`from_placement`; conditional families and exclusion
-    subfamilies are views that share the rows and the member numbering
-    and differ only in their mask and, for a conditional, in the rows
-    they read as cleared.  Members turn back into :class:`Combination`
-    objects only when they are asked for.
+    :meth:`from_placement`; a conditional family keeps the universe and
+    the member numbering, with its own mask and its stripped rows zeroed.
+    Members turn back into :class:`Combination` objects only when they
+    are asked for.
     """
 
-    __slots__ = ("_ids", "_pos", "_rows", "_mask", "_cleared", "_size", "_members")
+    __slots__ = ("_ids", "_pos", "_rows", "_mask", "_size", "_members")
 
     def __init__(self, members: Iterable[Combination | Iterable[int]] = ()):
         combos = [c if isinstance(c, Combination) else Combination(c) for c in members]
@@ -127,19 +134,19 @@ class AdFamily:
         self._set(ids, pos, pack_bitsets(contains), _first_bits(len(combos)))
         self._members = tuple(combos)
 
-    def _set(self, ids, pos, rows: np.ndarray, mask: np.ndarray, cleared=()) -> None:
+    def _set(self, ids, pos, rows: np.ndarray, mask: np.ndarray) -> None:
         self._ids = ids
         self._pos = pos
         self._rows = rows
         self._mask = mask
-        self._cleared = cleared
-        self._size = int(popcount_u64(mask).sum())
+        self._size = _size(mask)
         self._members = None
 
-    def _view(self, mask: np.ndarray, cleared: tuple[int, ...]) -> "AdFamily":
-        """A family over the same rows, universe and member numbering."""
+    def _like(self, rows: np.ndarray, mask: np.ndarray) -> "AdFamily":
+        """A family over ``rows`` with this family's universe and member
+        numbering."""
         out = object.__new__(type(self))
-        out._set(self._ids, self._pos, self._rows, mask, cleared)
+        out._set(self._ids, self._pos, rows, mask)
         return out
 
     def _widened(self, words: int) -> "AdFamily":
@@ -147,19 +154,7 @@ class AdFamily:
         extra = words - self._mask.size
         if not extra:
             return self
-        out = object.__new__(type(self))
-        out._set(
-            self._ids, self._pos, np.pad(self._rows, ((0, 0), (0, extra))),
-            np.pad(self._mask, (0, extra)), self._cleared,
-        )
-        return out
-
-    def _masked(self) -> np.ndarray:
-        """Per-input bitsets of this family's own members, (n, words)."""
-        masked = self._rows & self._mask
-        if self._cleared:
-            masked[list(self._cleared)] = 0
-        return masked
+        return self._like(np.pad(self._rows, ((0, 0), (0, extra))), np.pad(self._mask, (0, extra)))
 
     @classmethod
     def from_placement(
@@ -189,7 +184,7 @@ class AdFamily:
     @property
     def members(self) -> tuple[Combination, ...]:
         if self._members is None:
-            bits = _unpack(self._masked())
+            bits = _unpack(self._rows & self._mask)
             live = np.flatnonzero(_unpack(self._mask[None, :])[0])
             self._members = tuple(
                 Combination(self._ids[i] for i in np.flatnonzero(bits[:, k])) for k in live
@@ -200,7 +195,7 @@ class AdFamily:
         return iter(self.members)
 
     def all_inputs(self) -> tuple[int, ...]:
-        return tuple(_family_bitsets(self)[1])
+        return tuple(self._ids[k] for k in _held(self._rows, self._mask))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AdFamily):
@@ -231,23 +226,30 @@ def _unpack(words: np.ndarray) -> np.ndarray:
     return np.unpackbits(le, axis=1, bitorder="little").astype(bool)
 
 
+def _size(mask: np.ndarray) -> int:
+    """Number of members in a member mask."""
+    return int(popcount_u64(mask).sum())
+
+
+def _held(rows: np.ndarray, mask: np.ndarray) -> list[int]:
+    """Indices of the rows some member of ``mask`` holds, ascending."""
+    return np.flatnonzero((rows & mask).any(axis=1)).tolist()
+
+
 def intersect_threshold(x: float, n_members: int) -> int:
-    """Smallest member count whose fraction of ``n_members`` reaches x."""
+    """Smallest member count whose fraction of ``n_members`` reaches x.
+
+    At least 1: no member at all never makes a fraction x > 0."""
     if not 0.0 < x <= 1.0:
         raise DomainError(f"x must lie in (0,1], got {x}")
-    return int(math.ceil(x * n_members - 1e-9))
+    return max(1, math.ceil(x * n_members - 1e-9))
 
 
-def _family_bitsets(fam: AdFamily) -> tuple[np.ndarray, list[int]]:
-    """Per-input member bitsets plus the sorted input universe.
-
-    The rows are the family's masked rows that are still nonzero, so the
-    universe is exactly the inputs some member holds.  Bits of members
-    outside the family are zero and count toward no coverage.
-    """
-    masked = fam._masked()
-    keep = np.flatnonzero(masked.any(axis=1))
-    return masked[keep], [fam._ids[k] for k in keep]
+def _block(rows: np.ndarray, mask: np.ndarray, cleared: tuple[int, ...], x: float,
+           support: int) -> Block:
+    """The block of one witness query on the ``support`` members of
+    ``mask``, reading the rows ``cleared`` as cleared."""
+    return rows, mask[None], [cleared], [intersect_threshold(x, support)]
 
 
 def find_x_intersecting_subset(
@@ -264,36 +266,25 @@ def find_x_intersecting_subset(
         raise EmptyFamily("witness search needs a non-empty family")
     if l_max < 1:
         raise DomainError(f"l_max must be >= 1, got {l_max}")
-    [[found]] = _answer_stacked([_query(fam, x)], l_max)
+    [[found]] = _answer_stacked([_block(fam._rows, fam._mask, (), x, len(fam))], l_max)
     return None if found is None else Combination(fam._ids[k] for k in found.tolist())
 
 
-def _query(fam: AdFamily, x: float) -> Block:
-    """The block of one witness query a search yields for ``fam``."""
-    return fam._rows, fam._mask[None], [fam._cleared], [intersect_threshold(x, len(fam))]
-
-
 def conditional_family(fam: AdFamily, c: Combination | Iterable[int]) -> AdFamily:
-    """Members containing ``c``, each with ``c``'s inputs stripped."""
-    if not isinstance(c, Combination):
-        c = Combination(c)
-    rows = [fam._pos.get(i) for i in c.inputs]
-    if None in rows or any(k in fam._cleared for k in rows):
-        # an input no member holds, or one this view already stripped
-        return fam._view(np.zeros_like(fam._mask), fam._cleared)
-    mask = fam._mask
+    """Members containing ``c``, each with ``c``'s inputs stripped.
+
+    The result is a family over a copy of ``fam``'s rows with the rows of
+    ``c`` zeroed, so a conditional of a conditional is built the same way.
+    """
+    ids = c.inputs if isinstance(c, Combination) else Combination(c).inputs
+    rows = [fam._pos[i] for i in ids if i in fam._pos]
+    # an input no member holds leaves no member
+    mask = fam._mask if len(rows) == len(ids) else np.zeros_like(fam._mask)
     for k in rows:
         mask = mask & fam._rows[k]
-    return fam._view(mask, fam._cleared + tuple(rows))
-
-
-def _exclusion_family(fam: AdFamily, ex: Iterable[int]) -> AdFamily:
-    """Members holding none of the inputs in ``ex``."""
-    rows = [
-        k for k in (fam._pos.get(i) for i in ex) if k is not None and k not in fam._cleared
-    ]
-    hit = np.bitwise_or.reduce(fam._rows[rows], axis=0, initial=np.uint64(0))
-    return fam._view(fam._mask & ~hit, fam._cleared)
+    stripped = fam._rows.copy()
+    stripped[rows] = 0
+    return fam._like(stripped, mask)
 
 
 def detect_targeting(fam: AdFamily, cfg: DetectionConfig) -> bool:
@@ -306,14 +297,15 @@ def detect_targeting(fam: AdFamily, cfg: DetectionConfig) -> bool:
     "not enough data" should check the support themselves (as
     :func:`predict_core_family` does, reporting UNKNOWN).
     """
-    return _run(_detect(fam, cfg), cfg.l_max)
+    return _run(_detect(fam._rows, fam._mask, cfg), cfg.l_max)
 
 
-def _detect(fam: AdFamily, cfg: DetectionConfig) -> Step[bool]:
-    """Search step of :func:`detect_targeting`."""
-    if len(fam) < cfg.min_members:
+def _detect(rows: np.ndarray, mask: np.ndarray, cfg: DetectionConfig) -> Step[bool]:
+    """Search step of :func:`detect_targeting` on the members of ``mask``."""
+    support = _size(mask)
+    if support < cfg.min_members:
         return False
-    return (yield _query(fam, cfg.x))[0] is not None
+    return (yield _block(rows, mask, (), cfg.x, support))[0] is not None
 
 
 def contains_core_test(
@@ -328,43 +320,10 @@ def contains_core_test(
     dichotomy presumes enough supporting accounts, and too little data
     is a different statement than either answer.
     """
-    return _run(_contains(c, fam, cfg), cfg.l_max)
-
-
-def _contains(
-    c: Combination | Iterable[int], fam: AdFamily, cfg: DetectionConfig
-) -> Step[bool | None]:
-    """Search step of :func:`contains_core_test`."""
     cond = conditional_family(fam, c)
     if len(cond) < cfg.min_members:
         return None
-    return (yield _query(cond, cfg.x))[0] is None
-
-
-def _contains_block(
-    fam: AdFamily, cands: list[tuple[int, ...]], cfg: DetectionConfig
-) -> Step[list[bool | None]]:
-    """Containment tests of the same-order candidates ``cands`` (input
-    ids held by ``fam``, none of them cleared), asked as one block.
-
-    Each conditional family is built from ``fam``'s rows: its mask is
-    ``fam``'s mask AND the rows of the candidate, whose own rows are
-    cleared.  Candidates below ``min_members`` support answer None
-    without a query."""
-    if not cands:
-        return []
-    rows = np.searchsorted(fam._ids, cands)  # a family's input ids are sorted
-    masks = np.bitwise_and.reduce(fam._rows[rows], axis=1) & fam._mask
-    support = popcount_u64(masks).sum(axis=1)
-    asked = np.flatnonzero(support >= cfg.min_members)
-    out: list[bool | None] = [None] * len(cands)
-    if asked.size:
-        cleared = [tuple(r) + fam._cleared for r in rows[asked].tolist()]
-        thresholds = [intersect_threshold(cfg.x, s) for s in support[asked].tolist()]
-        witnesses = yield fam._rows, masks[asked], cleared, thresholds
-        for k, w in zip(asked.tolist(), witnesses):
-            out[k] = w is None
-    return out
+    return find_x_intersecting_subset(cond, cfg.x, cfg.l_max) is None
 
 
 # ------------------------------------------------------------ drivers
@@ -445,65 +404,114 @@ class SearchTrace:
         return "\n".join(lines)
 
 
-class _Budget:
-    """Counts witness searches and enforces the optional cap."""
+class _Search:
+    """The state of one search run over a family's packed rows: its test
+    budget, containment memo, trace and members found.
 
-    def __init__(self, cfg: DetectionConfig, trace: SearchTrace | None):
-        self.limit = cfg.test_budget
+    A candidate is a sorted tuple of row indices and a family inside the
+    search is a member mask over the rows.  The rows are in ascending
+    input id, so sorting rows sorts ids; ids are looked up only to write
+    a trace record or the recovered :class:`Family`.
+    """
+
+    def __init__(self, fam: AdFamily, cfg: DetectionConfig, trace: SearchTrace | None):
+        if len(fam) == 0:
+            raise EmptyFamily("cannot search an empty ad family")
+        self.rows, self.mask, self.ids = fam._rows, fam._mask, fam._ids
+        self.cfg = cfg
         self.trace = trace
         self.used = 0
+        self.memo: dict[tuple[int, ...], bool | None] = {}
+        self.found: list[tuple[int, ...]] = []
 
     def charge(self) -> None:
+        """Count one witness search; past the budget, raise
+        :class:`BudgetExceeded` with the members found so far."""
         self.used += 1
         if self.trace is not None:
             self.trace.tests_used = self.used
-        if self.limit is not None and self.used > self.limit:
+        limit = self.cfg.test_budget
+        if limit is not None and self.used > limit:
             raise BudgetExceeded(
-                f"test budget {self.limit} exhausted", tests_used=self.used
+                f"test budget {limit} exhausted", partial=self.result(), tests_used=self.used
             )
 
+    def log(self, kind: str, c: tuple[int, ...] | None, outcome) -> None:
+        if self.trace is not None:
+            self.trace.log(kind, None if c is None else [self.ids[k] for k in c], outcome)
 
-class _Tester:
-    """Memoized containment tests against one fixed family."""
+    def result(self) -> Family:
+        """The minimal members found, as a family of input ids."""
+        kept: list[tuple[int, ...]] = []
+        for c in sorted(set(self.found), key=lambda c: (len(c), c)):
+            if not any(set(k).issubset(c) for k in kept):
+                kept.append(c)
+        return Family([self.ids[k] for k in c] for c in kept)
 
-    def __init__(self, fam: AdFamily, cfg: DetectionConfig, budget: _Budget):
-        self.fam = fam
-        self.cfg = cfg
-        self.budget = budget
-        self._memo: dict[tuple[int, ...], bool | None] = {}
+    def conditional(self, mask: np.ndarray, c: tuple[int, ...]) -> tuple[np.ndarray, int]:
+        """Member mask and size of the members of ``mask`` holding all of ``c``."""
+        for k in c:
+            mask = mask & self.rows[k]
+        return mask, _size(mask)
 
-    def __call__(self, c: Combination) -> Step[bool | None]:
-        """Search step: the containment test of ``c``."""
-        key = c.inputs
-        if key in self._memo:
-            return self._memo[key]
-        self.budget.charge()
-        res = yield from _contains(c, self.fam, self.cfg)
-        self._memo[key] = res
-        if self.budget.trace is not None:
-            self.budget.trace.log("contains", c, res)
+    def detect(self, mask: np.ndarray, known: bool | None = None) -> Step[bool]:
+        """The charged detection test on the members of ``mask``; ``known``
+        is its answer when the caller has already asked the same query."""
+        self.charge()
+        res = known if known is not None else (yield from _detect(self.rows, mask, self.cfg))
+        self.log("detect", None, res)
         return res
 
+    def contains(self, c: tuple[int, ...]) -> Step[bool | None]:
+        """The memoized, charged containment test of ``c`` against the
+        whole family."""
+        if c in self.memo:
+            return self.memo[c]
+        self.charge()
+        cond, support = self.conditional(self.mask, c)
+        res = None
+        if support >= self.cfg.min_members:
+            res = (yield _block(self.rows, cond, c, self.cfg.x, support))[0] is None
+        self.memo[c] = res
+        self.log("contains", c, res)
+        return res
 
-def _detect_charged(
-    fam: AdFamily, cfg: DetectionConfig, budget: _Budget, known: bool | None = None
-) -> Step[bool]:
-    """The charged detection test; ``known`` is its answer when the
-    caller has already asked the same query."""
-    budget.charge()
-    res = known if known is not None else (yield from _detect(fam, cfg))
-    if budget.trace is not None:
-        budget.trace.log("detect", None, res)
-    return res
+    def steer(self, mask: np.ndarray, c: tuple[int, ...]) -> Step[list[int] | None]:
+        """Witness rows of the conditional at ``c`` of the members of
+        ``mask``, ordered by the number of members each one hits
+        (descending, then ascending row).  None, and no charge, when no
+        member there holds an input outside ``c``."""
+        cond, support = self.conditional(mask, c)
+        live = self.rows & cond
+        live[list(c)] = 0
+        if not live.any():
+            return None
+        self.charge()
+        [idx] = yield _block(self.rows, cond, c, self.cfg.x, support)
+        self.log("steer", None, None if idx is None else [self.ids[k] for k in idx.tolist()])
+        if idx is None:
+            return None
+        hits = popcount_u64(live[idx]).sum(axis=1)
+        return [k for _, k in sorted(zip((-hits).tolist(), idx.tolist()))]
 
 
-def _prune_to_antichain(found: Iterable[Combination]) -> Family:
-    members = sorted(set(found), key=lambda c: (c.order, c.inputs))
-    kept: list[Combination] = []
-    for c in members:
-        if not any(k.issubset(c) for k in kept):
-            kept.append(c)
-    return Family(kept)
+def _contains_block(s: _Search, cands: list[tuple[int, ...]]) -> Step[list[bool | None]]:
+    """Containment tests of the same-order candidates ``cands``, asked as
+    one block: each conditional mask is the family's mask AND the
+    candidate's rows, which the query reads as cleared.  Candidates below
+    ``min_members`` support answer None without a query.  Not charged."""
+    if not cands:
+        return []
+    masks = np.bitwise_and.reduce(s.rows[np.array(cands)], axis=1) & s.mask
+    support = popcount_u64(masks).sum(axis=1)
+    asked = np.flatnonzero(support >= s.cfg.min_members).tolist()
+    out: list[bool | None] = [None] * len(cands)
+    if asked:
+        thresholds = [intersect_threshold(s.cfg.x, n) for n in support[asked].tolist()]
+        witnesses = yield s.rows, masks[asked], [cands[k] for k in asked], thresholds
+        for k, w in zip(asked, witnesses):
+            out[k] = w is None
+    return out
 
 
 def agglomerative_core_search(
@@ -538,113 +546,84 @@ def _agglomerative(
     """
     if cfg.r_max is None:
         raise ConfigError("agglomerative search needs r_max")
-    if len(fam) == 0:
-        raise EmptyFamily("cannot search an empty ad family")
-    budget = _Budget(cfg, trace)
-    found: list[Combination] = []
-    try:
-        if not (yield from _detect_charged(fam, cfg, budget, detected)):
-            return Family([])
-        universe = fam.all_inputs()
-        per_block = max(1, _BLOCK_BYTES // fam._rows.nbytes)
-        level = [(i,) for i in universe]
-        while level:
-            level = [c for c in level if not any(f.issubset(c) for f in found)]
-            nxt: dict[tuple[int, ...], None] = {}
-            for start in range(0, len(level), per_block):
-                block = level[start : start + per_block]
-                room = len(block) if budget.limit is None else budget.limit - budget.used
-                answers = yield from _contains_block(fam, block[:room], cfg)
-                for k, c in enumerate(block):
-                    budget.charge()
-                    res = answers[k]
-                    if trace is not None:
-                        trace.log("contains", c, res)
-                    if res is True:
-                        found.append(Combination(c))
-                        if len(found) >= cfg.l_max:
-                            return _prune_to_antichain(found)
-                    elif len(c) < cfg.r_max:
-                        for i in universe:
-                            if i not in c:
-                                nxt.setdefault(tuple(sorted(c + (i,))))
-            level = list(nxt)
-    except BudgetExceeded as e:
-        raise BudgetExceeded(
-            str(e), partial=_prune_to_antichain(found), tests_used=e.tests_used
-        ) from None
-    return _prune_to_antichain(found)
+    s = _Search(fam, cfg, trace)
+    if not (yield from s.detect(s.mask, detected)):
+        return Family([])
+    universe = _held(s.rows, s.mask)
+    per_block = max(1, _BLOCK_BYTES // s.rows.nbytes)
+    level = [(k,) for k in universe]
+    while level:
+        level = [c for c in level if not any(set(f).issubset(c) for f in s.found)]
+        nxt: dict[tuple[int, ...], None] = {}
+        for start in range(0, len(level), per_block):
+            block = level[start : start + per_block]
+            room = len(block) if cfg.test_budget is None else cfg.test_budget - s.used
+            answers = yield from _contains_block(s, block[:room])
+            for k, c in enumerate(block):
+                s.charge()
+                s.log("contains", c, answers[k])
+                if answers[k] is True:
+                    s.found.append(c)
+                    if len(s.found) >= cfg.l_max:
+                        return s.result()
+                elif len(c) < cfg.r_max:
+                    for i in universe:
+                        if i not in c:
+                            nxt.setdefault(tuple(sorted(c + (i,))))
+        level = list(nxt)
+    return s.result()
 
 
-def _steering_inputs(
-    cond: AdFamily, cfg: DetectionConfig, budget: _Budget
-) -> Step[list[int] | None]:
-    """Witness inputs of a steering family's conditional, ordered by the
-    number of members each one hits (descending, then ascending id)."""
-    if len(cond) == 0 or not cond._masked().any():
-        return None
-    budget.charge()
-    [idx] = yield _query(cond, cfg.x)
-    found = None if idx is None else [cond._ids[k] for k in idx.tolist()]
-    if budget.trace is not None:
-        budget.trace.log("steer", None, found)
-    if found is None:
-        return None
-    hits = popcount_u64(cond._rows[idx] & cond._mask).sum(axis=1)
-    return [i for _, i in sorted(zip((-hits).tolist(), found))]
-
-
-def _grow(
-    steer_fam: AdFamily, test: _Tester, cfg: DetectionConfig, budget: _Budget
-) -> Step[Combination | None]:
+def _grow(s: _Search, steer: np.ndarray) -> Step[tuple[int, ...] | None]:
     """Depth-first walk from ∅ toward a combination passing the test.
 
     Extension candidates come from the witness of the steering family's
     conditional at the current combination — under targeting those
     inputs are core inputs with high probability — tried highest
-    coverage first.  The containment test itself always runs against the
-    tester's full family, where account support is maximal.
+    coverage first.  The steering family is the members of ``steer``;
+    the containment test itself always runs against the whole family,
+    where account support is maximal.
     """
-    max_depth = cfg.r_max if cfg.r_max is not None else len(steer_fam.all_inputs())
+    max_depth = s.cfg.r_max if s.cfg.r_max is not None else len(_held(s.rows, steer))
     seen: set[tuple[int, ...]] = set()
 
-    def walk(c: Combination, depth: int) -> Step[Combination | None]:
-        if c.inputs in seen:
+    def walk(c: tuple[int, ...], depth: int) -> Step[tuple[int, ...] | None]:
+        if c in seen:
             return None
-        seen.add(c.inputs)
-        if (yield from test(c)) is True:
+        seen.add(c)
+        if (yield from s.contains(c)) is True:
             return c
         if depth >= max_depth:
             return None
-        inputs = yield from _steering_inputs(conditional_family(steer_fam, c), cfg, budget)
-        if inputs is None:
+        rows = yield from s.steer(steer, c)
+        if rows is None:
             return None
-        for i in inputs:
-            hit = yield from walk(c.union((i,)), depth + 1)
+        for k in rows:
+            hit = yield from walk(tuple(sorted(c + (k,))), depth + 1)
             if hit is not None:
                 return hit
         return None
 
-    return (yield from walk(EMPTY_COMBINATION, 0))
+    return (yield from walk((), 0))
 
 
-def _whittle(start: Combination, test: _Tester) -> Step[Combination]:
-    """One removal pass, ascending input id: keep any removal that
-    leaves the containment test positive.  The survivors form a minimal
-    positive combination."""
+def _whittle(s: _Search, start: tuple[int, ...]) -> Step[tuple[int, ...]]:
+    """One removal pass, ascending row: keep any removal that leaves the
+    containment test positive.  The survivors form a minimal positive
+    combination."""
     current = start
-    for i in start.inputs:
-        trial = current.difference((i,))
-        if (yield from test(trial)) is True:
+    for k in start:
+        trial = tuple(r for r in current if r != k)
+        if (yield from s.contains(trial)) is True:
             current = trial
     return current
 
 
-def _exclusion_sets(found: list[Combination]) -> list[frozenset[int]]:
+def _exclusion_sets(found: list[tuple[int, ...]]) -> list[frozenset[int]]:
     """All ways of excluding one input from every found member (≤ r^l)."""
     out: list[frozenset[int]] = []
     seen: set[frozenset[int]] = set()
-    for choice in product(*(f.inputs for f in found)):
+    for choice in product(*found):
         ex = frozenset(choice)
         if ex not in seen:
             seen.add(ex)
@@ -676,50 +655,38 @@ def _removal(
 ) -> Step[Family]:
     """Search steps of :func:`removal_core_search`; ``detected`` is the
     root detection answer when the caller already has it."""
-    if len(fam) == 0:
-        raise EmptyFamily("cannot search an empty ad family")
-    budget = _Budget(cfg, trace)
-    found: list[Combination] = []
-    try:
-        if not (yield from _detect_charged(fam, cfg, budget, detected)):
-            return Family([])
-        test = _Tester(fam, cfg, budget)
-        first = yield from _grow(fam, test, cfg, budget)
-        if first is None:
-            if trace is not None:
-                trace.log("grow_exhausted", None, None)
-            return Family([])
-        found.append((yield from _whittle(first, test)))
+    s = _Search(fam, cfg, trace)
+    if not (yield from s.detect(s.mask, detected)):
+        return Family([])
+    first = yield from _grow(s, s.mask)
+    if first is None:
+        s.log("grow_exhausted", None, None)
+        return Family([])
+    s.found.append((yield from _whittle(s, first)))
 
-        exhausted: set[frozenset[int]] = set()
-        progress = True
-        while progress and len(found) < cfg.l_max:
-            progress = False
-            for ex in _exclusion_sets(found):
-                if ex in exhausted:
-                    continue
-                sub = _exclusion_family(fam, ex)
-                if len(sub) < cfg.min_members or not (
-                    yield from _detect_charged(sub, cfg, budget)
-                ):
-                    exhausted.add(ex)
-                    continue
-                grown = yield from _grow(sub, test, cfg, budget)
-                if grown is None:
-                    exhausted.add(ex)
-                    continue
-                member = yield from _whittle(grown, test)
-                if member in found:
-                    exhausted.add(ex)
-                    continue
-                found.append(member)
-                progress = True
-                break
-    except BudgetExceeded as e:
-        raise BudgetExceeded(
-            str(e), partial=_prune_to_antichain(found), tests_used=e.tests_used
-        ) from None
-    return _prune_to_antichain(found)
+    exhausted: set[frozenset[int]] = set()
+    progress = True
+    while progress and len(s.found) < cfg.l_max:
+        progress = False
+        for ex in _exclusion_sets(s.found):
+            if ex in exhausted:
+                continue
+            sub = s.mask & ~np.bitwise_or.reduce(s.rows[list(ex)], axis=0)
+            if _size(sub) < cfg.min_members or not (yield from s.detect(sub)):
+                exhausted.add(ex)
+                continue
+            grown = yield from _grow(s, sub)
+            if grown is None:
+                exhausted.add(ex)
+                continue
+            member = yield from _whittle(s, grown)
+            if member in s.found:
+                exhausted.add(ex)
+                continue
+            s.found.append(member)
+            progress = True
+            break
+    return s.result()
 
 
 _SEARCHES = {"removal": _removal, "agglomerative": _agglomerative}
@@ -798,7 +765,7 @@ def _predict(
     the recovery search as its first, charged test."""
     if len(fam) < cfg.min_members:
         return UNKNOWN, None, "below_min_members"
-    if not (yield from _detect(fam, cfg)):
+    if not (yield from _detect(fam._rows, fam._mask, cfg)):
         return UNTARGETED, None, None
     try:
         members = yield from _SEARCHES[method](fam, cfg, trace, detected=True)

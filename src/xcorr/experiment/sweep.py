@@ -1,10 +1,11 @@
 """Account-budget sweeps: where does recall stop improving?
 
 The *knee* for a universe of N inputs is the smallest account count m at
-which pooled recall reaches 95% of its plateau, the plateau being recall
-measured at a deliberately oversized budget (``plateau_factor`` times the
-largest probed m).  Because recall is monotone in m in expectation, the
-knee is found by integer binary search over [2, m_hi] rather than a grid.
+which pooled recall reaches :data:`KNEE_FRACTION` of its plateau, the
+plateau being recall measured at a deliberately oversized budget
+(:data:`PLATEAU_FACTOR` times the largest probed m).  Because recall is
+monotone in m in expectation, the knee is found by integer binary search
+over [2, m_hi] rather than a grid.
 
 :func:`scaling_sweep` repeats knee detection across universe sizes and
 fits knee(N) = a*ln(N) + b, reporting the fit quality; a good fit backs
@@ -25,6 +26,13 @@ from ..errors import ConfigError, PlateauNotFound
 from .config import ScenarioConfig
 from .runner import run_scenario
 from .store import canonical_json
+
+#: The plateau is measured at this multiple of the search range's top.
+PLATEAU_FACTOR = 4
+#: The knee is where recall first reaches this fraction of the plateau.
+KNEE_FRACTION = 0.95
+#: A plateau below this recall has no knee to find.
+MIN_PLATEAU = 0.5
 
 
 def _derived_seed(seed: int, n_inputs: int, m: int) -> int:
@@ -79,25 +87,18 @@ def detect_knee(
     algo: str = "bayes",
     m_hi: int | None = None,
     trials: int | None = None,
-    plateau_factor: int = 4,
-    fraction: float = 0.95,
-    min_plateau: float = 0.5,
     strict: bool = False,
 ) -> KneeResult:
-    """Find the smallest account budget reaching ``fraction`` of plateau
-    recall.
+    """Find the smallest account budget reaching :data:`KNEE_FRACTION` of
+    plateau recall.
 
     ``m_hi`` bounds the initial search range (default: three times the
     logarithmic sizing rule); the plateau is measured at
-    ``plateau_factor * m_hi``.  If even the plateau stays below
-    ``min_plateau``, there is no knee to find: the result carries the
+    ``PLATEAU_FACTOR * m_hi``.  If even the plateau stays below
+    :data:`MIN_PLATEAU`, there is no knee to find: the result carries the
     ``plateau_not_found`` flag, or raises :class:`PlateauNotFound` when
     ``strict``.
     """
-    if not 0.0 < fraction <= 1.0:
-        raise ConfigError(f"fraction: must lie in (0,1], got {fraction}")
-    if plateau_factor < 2:
-        raise ConfigError(f"plateau_factor: must be >= 2, got {plateau_factor}")
     n = cfg.n_inputs
     if m_hi is None:
         m_hi = max(16, math.ceil(3 * cfg.account_constant * math.log(max(n, 2))))
@@ -115,12 +116,12 @@ def detect_knee(
             probes.append((m, cache[m]))
         return cache[m]
 
-    plateau = recall_at(plateau_factor * m_hi)
-    if plateau < min_plateau:
+    plateau = recall_at(PLATEAU_FACTOR * m_hi)
+    if plateau < MIN_PLATEAU:
         if strict:
             raise PlateauNotFound(
-                f"recall plateaus at {plateau:.3f} < {min_plateau} for N={n} "
-                f"(algo={algo}, m up to {plateau_factor * m_hi})"
+                f"recall plateaus at {plateau:.3f} < {MIN_PLATEAU} for N={n} "
+                f"(algo={algo}, m up to {PLATEAU_FACTOR * m_hi})"
             )
         return KneeResult(
             n_inputs=n,
@@ -130,12 +131,12 @@ def detect_knee(
             probes=tuple(probes),
             flags=("plateau_not_found",),
         )
-    target = fraction * plateau
+    target = KNEE_FRACTION * plateau
     lo, hi = 2, m_hi
     if recall_at(m_hi) < target:
         # the knee sits beyond the nominal range; the plateau point itself
         # satisfies the target, so widen to it
-        lo, hi = m_hi + 1, plateau_factor * m_hi
+        lo, hi = m_hi + 1, PLATEAU_FACTOR * m_hi
     while lo < hi:
         mid = (lo + hi) // 2
         if recall_at(mid) >= target:
@@ -192,9 +193,6 @@ def scaling_sweep(
     algo: str = "bayes",
     m_hi: int | None = None,
     trials: int | None = None,
-    plateau_factor: int = 4,
-    fraction: float = 0.95,
-    min_plateau: float = 0.5,
 ) -> SweepResult:
     """Detect the knee for each universe size and fit knee(N) to ln(N).
 
@@ -207,20 +205,10 @@ def scaling_sweep(
         raise ConfigError("n_values: must name at least one universe size")
     if ns != sorted(set(ns)):
         raise ConfigError(f"n_values: must be strictly ascending, got {ns}")
-    rows = []
-    for n in ns:
-        sub = dataclasses.replace(cfg, n_inputs=n)
-        rows.append(
-            detect_knee(
-                sub,
-                algo=algo,
-                m_hi=m_hi,
-                trials=trials,
-                plateau_factor=plateau_factor,
-                fraction=fraction,
-                min_plateau=min_plateau,
-            )
-        )
+    rows = [
+        detect_knee(dataclasses.replace(cfg, n_inputs=n), algo=algo, m_hi=m_hi, trials=trials)
+        for n in ns
+    ]
 
     flags: list[str] = []
     if any(r.flags for r in rows):

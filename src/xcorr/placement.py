@@ -26,7 +26,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core_model import Combination
 from .errors import ConfigError, DomainError, OverlapError, parse_artifact, require_count
 
 #: Identifier recorded in report metadata so a report names the exact RNG
@@ -235,14 +234,6 @@ class PlacementMatrix:
     @property
     def n_inputs(self) -> int:
         return self.membership.shape[1]
-
-    def account_inputs(self, account_id: int) -> Combination:
-        """The input set of one account, as a Combination."""
-        return Combination(int(i) for i in np.nonzero(self.membership[account_id])[0])
-
-    def input_accounts(self, input_id: int) -> frozenset[int]:
-        """A_i: the accounts holding input i."""
-        return frozenset(int(j) for j in np.nonzero(self.membership[:, input_id])[0])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PlacementMatrix) and bool(

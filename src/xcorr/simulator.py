@@ -228,26 +228,13 @@ class SimulationTrace:
     active accounts into genuinely in-target vs noise.
 
     ``seen`` and ``in_target_mask`` are K x m matrices, rows in ascending
-    output id (``output_ids``); the per-output splits are read off them."""
+    output id (``output_ids``): an output's in-target accounts are its row
+    of ``seen & in_target_mask``."""
 
     specs: dict[int, TargetingSpec]
     output_ids: tuple[int, ...]
     seen: np.ndarray
     in_target_mask: np.ndarray
-
-    @property
-    def in_target(self) -> dict[int, frozenset[int]]:
-        return self._split(self.seen & self.in_target_mask)
-
-    @property
-    def out_of_target(self) -> dict[int, frozenset[int]]:
-        return self._split(self.seen & ~self.in_target_mask)
-
-    def _split(self, accounts: np.ndarray) -> dict[int, frozenset[int]]:
-        return {
-            oid: frozenset(np.flatnonzero(row).tolist())
-            for oid, row in zip(self.output_ids, accounts)
-        }
 
     def true_family(self, output_id: int) -> Family | None:
         spec = self.specs[output_id]

@@ -18,7 +18,11 @@ The agglomerative oracle is the breadth-first core-family walk as it
 was before a level's containment tests were answered together: one
 queue, one :func:`~xcorr.core_family_search.contains_core_test` call,
 hence one witness query, per candidate.  It shares the library's
-containment test and nothing of its level walk.
+containment test and nothing of its level walk.  The removal oracle is
+the grow, whittle and exclusion-restart walk on member lists: every
+conditional, exclusion and steering family is rebuilt member by member
+as an ``AdFamily`` and asked through the public detection, containment
+and witness calls, where the library walks row tuples over member masks.
 
 The scoring oracles stand in for the batched Bayes scorer: likelihoods
 from set sizes and plain sums, posteriors hypothesis by hypothesis with
@@ -33,6 +37,10 @@ The input-matching oracle stands in for the count-matrix clustering:
 sparse per-input signatures, one Python distance per input pair summed
 term by term over the outputs both signatures touch, and a dict
 union-find over the close pairs.
+
+The set views at the end (an account's inputs, an input's accounts, the
+in-target split of a simulation trace) read placements and traces as
+Python sets for the tests; the library itself works on the matrices.
 """
 
 from __future__ import annotations
@@ -41,11 +49,16 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations as itercombos
-from itertools import islice
+from itertools import islice, product
 
 import numpy as np
 
-from xcorr.core_family_search import contains_core_test, detect_targeting
+from xcorr.core_family_search import (
+    AdFamily,
+    contains_core_test,
+    detect_targeting,
+    find_x_intersecting_subset,
+)
 from xcorr.core_model import Combination, Family
 from xcorr.errors import BudgetExceeded, ConfigError, DomainError, EmptyFamily
 
@@ -242,6 +255,15 @@ def exclusion_members(members, ex) -> list:
     return [m for m in members if set(ex).isdisjoint(m.inputs)]
 
 
+def _antichain(found) -> Family:
+    """The minimal members of ``found``."""
+    kept = []
+    for c in sorted(set(found), key=lambda c: (c.order, c.inputs)):
+        if not any(k.issubset(c) for k in kept):
+            kept.append(c)
+    return Family(kept)
+
+
 def agglomerative_oracle(fam, cfg, trace=None):
     """The agglomerative core-family search, candidate by candidate.
 
@@ -260,13 +282,6 @@ def agglomerative_oracle(fam, cfg, trace=None):
     found = []
     used = 0
 
-    def antichain():
-        kept = []
-        for c in sorted(set(found), key=lambda c: (c.order, c.inputs)):
-            if not any(k.issubset(c) for k in kept):
-                kept.append(c)
-        return Family(kept)
-
     def charge():
         nonlocal used
         used += 1
@@ -274,7 +289,8 @@ def agglomerative_oracle(fam, cfg, trace=None):
             trace.tests_used = used
         if cfg.test_budget is not None and used > cfg.test_budget:
             raise BudgetExceeded(
-                f"test budget {cfg.test_budget} exhausted", partial=antichain(), tests_used=used
+                f"test budget {cfg.test_budget} exhausted", partial=_antichain(found),
+                tests_used=used,
             )
 
     charge()
@@ -305,7 +321,126 @@ def agglomerative_oracle(fam, cfg, trace=None):
                 if ext.inputs not in visited:
                     visited.add(ext.inputs)
                     queue.append(ext)
-    return antichain()
+    return _antichain(found)
+
+
+def removal_oracle(fam, cfg, trace=None):
+    """The removal core-family search on member lists.
+
+    Same contract as :func:`~xcorr.core_family_search.removal_core_search`:
+    the charged root detection; a depth-first grow from the empty
+    combination in which every visited combination gets a memoized,
+    charged containment test against the whole family and, when negative,
+    is extended by the inputs of a charged witness of the steering
+    members' conditional at it (most members hit first, then ascending
+    id; skipped uncharged when those members hold no input); one removal
+    pass in ascending id; then restarts behind every way of excluding one
+    input from each found member, each screened by a charged detection
+    on the members disjoint from it, until ``l_max`` members are found or
+    no restart finds a new one.  A spent ``test_budget`` raises
+    ``BudgetExceeded`` with the members found so far.
+    """
+    if len(fam) == 0:
+        raise EmptyFamily("cannot search an empty ad family")
+    members = list(fam.members)
+    whole = AdFamily(members)
+    found, memo = [], {}
+    used = 0
+
+    def charge():
+        nonlocal used
+        used += 1
+        if trace is not None:
+            trace.tests_used = used
+        if cfg.test_budget is not None and used > cfg.test_budget:
+            raise BudgetExceeded(
+                f"test budget {cfg.test_budget} exhausted", partial=_antichain(found),
+                tests_used=used,
+            )
+
+    def log(kind, combo, outcome):
+        if trace is not None:
+            trace.log(kind, combo, outcome)
+
+    def detect(sub):
+        charge()
+        res = detect_targeting(AdFamily(sub), cfg)
+        log("detect", None, res)
+        return res
+
+    def test(c):
+        if c.inputs not in memo:
+            charge()
+            memo[c.inputs] = contains_core_test(c, whole, cfg)
+            log("contains", c, memo[c.inputs])
+        return memo[c.inputs]
+
+    def steer(sub, c):
+        cond = conditional_members(sub, c)
+        if not any(m.inputs for m in cond):
+            return []
+        charge()
+        witness = find_x_intersecting_subset(AdFamily(cond), cfg.x, cfg.l_max)
+        log("steer", None, None if witness is None else list(witness.inputs))
+        if witness is None:
+            return []
+        return sorted(witness.inputs, key=lambda i: (-sum(i in m for m in cond), i))
+
+    def grow(sub):
+        depth_cap = cfg.r_max if cfg.r_max is not None else len({i for m in sub for i in m})
+        seen = set()
+
+        def walk(c, depth):
+            if c.inputs in seen:
+                return None
+            seen.add(c.inputs)
+            if test(c) is True:
+                return c
+            if depth >= depth_cap:
+                return None
+            for i in steer(sub, c):
+                hit = walk(c.union((i,)), depth + 1)
+                if hit is not None:
+                    return hit
+            return None
+
+        return walk(Combination(), 0)
+
+    def whittle(start):
+        current = start
+        for i in start.inputs:
+            trial = current.difference((i,))
+            if test(trial) is True:
+                current = trial
+        return current
+
+    if not detect(members):
+        return Family([])
+    first = grow(members)
+    if first is None:
+        log("grow_exhausted", None, None)
+        return Family([])
+    found.append(whittle(first))
+    exhausted = set()
+    progress = True
+    while progress and len(found) < cfg.l_max:
+        progress = False
+        for ex in dict.fromkeys(frozenset(p) for p in product(*(f.inputs for f in found))):
+            if ex in exhausted:
+                continue
+            sub = exclusion_members(members, ex)
+            if len(sub) < cfg.min_members or not detect(sub):
+                exhausted.add(ex)
+                continue
+            grown = grow(sub)
+            member = None if grown is None else whittle(grown)
+            if member is None or member in found:
+                exhausted.add(ex)
+                continue
+            found.append(member)
+            progress = True
+            break
+    return _antichain(found)
 
 
 # ------------------------------------------------------------ scoring
@@ -565,3 +700,33 @@ def cluster_inputs_oracle(signatures, distance_threshold, raw=False):
     for i in ids:
         groups.setdefault(find(i), []).append(i)
     return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+
+
+# ------------------------------------------------------------ set views
+
+
+def account_inputs(placement, account_id) -> Combination:
+    """The input set of one account, as a Combination."""
+    return Combination(np.flatnonzero(placement.membership[account_id]).tolist())
+
+
+def input_accounts(placement, input_id) -> frozenset:
+    """A_i: the accounts holding input i."""
+    return frozenset(np.flatnonzero(placement.membership[:, input_id]).tolist())
+
+
+def _split(trace, accounts) -> dict:
+    return {
+        oid: frozenset(np.flatnonzero(row).tolist())
+        for oid, row in zip(trace.output_ids, accounts)
+    }
+
+
+def in_target(trace) -> dict:
+    """Output id -> the active accounts inside the output's target."""
+    return _split(trace, trace.seen & trace.in_target_mask)
+
+
+def out_of_target(trace) -> dict:
+    """Output id -> the active accounts outside the output's target."""
+    return _split(trace, trace.seen & ~trace.in_target_mask)

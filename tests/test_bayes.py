@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import bayes_oracle, composite_score, learn_oracle
+from oracles import bayes_oracle, composite_score, input_accounts, learn_oracle
 from xcorr.bayes import (
     DEFAULT_INIT,
     ModelParams,
@@ -140,7 +140,7 @@ def test_posterior_normalization_large_n():
 def test_prior_scaling_leaves_verdict_unchanged():
     cfg = PlacementConfig(n_inputs=6, n_accounts=30, alpha=0.5, seed=1)
     pm = bernoulli_placement(cfg)
-    a_k = pm.input_accounts(2)
+    a_k = input_accounts(pm, 2)
     base = (1.0,) * 7
     scaled = tuple(7.0 for _ in range(7))
     p1 = bayes_predict(
@@ -160,7 +160,7 @@ def test_prior_scaling_leaves_verdict_unchanged():
 def test_self_targeted_fixture_high_posterior():
     cfg = PlacementConfig(n_inputs=12, n_accounts=19, alpha=0.5, seed=7)
     pm = bernoulli_placement(cfg)
-    a_k = pm.input_accounts(3)
+    a_k = input_accounts(pm, 3)
     pred = bayes_predict(active_accounts=a_k, placement=pm, params=DEFAULT_INIT)
     assert pred.verdict is Verdict.TARGETED
     assert pred.target == Combination([3])
@@ -220,7 +220,7 @@ def test_composite_score_values():
 def test_composite_agreeing_channels():
     cfg = PlacementConfig(n_inputs=5, n_accounts=25, alpha=0.5, seed=9)
     pm = bernoulli_placement(cfg)
-    a_k = pm.input_accounts(1)
+    a_k = input_accounts(pm, 1)
     x = np.array([0, 40, 1, 0, 0])
     pred = bayes_predict(
         active_accounts=a_k,

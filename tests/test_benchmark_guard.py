@@ -1,9 +1,14 @@
 """The benchmark harness names xcorr functions as strings and times its
 ops through module attributes; a rename or an inlined call in ``src/``
-must fail here, not silently break ``perfbench/run.py``."""
+must fail here, not silently break ``perfbench/run.py``.  The first unit
+of every workload also runs here, so a break in what the workloads call
+fails here rather than as a failed benchmark run."""
 
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 from xcorr import _kernels
 from xcorr.experiment import ScenarioConfig, runner
@@ -47,3 +52,26 @@ def test_run_scenario_calls_run_trial_once_per_trial(monkeypatch):
     report = runner.run_scenario(cfg)
     assert len(calls) == cfg.trials
     assert report.algorithms["bayes"]["pooled"]["n_outputs"] == 3 * cfg.trials
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+@pytest.mark.parametrize("name", ["scenario_mix", "knee_sweep", "core_search", "matched_store"])
+def test_workload_first_unit_gives_its_recorded_outcome(name, tmp_path):
+    # unit 0 of each workload at the recorded seed, checked as the
+    # benchmark checks it: the recorded outcome and no problems
+    workloads = _load_workloads()
+    rec = _load_tracer().Recorder()
+    wl = workloads.WORKLOADS[name](13, rec, tmp_path)
+    result = wl.run(0)
+    expected = json.loads((PERFBENCH / "expected.json").read_text())[name][0]
+    assert json.loads(json.dumps(wl.outcome(0, result))) == expected
+    assert wl.problems(0, result, len(rec.latencies_ns)) == []
+    assert len(rec.latencies_ns) >= 1

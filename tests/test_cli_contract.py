@@ -152,3 +152,21 @@ def test_detect_contract(algo, placement, observations):
         pm_path.write_text(json.dumps(placement))
         obs_path.write_text(json.dumps(observations))
         _check(["detect", "--algo", algo, "--placement", str(pm_path), "--obs", str(obs_path)])
+
+
+def test_report_with_a_vanishing_witness_fraction_exits_0():
+    # x * n below the witness threshold's rounding slack once asked the
+    # kernel for a witness covering zero members, and report died with a
+    # traceback
+    config = {
+        **TINY, "n_inputs": 6, "n_accounts": 12, "algorithms": ["corefamily"],
+        "algo_config": {"corefamily": {"x": 1e-10}},
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["report", "--config", str(path)])
+    assert code == 0, err.getvalue()
+    assert json.loads(out.getvalue())["algorithms"]["corefamily"]["pooled"]["n_outputs"] == 3

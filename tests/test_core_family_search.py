@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    account_inputs,
     agglomerative_oracle,
     conditional_members,
-    exclusion_members,
+    removal_oracle,
     witness_enumerate,
 )
 from xcorr import core_family_search
@@ -22,8 +23,6 @@ from xcorr._kernels import find_witness, find_witness_batch, pack_bitsets, popco
 from xcorr.core_family_search import (
     AdFamily,
     _agglomerative,
-    _exclusion_family,
-    _family_bitsets,
     _removal,
     _run_lockstep,
     DetectionConfig,
@@ -123,7 +122,18 @@ def test_intersect_threshold_rounding():
     assert intersect_threshold(0.9, 10) == 9
     assert intersect_threshold(0.95, 19) == 19
     assert intersect_threshold(1.0, 7) == 7
-    assert intersect_threshold(0.3, 0) == 0
+    assert intersect_threshold(0.3, 0) == 1  # no member never reaches x > 0
+
+
+def test_intersect_threshold_is_at_least_one():
+    # x * n below the rounding slack must not ask the kernel for a
+    # witness covering zero members
+    assert intersect_threshold(1e-10, 12) == 1
+    assert intersect_threshold(1e-12, 1) == 1
+    assert intersect_threshold(1e-3, 1000) == 1
+    assert intersect_threshold(1e-3, 1001) == 2
+    fam = AdFamily([[1], [2], [3]])
+    assert find_x_intersecting_subset(fam, 1e-10, 1) == Combination([1])
 
 
 # lemma: an intersecting subset can be built from any explaining
@@ -507,24 +517,26 @@ def _random_members(rng, k, n):
 
 
 def _assert_view_matches(view, members):
-    """A family view behaves as the family rebuilt from ``members``."""
+    """A derived family behaves as the family rebuilt from ``members``:
+    the same members, universe, and witness at every fraction."""
     rebuilt = AdFamily(members)
     assert len(view) == len(members)
     assert [m.inputs for m in view] == [m.inputs for m in members]
     assert view == rebuilt
-    assert view.all_inputs() == rebuilt.all_inputs()
-    bits, universe = _family_bitsets(view)
-    ref_bits, ref_universe = _family_bitsets(rebuilt)
-    assert universe == ref_universe == list(rebuilt.all_inputs())
-    assert popcount_u64(bits).sum(axis=1).tolist() == popcount_u64(ref_bits).sum(axis=1).tolist()
-    for thr in range(1, len(members) + 1, 7):
-        got, expect = find_witness(bits, thr, 2), find_witness(ref_bits, thr, 2)
-        assert (got is None and expect is None) or got.tolist() == expect.tolist()
+    assert view.all_inputs() == rebuilt.all_inputs() == tuple(
+        sorted({i for m in members for i in m})
+    )
+    if members:
+        for x in (0.05, 0.3, 0.5, 0.8, 1.0):
+            for l_max in (1, 2):
+                assert find_x_intersecting_subset(view, x, l_max) == (
+                    find_x_intersecting_subset(rebuilt, x, l_max)
+                )
 
 
 def test_family_views_match_definitions():
-    # conditional and exclusion views, nested, against the member-by-member
-    # definitions; 150 members span three bitset words
+    # conditional families and conditionals of conditionals against the
+    # member-by-member definitions; 150 members span three bitset words
     rng = np.random.default_rng(29)
     for _ in range(120):
         n = int(rng.integers(1, 9))
@@ -536,11 +548,6 @@ def test_family_views_match_definitions():
             cond = conditional_family(fam, c)
             cond_members = conditional_members(members, c)
             _assert_view_matches(cond, cond_members)
-            ex = frozenset(int(i) for i in rng.choice(n + 2, size=int(rng.integers(0, 3))))
-            _assert_view_matches(_exclusion_family(fam, ex), exclusion_members(members, ex))
-            _assert_view_matches(
-                _exclusion_family(cond, ex), exclusion_members(cond_members, ex)
-            )
             c2 = Combination(rng.choice(n + 2, size=int(rng.integers(0, 3)), replace=False))
             _assert_view_matches(
                 conditional_family(cond, c2), conditional_members(cond_members, c2)
@@ -553,19 +560,21 @@ def test_family_views_match_definitions():
     st.sets(st.integers(0, 7), max_size=2),
     st.sets(st.integers(0, 7), max_size=2),
 )
-def test_family_views_property(raw, c_ids, ex):
+def test_family_views_property(raw, c_ids, c2_ids):
     members = [Combination(m) for m in raw]
     fam = AdFamily(members)
-    c = Combination(c_ids)
-    _assert_view_matches(conditional_family(fam, c), conditional_members(members, c))
-    _assert_view_matches(_exclusion_family(fam, ex), exclusion_members(members, ex))
+    c, c2 = Combination(c_ids), Combination(c2_ids)
+    cond = conditional_family(fam, c)
+    cond_members = conditional_members(members, c)
+    _assert_view_matches(cond, cond_members)
+    _assert_view_matches(conditional_family(cond, c2), conditional_members(cond_members, c2))
 
 
 def test_from_placement_matches_member_constructor():
     pm = bernoulli_placement(PlacementConfig(n_inputs=10, n_accounts=150, alpha=0.4, seed=4))
     active = range(0, 150, 2)
     fam = AdFamily.from_placement(active, pm)
-    members = [pm.account_inputs(j) for j in active]
+    members = [account_inputs(pm, j) for j in active]
     _assert_view_matches(fam, members)
     _assert_view_matches(conditional_family(fam, [3]), conditional_members(members, Combination([3])))
     assert len(AdFamily.from_placement([], pm)) == 0
@@ -810,6 +819,47 @@ def test_agglomerative_levels_match_the_candidate_by_candidate_oracle(
         )
     batched = core_family_verdicts(actives, pm, cfg, method="agglomerative").predictions()
     single = [predict_core_family(a, pm, cfg, method="agglomerative") for a in actives]
+    assert [p.to_dict() for p in batched] == [p.to_dict() for p in single]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 12),
+    m=st.integers(10, 160),
+    l_max=st.integers(1, 3),
+    r_max=st.one_of(st.none(), st.integers(1, 3)),
+    min_members=st.integers(1, 6),
+    x=st.sampled_from([0.6, 0.8, 0.9, 0.99]),
+    strip=st.booleans(),
+)
+def test_removal_walk_matches_the_member_list_oracle(
+    seed, n, m, l_max, r_max, min_members, x, strip
+):
+    # the row-tuple walk against the walk on member lists: same family,
+    # trace and tests, and the same partial result when the budget runs
+    # out, with the budget cut after every test of the unbudgeted walk
+    pm, actives = _trial_actives(seed, n, m, 4)
+    cfg = DetectionConfig(x=x, l_max=l_max, r_max=r_max, min_members=min_members)
+    for active in actives:
+        if not active:
+            continue
+        fam = AdFamily.from_placement(active, pm)
+        if strip and fam.all_inputs():
+            fam = conditional_family(fam, fam.all_inputs()[:1])
+            if len(fam) == 0:
+                continue
+        full = _search_outcome(removal_oracle, fam, cfg)
+        assert _search_outcome(removal_core_search, fam, cfg) == full
+        for budget in range(1, full[4] + 1):
+            budgeted = DetectionConfig(
+                x=x, l_max=l_max, r_max=r_max, min_members=min_members, test_budget=budget
+            )
+            assert _search_outcome(removal_core_search, fam, budgeted) == _search_outcome(
+                removal_oracle, fam, budgeted
+            )
+    batched = core_family_verdicts(actives, pm, cfg, method="removal").predictions()
+    single = [predict_core_family(a, pm, cfg, method="removal") for a in actives]
     assert [p.to_dict() for p in batched] == [p.to_dict() for p in single]
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import account_inputs, input_accounts
 from xcorr.core_model import Combination
 from xcorr.errors import DomainError, OverlapError
 from xcorr.placement import (
@@ -66,13 +67,13 @@ def test_views_are_transposes():
     cfg = PlacementConfig(n_inputs=30, n_accounts=20, alpha=0.4, seed=5)
     pm = bernoulli_placement(cfg)
     for j in range(pm.n_accounts):
-        inputs = pm.account_inputs(j)
+        inputs = account_inputs(pm, j)
         assert isinstance(inputs, Combination)
         for i in inputs:
-            assert j in pm.input_accounts(i)
+            assert j in input_accounts(pm, i)
     for i in range(pm.n_inputs):
-        for j in pm.input_accounts(i):
-            assert i in pm.account_inputs(j)
+        for j in input_accounts(pm, i):
+            assert i in account_inputs(pm, j)
 
 
 def test_binomial_concentration():

@@ -22,6 +22,7 @@ import json
 
 import numpy as np
 
+from oracles import in_target, input_accounts, out_of_target
 from xcorr.bayes import (
     DEFAULT_INIT,
     ModelParams,
@@ -137,7 +138,7 @@ def direct_cases():
             p_empty=float(rng.uniform(0.01, 0.9)), priors=priors,
         )
         if case % 4 == 0:
-            active = sorted(pm.input_accounts(int(rng.integers(0, n))))
+            active = sorted(input_accounts(pm, int(rng.integers(0, n))))
         else:
             active = sorted(int(j) for j in np.nonzero(rng.random(m) < 0.4)[0])
         counts = rng.integers(0, 30, size=n)
@@ -219,8 +220,9 @@ def scoring_digests() -> dict[str, str]:
                 hashes["setint"].update(_posterior_bytes(pred))
     for obs, trace in behavioral_draws():
         hashes["simulator"].update(obs.to_json().encode())
+        inside, outside = in_target(trace), out_of_target(trace)
         for oid in sorted(trace.specs):
-            split = [sorted(trace.in_target[oid]), sorted(trace.out_of_target[oid])]
+            split = [sorted(inside[oid]), sorted(outside[oid])]
             hashes["simulator"].update(json.dumps(split).encode())
         hashes["simulator"].update(b"\n")
     for counts, n, displays in contextual_workloads():

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import simulate_behavioral_oracle, simulate_contextual_oracle
+from oracles import (
+    in_target,
+    out_of_target,
+    simulate_behavioral_oracle,
+    simulate_contextual_oracle,
+)
 from xcorr.core_model import Combination, Family
 from xcorr.errors import SpecError
 from xcorr.placement import PlacementConfig, PlacementMatrix, bernoulli_placement
@@ -71,8 +76,8 @@ def test_strict_targeting_only_hits_in_target():
     mask = in_target_mask(pm, core)
     for j in obs.behavioral[0]:
         assert mask[j]
-    assert trace.out_of_target[0] == frozenset()
-    assert trace.in_target[0] == obs.behavioral[0]
+    assert out_of_target(trace)[0] == frozenset()
+    assert in_target(trace)[0] == obs.behavioral[0]
 
 
 def test_certain_coverage():
@@ -111,7 +116,7 @@ def test_contextual_channel_has_no_behavioral_audience():
     obs, trace = simulate_behavioral(pm, [spec], rounds=1, seed=5)
     # appears only at the out-of-context rate, independent of contents
     assert len(obs.behavioral[0]) < 0.15 * 400
-    assert trace.in_target[0] == frozenset()
+    assert in_target(trace)[0] == frozenset()
 
 
 def test_untargeted_independence_chi_squared():
@@ -145,8 +150,8 @@ def test_determinism_and_seed_sensitivity():
     assert a1.behavioral == a2.behavioral
     assert a1.behavioral != a3.behavioral
     for k in (0, 1):
-        assert t1.in_target[k] | t1.out_of_target[k] == a1.behavioral[k]
-        assert not (t1.in_target[k] & t1.out_of_target[k])
+        assert in_target(t1)[k] | out_of_target(t1)[k] == a1.behavioral[k]
+        assert not (in_target(t1)[k] & out_of_target(t1)[k])
 
 
 # ----------------------------------------------------------- contextual
@@ -274,14 +279,14 @@ def test_columnar_simulators_equal_the_per_spec_oracle(workload, displays):
     membership, specs, rounds, seed = workload
     pm = PlacementMatrix(membership)
     obs, trace = simulate_behavioral(pm, specs, rounds=rounds, seed=seed)
-    seen, in_target, out_of_target = simulate_behavioral_oracle(membership, specs, rounds, seed)
+    seen, expect_in, expect_out = simulate_behavioral_oracle(membership, specs, rounds, seed)
     assert obs.output_ids == tuple(sorted(seen))
     assert obs.seen.shape == (len(specs), pm.n_accounts)
     for oid, row in zip(obs.output_ids, obs.seen):
         assert frozenset(np.flatnonzero(row).tolist()) == seen[oid]
     assert obs.behavioral == seen
-    assert trace.in_target == in_target
-    assert trace.out_of_target == out_of_target
+    assert in_target(trace) == expect_in
+    assert out_of_target(trace) == expect_out
     assert ObservationSet.from_json(obs.to_json()).behavioral == seen
 
     n = pm.n_inputs
