@@ -27,7 +27,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .core_model import Combination
 from .errors import ConfigError, XCorrError, parse_artifact
 from .experiment import (
     ALGORITHMS,
@@ -35,15 +34,14 @@ from .experiment import (
     ScenarioConfig,
     algorithm_verdicts,
     canonical_json,
-    matching_specs,
+    match_inputs,
     run_scenario,
     scaling_sweep,
     scenario_hash,
     simulate_trial,
 )
-from .input_matching import build_signatures, cluster_inputs, cluster_purity
 from .placement import PlacementMatrix
-from .simulator import ObservationSet, simulate_contextual
+from .simulator import ObservationSet
 from .threshold_analysis import (
     admissible,
     max_ratio,
@@ -217,19 +215,7 @@ def _cmd_match(args) -> int:
         raise ConfigError("match: config needs overlap_groups")
     if args.threshold is not None:
         cfg = dataclasses.replace(cfg, match_threshold=args.threshold)
-    counts = simulate_contextual(
-        Combination(range(cfg.n_inputs)),
-        matching_specs(cfg),
-        cfg.displays_per_input,
-        seed=cfg.seed,
-        n_inputs=cfg.n_inputs,
-    )
-    clusters = cluster_inputs(
-        build_signatures(counts, n_inputs=cfg.n_inputs),
-        distance_threshold=cfg.match_threshold,
-        raw=args.raw_distance,
-    )
-    purity = cluster_purity(clusters, [list(g) for g in cfg.overlap_groups])
+    clusters, purity = match_inputs(cfg, cfg.seed, raw=args.raw_distance)
     _emit(
         {"clusters": clusters, "n_clusters": len(clusters), "purity": purity},
         args.out,

@@ -17,11 +17,10 @@ on the member order.
 
 Both searches run on the root family's packed rows alone, one per-run
 state holding the test budget, the memo, the trace and the members
-found.  A candidate combination is a sorted tuple of row indices; a
+found.  Row i of the rows is input i, so a candidate combination is a
+sorted tuple of input ids that is also a tuple of row indices; a
 conditional or exclusion family is a member mask over the rows, and a
-conditional query reads the candidate's own rows as cleared.  The rows
-are in ascending input id, so row order is id order; input ids are
-looked up only to write a trace record or the recovered family.
+conditional query reads the candidate's own rows as cleared.
 
 Every search is written as a generator.  Each step yields a block of
 witness queries over one family's rows, their member masks, cleared rows
@@ -38,7 +37,7 @@ Most steps are blocks of one query.  The agglomerative search asks a
 whole breadth-first level at once: its candidates are fixed before any
 of them is tested, so it yields the level's containment queries as one
 block (a few, for a level too wide for :data:`_BLOCK_BYTES`) and replays
-the answers in queue order.
+the answers in lexicographic order.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
 from typing import Generator, Iterable, TypeVar
 
 import numpy as np
@@ -112,90 +111,57 @@ class AdFamily:
     hold the same inputs) and may be empty (an input-less account that
     saw the ad counts against strict targeting).
 
-    The family is stored packed: one bitset row per input of a sorted
-    universe (bit k set when member k holds that input, see
-    :func:`~xcorr._kernels.pack_bitsets`) and a member mask over the same
-    bits.  The rows are packed once, by the constructor or
-    :meth:`from_placement`; a conditional family keeps the universe and
-    the member numbering, with its own mask and its stripped rows zeroed.
-    Members turn back into :class:`Combination` objects only when they
-    are asked for.
+    The family is stored packed: row i is input i, with one bit per
+    account (bit k set when account k holds input i, see
+    :func:`~xcorr._kernels.pack_bitsets`), and a member mask over the
+    same bits marks the accounts in the family.  A row index is an input
+    id, so every family drawn from one placement shares the placement's
+    rows and word count and differs only in its mask;
+    ``AdFamily(members)`` packs its members as accounts over the ids
+    0..max id.  A conditional family keeps the member numbering, with its
+    own mask and its stripped rows zeroed.  Members turn back into
+    :class:`Combination` objects only when they are asked for.
     """
 
-    __slots__ = ("_ids", "_pos", "_rows", "_mask", "_size", "_members")
+    __slots__ = ("_rows", "_mask")
 
     def __init__(self, members: Iterable[Combination | Iterable[int]] = ()):
         combos = [c if isinstance(c, Combination) else Combination(c) for c in members]
-        ids = sorted({i for c in combos for i in c.inputs})
-        pos = {i: k for k, i in enumerate(ids)}
-        contains = np.zeros((len(combos), len(ids)), dtype=bool)
+        n = max((c.inputs[-1] + 1 for c in combos if c.inputs), default=0)
+        contains = np.zeros((len(combos), n), dtype=bool)
         for row, member in enumerate(combos):
-            contains[row, [pos[i] for i in member.inputs]] = True
-        self._set(ids, pos, pack_bitsets(contains), _first_bits(len(combos)))
-        self._members = tuple(combos)
+            contains[row, list(member.inputs)] = True
+        self._rows = pack_bitsets(contains)
+        self._mask = pack_bitsets(np.ones((len(combos), 1), dtype=bool))[0]
 
-    def _set(self, ids, pos, rows: np.ndarray, mask: np.ndarray) -> None:
-        self._ids = ids
-        self._pos = pos
-        self._rows = rows
-        self._mask = mask
-        self._size = _size(mask)
-        self._members = None
-
-    def _like(self, rows: np.ndarray, mask: np.ndarray) -> "AdFamily":
-        """A family over ``rows`` with this family's universe and member
-        numbering."""
-        out = object.__new__(type(self))
-        out._set(self._ids, self._pos, rows, mask)
+    @classmethod
+    def _packed(cls, rows: np.ndarray, mask: np.ndarray) -> "AdFamily":
+        """The family of the members of ``mask`` over the packed ``rows``."""
+        out = object.__new__(cls)
+        out._rows, out._mask = rows, mask
         return out
-
-    def _widened(self, words: int) -> "AdFamily":
-        """This family with rows and mask zero-padded to ``words`` words."""
-        extra = words - self._mask.size
-        if not extra:
-            return self
-        return self._like(np.pad(self._rows, ((0, 0), (0, extra))), np.pad(self._mask, (0, extra)))
 
     @classmethod
     def from_placement(
         cls, active_accounts: Iterable[int], placement: PlacementMatrix
     ) -> "AdFamily":
-        rows = sorted({int(j) for j in active_accounts})
-        if rows and (rows[0] < 0 or rows[-1] >= placement.n_accounts):
-            raise DomainError(
-                f"active accounts {rows} outside 0..{placement.n_accounts - 1}"
-            )
-        return cls._of_rows(rows, placement)
-
-    @classmethod
-    def _of_rows(cls, rows, placement: PlacementMatrix) -> "AdFamily":
-        """The family of the placement rows ``rows`` (ascending, in range)."""
-        ids = list(range(placement.n_inputs))
-        out = object.__new__(cls)
-        out._set(
-            ids, {i: i for i in ids}, pack_bitsets(placement.membership[rows]),
-            _first_bits(len(rows)),
-        )
-        return out
+        seen = active_matrix([active_accounts], placement.n_accounts)
+        return cls._packed(pack_bitsets(placement.membership), pack_bitsets(seen.T)[0])
 
     def __len__(self) -> int:
-        return self._size
+        return _size(self._mask)
 
     @property
     def members(self) -> tuple[Combination, ...]:
-        if self._members is None:
-            bits = _unpack(self._rows & self._mask)
-            live = np.flatnonzero(_unpack(self._mask[None, :])[0])
-            self._members = tuple(
-                Combination(self._ids[i] for i in np.flatnonzero(bits[:, k])) for k in live
-            )
-        return self._members
+        bits = _unpack(self._rows & self._mask)
+        live = np.flatnonzero(_unpack(self._mask[None, :])[0])
+        return tuple(Combination(np.flatnonzero(bits[:, k]).tolist()) for k in live)
 
     def __iter__(self):
         return iter(self.members)
 
     def all_inputs(self) -> tuple[int, ...]:
-        return tuple(self._ids[k] for k in _held(self._rows, self._mask))
+        return tuple(_held(self._rows, self._mask))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AdFamily):
@@ -207,17 +173,6 @@ class AdFamily:
 
     def __repr__(self) -> str:
         return f"AdFamily(members={self.members!r})"
-
-
-def _first_bits(k: int) -> np.ndarray:
-    """Member mask with bits 0..k-1 set, in the word layout of
-    :func:`~xcorr._kernels.pack_bitsets`."""
-    mask = np.zeros(max(1, -(-k // 64)), dtype=np.uint64)
-    full, rest = divmod(k, 64)
-    mask[:full] = np.uint64(0xFFFFFFFFFFFFFFFF)
-    if rest:
-        mask[full] = np.uint64((1 << rest) - 1)
-    return mask
 
 
 def _unpack(words: np.ndarray) -> np.ndarray:
@@ -267,7 +222,7 @@ def find_x_intersecting_subset(
     if l_max < 1:
         raise DomainError(f"l_max must be >= 1, got {l_max}")
     [[found]] = _answer_stacked([_block(fam._rows, fam._mask, (), x, len(fam))], l_max)
-    return None if found is None else Combination(fam._ids[k] for k in found.tolist())
+    return None if found is None else Combination(found.tolist())
 
 
 def conditional_family(fam: AdFamily, c: Combination | Iterable[int]) -> AdFamily:
@@ -277,14 +232,18 @@ def conditional_family(fam: AdFamily, c: Combination | Iterable[int]) -> AdFamil
     ``c`` zeroed, so a conditional of a conditional is built the same way.
     """
     ids = c.inputs if isinstance(c, Combination) else Combination(c).inputs
-    rows = [fam._pos[i] for i in ids if i in fam._pos]
-    # an input no member holds leaves no member
-    mask = fam._mask if len(rows) == len(ids) else np.zeros_like(fam._mask)
-    for k in rows:
-        mask = mask & fam._rows[k]
+    if ids and ids[-1] >= len(fam._rows):  # an input beyond the rows: no member holds it
+        return AdFamily._packed(fam._rows, np.zeros_like(fam._mask))
     stripped = fam._rows.copy()
-    stripped[rows] = 0
-    return fam._like(stripped, mask)
+    stripped[list(ids)] = 0
+    return AdFamily._packed(stripped, _conditional(fam._rows, fam._mask, ids))
+
+
+def _conditional(rows: np.ndarray, mask: np.ndarray, c: Iterable[int]) -> np.ndarray:
+    """Member mask of the members of ``mask`` holding every row of ``c``."""
+    for k in c:
+        mask = mask & rows[k]
+    return mask
 
 
 def detect_targeting(fam: AdFamily, cfg: DetectionConfig) -> bool:
@@ -331,15 +290,11 @@ def contains_core_test(
 
 def _answer_stacked(blocks: list[Block], l_max: int) -> list[list[np.ndarray | None]]:
     """Answer blocks of witness queries with one kernel call over their
-    stacked masked rows, split back by offset.  All blocks share one
-    input universe and word count (see :func:`core_family_verdicts`).
-    Cleared rows are zeroed inside the stack; zero rows never change a
-    witness."""
-    masks = blocks[0][1] if len(blocks) == 1 else np.concatenate([b[1] for b in blocks])
-    stack = np.array([b[0] for b in blocks])
-    if len(stack) < len(masks):
-        stack = np.repeat(stack, [len(b[1]) for b in blocks], axis=0)
-    stack &= masks[:, None]
+    stacked masked rows, split back by offset.  All blocks' rows have one
+    shape: the families of one placement share its rows.  Cleared rows
+    are zeroed inside the stack; zero rows never change a witness."""
+    parts = [b[0] & b[1][:, None] for b in blocks]
+    stack = parts[0] if len(parts) == 1 else np.concatenate(parts)
     n = stack.shape[1]
     cleared = [q * n + k for q, ks in enumerate(c for b in blocks for c in b[2]) for k in ks]
     if cleared:
@@ -408,16 +363,14 @@ class _Search:
     """The state of one search run over a family's packed rows: its test
     budget, containment memo, trace and members found.
 
-    A candidate is a sorted tuple of row indices and a family inside the
-    search is a member mask over the rows.  The rows are in ascending
-    input id, so sorting rows sorts ids; ids are looked up only to write
-    a trace record or the recovered :class:`Family`.
+    A candidate is a sorted tuple of input ids, which are row indices,
+    and a family inside the search is a member mask over the rows.
     """
 
     def __init__(self, fam: AdFamily, cfg: DetectionConfig, trace: SearchTrace | None):
         if len(fam) == 0:
             raise EmptyFamily("cannot search an empty ad family")
-        self.rows, self.mask, self.ids = fam._rows, fam._mask, fam._ids
+        self.rows, self.mask = fam._rows, fam._mask
         self.cfg = cfg
         self.trace = trace
         self.used = 0
@@ -438,7 +391,7 @@ class _Search:
 
     def log(self, kind: str, c: tuple[int, ...] | None, outcome) -> None:
         if self.trace is not None:
-            self.trace.log(kind, None if c is None else [self.ids[k] for k in c], outcome)
+            self.trace.log(kind, c, outcome)
 
     def result(self) -> Family:
         """The minimal members found, as a family of input ids."""
@@ -446,13 +399,7 @@ class _Search:
         for c in sorted(set(self.found), key=lambda c: (len(c), c)):
             if not any(set(k).issubset(c) for k in kept):
                 kept.append(c)
-        return Family([self.ids[k] for k in c] for c in kept)
-
-    def conditional(self, mask: np.ndarray, c: tuple[int, ...]) -> tuple[np.ndarray, int]:
-        """Member mask and size of the members of ``mask`` holding all of ``c``."""
-        for k in c:
-            mask = mask & self.rows[k]
-        return mask, _size(mask)
+        return Family(kept)
 
     def detect(self, mask: np.ndarray, known: bool | None = None) -> Step[bool]:
         """The charged detection test on the members of ``mask``; ``known``
@@ -468,7 +415,8 @@ class _Search:
         if c in self.memo:
             return self.memo[c]
         self.charge()
-        cond, support = self.conditional(self.mask, c)
+        cond = _conditional(self.rows, self.mask, c)
+        support = _size(cond)
         res = None
         if support >= self.cfg.min_members:
             res = (yield _block(self.rows, cond, c, self.cfg.x, support))[0] is None
@@ -481,14 +429,14 @@ class _Search:
         ``mask``, ordered by the number of members each one hits
         (descending, then ascending row).  None, and no charge, when no
         member there holds an input outside ``c``."""
-        cond, support = self.conditional(mask, c)
+        cond = _conditional(self.rows, mask, c)
         live = self.rows & cond
         live[list(c)] = 0
         if not live.any():
             return None
         self.charge()
-        [idx] = yield _block(self.rows, cond, c, self.cfg.x, support)
-        self.log("steer", None, None if idx is None else [self.ids[k] for k in idx.tolist()])
+        [idx] = yield _block(self.rows, cond, c, self.cfg.x, _size(cond))
+        self.log("steer", None, None if idx is None else idx.tolist())
         if idx is None:
             return None
         hits = popcount_u64(live[idx]).sum(axis=1)
@@ -537,12 +485,16 @@ def _agglomerative(
     the root detection answer when the caller already has it.
 
     The walk goes level by level.  Only lower-order positives prune an
-    order-k candidate, so each level is fixed before any of its tests
-    runs: its candidates are asked in blocks of at most
-    :data:`_BLOCK_BYTES` stacked rows, and the answers are replayed in
-    queue order, each charged and logged as a containment test.  The
-    walk stops at ``l_max`` members, dropping the rest of the level's
-    answers; a block asks no more candidates than the budget has left.
+    order-k candidate, so level k is every k-combination of the held
+    inputs that holds no member found below it, in lexicographic order,
+    fixed before any of its tests runs: the one-input extensions of the
+    lower level's negatives and unknowns are exactly these.  Its
+    candidates are asked in blocks of at most :data:`_BLOCK_BYTES`
+    stacked rows, and the answers are replayed in order, each charged
+    and logged as a containment test.  The walk stops at ``l_max``
+    members, dropping the rest of the level's answers, or at the first
+    empty level; a block asks no more candidates than the budget has
+    left.
     """
     if cfg.r_max is None:
         raise ConfigError("agglomerative search needs r_max")
@@ -551,10 +503,11 @@ def _agglomerative(
         return Family([])
     universe = _held(s.rows, s.mask)
     per_block = max(1, _BLOCK_BYTES // s.rows.nbytes)
-    level = [(k,) for k in universe]
-    while level:
-        level = [c for c in level if not any(set(f).issubset(c) for f in s.found)]
-        nxt: dict[tuple[int, ...], None] = {}
+    for order in range(1, cfg.r_max + 1):
+        level = [c for c in combinations(universe, order)
+                 if not any(set(f).issubset(c) for f in s.found)]
+        if not level:
+            break
         for start in range(0, len(level), per_block):
             block = level[start : start + per_block]
             room = len(block) if cfg.test_budget is None else cfg.test_budget - s.used
@@ -566,11 +519,6 @@ def _agglomerative(
                     s.found.append(c)
                     if len(s.found) >= cfg.l_max:
                         return s.result()
-                elif len(c) < cfg.r_max:
-                    for i in universe:
-                        if i not in c:
-                            nxt.setdefault(tuple(sorted(c + (i,))))
-        level = list(nxt)
     return s.result()
 
 
@@ -732,10 +680,9 @@ def core_family_verdicts(
     """
     if method not in _SEARCHES:
         raise ConfigError(f"unknown search method {method!r}")
-    seen = active_matrix(active_accounts, placement.n_accounts)
-    fams = [AdFamily._of_rows(np.flatnonzero(row), placement) for row in seen]
-    words = max((f._mask.size for f in fams), default=1)
-    searches = [_predict(f._widened(words), cfg, method, None) for f in fams]
+    rows = pack_bitsets(placement.membership)
+    masks = pack_bitsets(active_matrix(active_accounts, placement.n_accounts).T)
+    searches = [_predict(AdFamily._packed(rows, mask), cfg, method, None) for mask in masks]
     return _verdicts(_run_lockstep(searches, cfg.l_max))
 
 

@@ -13,6 +13,7 @@ from .runner import (
     SimulatedTrial,
     TrialResult,
     algorithm_verdicts,
+    match_inputs,
     run_scenario,
     run_trial,
     simulate_trial,
@@ -32,6 +33,7 @@ __all__ = [
     "SimulatedTrial",
     "TrialResult",
     "algorithm_verdicts",
+    "match_inputs",
     "run_scenario",
     "run_trial",
     "simulate_trial",

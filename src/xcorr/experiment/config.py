@@ -79,8 +79,12 @@ def _is_list(v, item) -> bool:
     return isinstance(v, (list, tuple)) and bool(v) and all(item(x) for x in v)
 
 
-def _int_at_least(lo: int):
-    return (lambda v: _is_int(v) and v >= lo, f"an integer >= {lo}")
+#: sizes and counts reach numpy as int64
+_INT64_MAX = 2**63 - 1
+
+
+def _size_at_least(lo: int):
+    return (lambda v: _is_int(v) and lo <= v <= _INT64_MAX, f"an integer in {lo}..2**63 - 1")
 
 
 # (check, what the error message says the value must be)
@@ -97,10 +101,14 @@ _BAYES_OPTIONS = {**_MODEL_PARAMS, "score_floor": _REAL, "contextual": _MODEL_PA
 _FIELD_CHECKS: dict = {
     **dict.fromkeys(
         ("n_inputs", "rounds", "trials", "displays_per_input", "ads_per_group"),
-        _int_at_least(1),
+        _size_at_least(1),
     ),
-    **dict.fromkeys(("n_targeted", "n_untargeted", "seed"), _int_at_least(0)),
-    "n_accounts": (lambda v: v is None or _is_int(v) and v >= 2, "an integer >= 2 or null"),
+    **dict.fromkeys(("n_targeted", "n_untargeted"), _size_at_least(0)),
+    "seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    "n_accounts": (
+        lambda v: v is None or _is_int(v) and 2 <= v <= _INT64_MAX,
+        "an integer in 2..2**63 - 1 or null",
+    ),
     **dict.fromkeys(("p_in", "p_out", "p_empty"), _REAL),
     "account_constant": (lambda v: _is_real(v) and v > 0, "a finite number > 0"),
     "match_threshold": (lambda v: _is_real(v) and v >= 0, "a finite number >= 0"),

@@ -162,6 +162,29 @@ class TrialResult:
     learned: dict | None = None
 
 
+def match_inputs(
+    cfg: ScenarioConfig, seed: int | SpawnedSeed, raw: bool = False
+) -> tuple[list[list[int]], float]:
+    """The matching stage: cluster the inputs from category-ad display
+    counts.
+
+    The overlap groups' category ads (:func:`matching_specs`) get
+    ``displays_per_input`` display slots next to every input, drawn from
+    ``seed``; inputs whose count signatures lie within
+    ``match_threshold`` of each other form one cluster (``raw`` skips the
+    signature normalization).  Returns the clusters and their purity
+    against the overlap groups, which the config must set."""
+    n = cfg.n_inputs
+    counts = simulate_contextual(
+        Combination(range(n)), matching_specs(cfg), cfg.displays_per_input,
+        seed=seed, n_inputs=n,
+    )
+    clusters = cluster_inputs(
+        build_signatures(counts, n_inputs=n), distance_threshold=cfg.match_threshold, raw=raw
+    )
+    return clusters, cluster_purity(clusters, [list(g) for g in cfg.overlap_groups])
+
+
 def simulate_trial(
     cfg: ScenarioConfig, trial_seed: np.random.SeedSequence
 ) -> SimulatedTrial:
@@ -179,15 +202,7 @@ def simulate_trial(
     clusters = None
     reps: list[int] | None = None
     if cfg.matching:
-        cat_counts = simulate_contextual(
-            Combination(range(n)), matching_specs(cfg), cfg.displays_per_input,
-            seed=match_ss, n_inputs=n,
-        )
-        clusters = cluster_inputs(
-            build_signatures(cat_counts, n_inputs=n),
-            distance_threshold=cfg.match_threshold,
-        )
-        purity = cluster_purity(clusters, [list(g) for g in cfg.overlap_groups])
+        clusters, purity = match_inputs(cfg, match_ss)
         placement = grouped_placement(
             clusters,
             PlacementConfig(n_inputs=n, n_accounts=m, alpha=alpha, seed=_seed_int(p_ss)),

@@ -103,7 +103,8 @@ def max_ratio(l: int, r: int) -> ThresholdResult:
         )
     if l == r:
         z = 0.5
-        return ThresholdResult(1.0 / (2**l - 1) ** 2, 1.0 - z**l, z, CLOSED_FORM)
+        # integer true division: (2^l - 1)^2 is past float range from l = 512 on
+        return ThresholdResult(1 / (2**l - 1) ** 2, 1.0 - z**l, z, CLOSED_FORM)
 
     lo, hi = _BRACKET_EPS, 1.0 - _BRACKET_EPS
     g_lo, g_hi = _stationarity(l, r, lo), _stationarity(l, r, hi)

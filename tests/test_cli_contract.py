@@ -17,6 +17,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -108,11 +109,24 @@ def _damaged(doc: dict):
     return json_values | _replaced(doc, doc)
 
 
-def _check(argv: list[str]) -> None:
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one CLI run."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
-    stderr = err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _report(config: dict) -> tuple[int, str, str]:
+    """``_run`` of ``report`` on ``config`` written to a file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        return _run(["report", "--config", str(path)])
+
+
+def _check(argv: list[str]) -> None:
+    code, _, stderr = _run(argv)
     assert code in (0, 2, 3), (code, stderr)
     assert "Traceback" not in stderr
     if code == 2:
@@ -158,15 +172,40 @@ def test_report_with_a_vanishing_witness_fraction_exits_0():
     # x * n below the witness threshold's rounding slack once asked the
     # kernel for a witness covering zero members, and report died with a
     # traceback
-    config = {
+    code, out, err = _report({
         **TINY, "n_inputs": 6, "n_accounts": 12, "algorithms": ["corefamily"],
         "algo_config": {"corefamily": {"x": 1e-10}},
-    }
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "config.json"
-        path.write_text(json.dumps(config))
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(["report", "--config", str(path)])
-    assert code == 0, err.getvalue()
-    assert json.loads(out.getvalue())["algorithms"]["corefamily"]["pooled"]["n_outputs"] == 3
+    })
+    assert code == 0, err
+    assert json.loads(out)["algorithms"]["corefamily"]["pooled"]["n_outputs"] == 3
+
+
+@pytest.mark.parametrize("field", [
+    "n_inputs", "n_accounts", "rounds", "trials", "displays_per_input", "ads_per_group",
+    "n_targeted", "n_untargeted",
+])
+def test_size_beyond_int64_is_a_config_error(field):
+    # a size past 2**63 - 1 once reached numpy and died with a traceback
+    code, _, err = _report({**MATCHED, field: 2**64})
+    assert code == 2, err
+    assert err.startswith(f"error: {field}: must be an integer in "), err
+
+
+def test_seed_stays_unbounded():
+    code, _, err = _report({**TINY, "seed": 10**40})
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--l", "600", "--r", "600"],
+    ["--l", "2000", "--r", "2000"],
+    ["--l", "1100", "--r", "1100", "--ratio", "0.0"],
+])
+def test_threshold_past_float_range_exits_0(argv):
+    # M_{n,n} = 1/(2^n - 1)^2 once converted (2^n - 1)^2 to a float and
+    # overflowed from n = 512 on; the bound underflows to 0 instead
+    code, out, err = _run(["threshold", *argv])
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["m_lr"] == 0.0
+    assert doc.get("admissible", False) is False

@@ -744,17 +744,62 @@ def test_lockstep_searches_keep_their_traces():
     for seed in range(6):
         pm, actives = _trial_actives(300 + seed, 12, 180, 8)
         fams = [AdFamily.from_placement(a, pm) for a in actives if len(a) >= 3]
-        words = max(f._mask.size for f in fams)
         for search, direct in ((_removal, removal_core_search),
                                (_agglomerative, agglomerative_core_search)):
             traces = [SearchTrace() for _ in fams]
             together = _run_lockstep(
-                [search(f._widened(words), cfg, t) for f, t in zip(fams, traces)], cfg.l_max
+                [search(f, cfg, t) for f, t in zip(fams, traces)], cfg.l_max
             )
             for fam, trace, found in zip(fams, traces, together):
                 alone = SearchTrace()
                 assert direct(fam, cfg, alone) == found
                 assert trace.to_jsonl() == alone.to_jsonl()
+
+
+def _spread(ids):
+    """Input ids i -> 7i + 3: six unheld rows between any two held ones."""
+    return [7 * i + 3 for i in ids]
+
+
+def _relabelled_outcome(search, fam, cfg, relabel):
+    """What ``search`` returns or raises on ``fam``, with its trace, with
+    every input id list passed through ``relabel``."""
+    trace = SearchTrace()
+    try:
+        found, kind, used = search(fam, cfg, trace), "found", None
+    except BudgetExceeded as e:
+        found, kind, used = e.partial, "budget", e.tests_used
+    records = [
+        {**r, "combination": None if r["combination"] is None else relabel(r["combination"]),
+         "outcome": relabel(r["outcome"]) if r["kind"] == "steer" and r["outcome"] else r["outcome"]}
+        for r in trace.records
+    ]
+    return kind, Family(relabel(c) for c in found.combinations), used, records, trace.tests_used
+
+
+def test_sparse_input_ids_give_the_relabelled_answers():
+    # a row index is an input id: a family over ids spread to 7i + 3 has
+    # zero rows between its held inputs, and every witness, search result,
+    # partial result and trace record is the compact family's, relabelled
+    for seed in range(6):
+        pm, actives = _trial_actives(700 + seed, 9, 160, 4)
+        for active, budget in itertools.product(actives, (None, 3)):
+            if len(active) < 3:
+                continue
+            compact = AdFamily(account_inputs(pm, j) for j in active)
+            sparse = AdFamily(_spread(m.inputs) for m in compact.members)
+            assert sparse.all_inputs() == tuple(_spread(compact.all_inputs()))
+            assert len(sparse._rows) > len(sparse.all_inputs())
+            for x, l_max in itertools.product((0.5, 0.9, 0.99), (1, 2, 3)):
+                w = find_x_intersecting_subset(compact, x, l_max)
+                assert find_x_intersecting_subset(sparse, x, l_max) == (
+                    None if w is None else Combination(_spread(w.inputs))
+                )
+            cfg = DetectionConfig(x=0.9, l_max=2, r_max=2, test_budget=budget)
+            for search in (agglomerative_core_search, removal_core_search):
+                assert _relabelled_outcome(search, sparse, cfg, list) == (
+                    _relabelled_outcome(search, compact, cfg, _spread)
+                )
 
 
 def test_batch_rejects_unknown_method_and_bad_accounts():

@@ -101,6 +101,19 @@ def test_symmetric_diagonal():
         assert residual(n, n, res.z_star) < 1e-10
 
 
+def test_diagonal_past_float_range():
+    # (2^n - 1)^2 leaves the float range at n = 512: the closed form
+    # divides as integers, equals the float division below that, is
+    # subnormal up to n = 537 and underflows to 0 from n = 538 on
+    for n in (2, 53, 511):
+        assert max_ratio(n, n).m_lr == 1.0 / (2**n - 1) ** 2
+    for n in (512, 537):
+        assert 0.0 < max_ratio(n, n).m_lr < 2.0**-1022
+    for n in (538, 600, 2000):
+        res = max_ratio(n, n)
+        assert (res.m_lr, res.z_star, res.method) == (0.0, 0.5, CLOSED_FORM)
+
+
 def test_examples():
     assert max_ratio(1, 3).m_lr == pytest.approx(1 / 3)
     assert max_ratio(3, 1).m_lr == pytest.approx(1 / 3)
