@@ -59,11 +59,8 @@ from .core_family_search import (  # noqa: F401
     AdFamily,
     DetectionConfig,
     agglomerative_core_search,
-    conditional_family,
-    contains_core_test,
     core_family_verdicts,
     detect_targeting,
-    find_x_intersecting_subset,
     predict_core_family,
     removal_core_search,
 )

@@ -12,8 +12,8 @@ Subcommands::
 Every subcommand that simulates takes its scenario from ``--config`` (a
 JSON file); ``--seed`` beats the config's seed, which beats the
 ``XCORR_SEED`` environment variable, which beats 0.  Exit codes: 0 on
-success, 2 for configuration problems, 3 when a ``report`` requirement
-gate fails (for CI use).
+success, 2 for configuration problems (a run too large for memory
+included), 3 when a ``report`` requirement gate fails (for CI use).
 """
 
 from __future__ import annotations
@@ -330,8 +330,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (XCorrError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (XCorrError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -10,9 +10,7 @@ numpy arrays and exist only as an exact oracle for small universes
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from itertools import combinations as _itercombos
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -56,14 +54,6 @@ class Combination:
         other_ids = other.inputs if isinstance(other, Combination) else other
         s = set(other_ids)
         return all(i in s for i in self.inputs)
-
-    def union(self, other: "Combination" | Iterable[int]) -> "Combination":
-        other_ids = other.inputs if isinstance(other, Combination) else tuple(other)
-        return Combination(self.inputs + tuple(other_ids))
-
-    def difference(self, other: "Combination" | Iterable[int]) -> "Combination":
-        drop = set(other.inputs if isinstance(other, Combination) else other)
-        return Combination(i for i in self.inputs if i not in drop)
 
     def bitmask(self) -> int:
         """Bitmask encoding: bit i set iff input i is present."""
@@ -147,13 +137,6 @@ class Family:
         """Canonical JSON document: sorted array of sorted integer arrays."""
         return [list(c.inputs) for c in sorted(self.combinations)]
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_doc())
-
-    @classmethod
-    def from_json(cls, text: str) -> "Family":
-        return cls(Combination(ids) for ids in json.loads(text))
-
     def __repr__(self) -> str:
         inner = ", ".join(str(set(c.inputs)) for c in sorted(self.combinations))
         return f"Family({{{inner}}})"
@@ -213,15 +196,6 @@ class TruthTable:
             vals |= ((masks & bm) == bm).astype(np.uint8)
         return cls(n, vals)
 
-    @classmethod
-    def from_function(cls, n: int, fn) -> "TruthTable":
-        vals = np.fromiter(
-            (1 if fn(Combination.from_bitmask(m)) else 0 for m in range(1 << n)),
-            dtype=np.uint8,
-            count=1 << n,
-        )
-        return cls(n, vals)
-
     def __call__(self, query: Combination | int) -> bool:
         mask = query if isinstance(query, int) else query.bitmask()
         return bool(self.values[mask])
@@ -279,11 +253,3 @@ def extract_core_family(f: TruthTable) -> Family:
         minimal[with_bit] &= ~vals[with_bit ^ bit].astype(bool)
     return Family(Combination.from_bitmask(int(m)) for m in np.nonzero(minimal)[0])
 
-
-def all_combinations(n_inputs: int, max_order: int) -> Iterator[Combination]:
-    """All combinations over 0..n_inputs−1 of order 1..max_order, smallest
-    first, lexicographic within an order."""
-    universe = range(n_inputs)
-    for size in range(1, max_order + 1):
-        for ids in _itercombos(universe, size):
-            yield Combination(ids)

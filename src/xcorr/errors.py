@@ -77,14 +77,6 @@ class MismatchedUniverse(XCorrError, ValueError):
     """
 
 
-class PlateauNotFound(XCorrError):
-    """Recall never stabilised within the probed account budget.
-
-    Knee detection raises this only in strict mode; sweeps record it as a
-    flag on the affected row and keep going.
-    """
-
-
 def parse_artifact(text: str, what: str, required: tuple[str, ...]) -> dict:
     """Decode a stored JSON object, raising :class:`ConfigError` when the
     text is not JSON, repeats a key within one object, is not an object,

@@ -241,7 +241,7 @@ def run_trial(cfg: ScenarioConfig, trial_seed: np.random.SeedSequence) -> TrialR
     """Simulate and score a single trial of the scenario."""
     sim = simulate_trial(cfg, trial_seed)
     obs, det_pm = sim.observations, sim.detection_placement
-    truth = Truth.of(sim.truth, cfg.group_map(), cfg.n_inputs)
+    truth = Truth.of(sim.truth, cfg.group_map(), n_inputs=cfg.n_inputs)
     metrics: dict[str, Metrics] = {}
     verdicts: dict[str, Verdicts] = {}
     for algo in cfg.algorithms:

@@ -113,20 +113,17 @@ class Truth:
         cls,
         truth: Mapping[int, Family | None],
         group_map: Mapping[int, int] | None = None,
-        n_inputs: int | None = None,
+        *,
+        n_inputs: int,
     ) -> "Truth":
         """``truth`` maps output id to true core (None: untargeted);
-        ``n_inputs`` is the universe size N, by default one past the
-        largest input the cores or the group map name."""
+        ``n_inputs`` is the universe size N."""
         ids = tuple(sorted(truth))
         families = tuple(truth[oid] for oid in ids)
         if group_map:
             families = tuple(
                 None if fam is None else project_family(fam, group_map) for fam in families
             )
-        if n_inputs is None:
-            named = [i for fam in families if fam is not None for i in fam.all_inputs()]
-            n_inputs = 1 + max([*named, *(group_map or {})], default=-1)
         rows: list[int] = []
         cols: list[int] = []
         for row, fam in enumerate(families):

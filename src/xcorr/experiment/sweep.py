@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, PlateauNotFound
+from ..errors import ConfigError
 from .config import ScenarioConfig
 from .runner import run_scenario
 from .store import canonical_json
@@ -87,7 +87,6 @@ def detect_knee(
     algo: str = "bayes",
     m_hi: int | None = None,
     trials: int | None = None,
-    strict: bool = False,
 ) -> KneeResult:
     """Find the smallest account budget reaching :data:`KNEE_FRACTION` of
     plateau recall.
@@ -96,8 +95,7 @@ def detect_knee(
     logarithmic sizing rule); the plateau is measured at
     ``PLATEAU_FACTOR * m_hi``.  If even the plateau stays below
     :data:`MIN_PLATEAU`, there is no knee to find: the result carries the
-    ``plateau_not_found`` flag, or raises :class:`PlateauNotFound` when
-    ``strict``.
+    ``plateau_not_found`` flag.
     """
     n = cfg.n_inputs
     if m_hi is None:
@@ -118,11 +116,6 @@ def detect_knee(
 
     plateau = recall_at(PLATEAU_FACTOR * m_hi)
     if plateau < MIN_PLATEAU:
-        if strict:
-            raise PlateauNotFound(
-                f"recall plateaus at {plateau:.3f} < {MIN_PLATEAU} for N={n} "
-                f"(algo={algo}, m up to {PLATEAU_FACTOR * m_hi})"
-            )
         return KneeResult(
             n_inputs=n,
             knee_m=None,

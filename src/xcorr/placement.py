@@ -189,6 +189,10 @@ class PlacementConfig:
             raise DomainError(f"n_accounts must be >= 1, got {self.n_accounts}")
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must lie in (0,1), got {self.alpha}")
+        if int(self.n_accounts) * int(self.n_inputs) * 8 > np.iinfo(np.intp).max:
+            raise DomainError(
+                f"a {self.n_accounts} x {self.n_inputs} placement draw is too large to allocate"
+            )
 
 
 def sized_account_count(n_inputs: int, c: float) -> int:
@@ -202,7 +206,10 @@ def sized_account_count(n_inputs: int, c: float) -> int:
         raise DomainError(f"need at least 2 inputs to size accounts, got {n_inputs}")
     if c <= 0:
         raise DomainError(f"c must be positive, got {c}")
-    return max(2, math.ceil(c * math.log(n_inputs)))
+    budget = c * math.log(n_inputs)
+    if not math.isfinite(budget):
+        raise DomainError(f"c * ln N is not finite for c={c}, N={n_inputs}")
+    return max(2, math.ceil(budget))
 
 
 class PlacementMatrix:

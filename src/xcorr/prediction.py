@@ -74,7 +74,7 @@ class Prediction:
     def to_dict(self) -> dict:
         target: list | None = None
         if isinstance(self.target, Family):
-            target = [list(c.inputs) for c in self.target]
+            target = self.target.to_doc()
         elif isinstance(self.target, Combination):
             target = [list(self.target.inputs)]
         return {

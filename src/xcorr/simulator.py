@@ -267,11 +267,6 @@ def _in_target(placement: PlacementMatrix, cores: Sequence[Family]) -> np.ndarra
     return np.logical_or.reduceat(whole, first, axis=1).T
 
 
-def in_target_mask(placement: PlacementMatrix, core: Family) -> np.ndarray:
-    """Boolean vector over accounts: does the account trip the core?"""
-    return _in_target(placement, [core])[0]
-
-
 def _check_specs(specs: Sequence[TargetingSpec], n_inputs: int) -> None:
     ids = [s.output_id for s in specs]
     if len(set(ids)) != len(ids):
@@ -344,9 +339,11 @@ def simulate_contextual(
     specs: Sequence[TargetingSpec],
     displays_per_input: int,
     seed: int | np.random.SeedSequence | SpawnedSeed = 0,
-    n_inputs: int | None = None,
+    *,
+    n_inputs: int,
 ) -> dict[int, np.ndarray]:
-    """Display counts next to each of the user's inputs.
+    """Display counts next to each of the user's inputs, in a universe
+    of ``n_inputs`` inputs.
 
     Each input gets ``displays_per_input`` display slots; in a slot next
     to input i, a contextual spec fires with p_in when {i} is one of its
@@ -357,10 +354,10 @@ def simulate_contextual(
     """
     if displays_per_input < 1:
         raise SpecError(f"displays_per_input must be >= 1, got {displays_per_input}")
-    if n_inputs is None:
-        n_inputs = (max(user_inputs.inputs) + 1) if user_inputs.order else 0
     _check_specs(specs, n_inputs)
     user = list(user_inputs.inputs)
+    if user and user[-1] >= n_inputs:
+        raise SpecError(f"user inputs {user_inputs!r} reach outside 0..{n_inputs - 1}")
     # contextual cores have order 1: {i} is a member iff input i fires it
     keyed = np.zeros((len(specs), n_inputs), dtype=bool)
     for k, spec in enumerate(specs):

@@ -147,7 +147,8 @@ def recommend_config(l: int, r: int, ratio: float) -> RecommendedConfig:
     alpha to 0).  alpha is then (1-(1-x)^(1/l)) * 0.95, keeping the
     account-coverage probability strictly below the soundness bound.
 
-    Raises :class:`Inadmissible` when ratio >= M_{l,r}.
+    Raises :class:`Inadmissible` when ratio >= M_{l,r}, and
+    :class:`DomainError` when x rounds to 1.0 in float64 (l = r >= 54, say).
     """
     _check_l_r(l, r)
     if ratio < 0:
@@ -177,6 +178,8 @@ def recommend_config(l: int, r: int, ratio: float) -> RecommendedConfig:
                 else:
                     hi = mid
             x = lo
+    if not x < 1.0:
+        raise DomainError(f"no operating point for l={l}, r={r}: x rounds to 1.0 in float64")
     alpha = -math.expm1(math.log1p(-x) / l) * 0.95
     return RecommendedConfig(x=x, alpha=alpha)
 

@@ -247,7 +247,7 @@ def witness_enumerate(bitsets, threshold: int, l_max: int, chunk: int = 2048):
 
 def conditional_members(members, c) -> list:
     """Members containing ``c``, each with ``c``'s inputs stripped."""
-    return [m.difference(c) for m in members if c.issubset(m)]
+    return [Combination(i for i in m.inputs if i not in c) for m in members if c.issubset(m)]
 
 
 def exclusion_members(members, ex) -> list:
@@ -317,7 +317,7 @@ def agglomerative_oracle(fam, cfg, trace=None):
             continue
         for i in universe:
             if i not in c:
-                ext = c.union((i,))
+                ext = Combination((*c.inputs, i))
                 if ext.inputs not in visited:
                     visited.add(ext.inputs)
                     queue.append(ext)
@@ -399,7 +399,7 @@ def removal_oracle(fam, cfg, trace=None):
             if depth >= depth_cap:
                 return None
             for i in steer(sub, c):
-                hit = walk(c.union((i,)), depth + 1)
+                hit = walk(Combination((*c.inputs, i)), depth + 1)
                 if hit is not None:
                     return hit
             return None
@@ -409,7 +409,7 @@ def removal_oracle(fam, cfg, trace=None):
     def whittle(start):
         current = start
         for i in start.inputs:
-            trial = current.difference((i,))
+            trial = Combination(j for j in current.inputs if j != i)
             if test(trial) is True:
                 current = trial
         return current

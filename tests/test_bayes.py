@@ -336,7 +336,7 @@ def test_learn_contextual_self_consistency():
         else:
             specs.append(TargetingSpec.untargeted(k, p_empty=0.1))
     counts = simulate_contextual(
-        Combination(range(n)), specs, displays_per_input=displays, seed=72
+        Combination(range(n)), specs, displays_per_input=displays, seed=72, n_inputs=n
     )
     res = learn_contextual_params(
         counts, n_inputs=n, displays_per_input=displays,

@@ -191,6 +191,31 @@ def test_size_beyond_int64_is_a_config_error(field):
     assert err.startswith(f"error: {field}: must be an integer in "), err
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"n_accounts": 2**62}, "too large to allocate"),
+    ({"n_accounts": None, "n_inputs": 10, "account_constant": 1e17}, "too large to allocate"),
+    ({"n_accounts": None, "n_inputs": 10, "account_constant": 1e308}, "not finite"),
+])
+def test_size_numpy_cannot_allocate_is_a_config_error(change, message):
+    # sizes inside int64 once reached numpy (ValueError: array is too big)
+    # or math.ceil (OverflowError) and died with a traceback; the checks
+    # fire before anything is allocated
+    code, _, err = _report({**TINY, **change})
+    assert code == 2, err
+    assert err.startswith("error: ") and message in err, err
+
+
+def test_out_of_memory_is_an_error_line(monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 EiB for an array")
+
+    monkeypatch.setattr("xcorr.cli.run_scenario", exhausted)
+    code, out, err = _report(TINY)
+    assert code == 2
+    assert out == ""
+    assert err == "error: Unable to allocate 8.00 EiB for an array\n"
+
+
 def test_seed_stays_unbounded():
     code, _, err = _report({**TINY, "seed": 10**40})
     assert code == 0, err
@@ -209,3 +234,31 @@ def test_threshold_past_float_range_exits_0(argv):
     doc = json.loads(out)
     assert doc["m_lr"] == 0.0
     assert doc.get("admissible", False) is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["threshold", "--l", "54", "--r", "54", "--ratio", "0.0"],
+    ["threshold", "--l", "40", "--r", "70", "--ratio", "0.0"],
+])
+def test_threshold_without_a_float64_operating_point_exits_2(argv):
+    # x = 1 - 0.5**54 rounds to 1.0; alpha's log1p(-x) once died with
+    # ValueError: math domain error
+    code, out, err = _run(argv)
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("error: no operating point for l="), err
+
+
+def test_threshold_at_the_last_float64_diagonal_exits_0():
+    code, out, err = _run(["threshold", "--l", "53", "--r", "53", "--ratio", "0.0"])
+    assert code == 0, err
+    assert json.loads(out)["recommended"]["x"] == 1.0 - 2.0**-53
+
+
+def test_auto_alpha_without_a_float64_operating_point_exits_2():
+    code, _, err = _report({
+        **TINY, "alpha": "auto", "l_values": [54], "r_values": [54], "p_out": 1e-40,
+        "n_inputs": 2916, "n_targeted": 1, "n_untargeted": 0,
+    })
+    assert code == 2, err
+    assert err.startswith("error: no operating point for l=54, r=54"), err

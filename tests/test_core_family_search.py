@@ -820,8 +820,8 @@ def _search_outcome(search, fam, cfg):
     try:
         found = search(fam, cfg, trace)
     except BudgetExceeded as e:
-        return "budget", e.partial.to_json(), e.tests_used, trace.to_jsonl(), trace.tests_used
-    return "found", found.to_json(), None, trace.to_jsonl(), trace.tests_used
+        return "budget", e.partial.to_doc(), e.tests_used, trace.to_jsonl(), trace.tests_used
+    return "found", found.to_doc(), None, trace.to_jsonl(), trace.tests_used
 
 
 @settings(max_examples=60, deadline=None)

@@ -34,6 +34,11 @@ def test_sized_account_count_domain():
         sized_account_count(100, 0)
     with pytest.raises(DomainError):
         sized_account_count(100, -2.0)
+    # c * ln N past float range once died in math.ceil with an OverflowError
+    with pytest.raises(DomainError, match="not finite"):
+        sized_account_count(10, 1e308)
+    with pytest.raises(DomainError, match="not finite"):
+        sized_account_count(10, float("nan"))
 
 
 def test_sized_account_count_monotone_in_n():
@@ -54,6 +59,16 @@ def test_config_validation():
         PlacementConfig(n_inputs=5, n_accounts=5, alpha=1.0)
     with pytest.raises(DomainError):
         PlacementConfig(n_inputs=5, n_accounts=5, alpha=0.0)
+
+
+def test_config_rejects_a_draw_numpy_cannot_allocate():
+    # the m x N float64 draw must fit in np.intp bytes; no array is made here
+    largest = np.iinfo(np.intp).max // 8
+    PlacementConfig(n_inputs=1, n_accounts=largest, alpha=0.5)
+    with pytest.raises(DomainError, match="too large"):
+        PlacementConfig(n_inputs=1, n_accounts=largest + 1, alpha=0.5)
+    with pytest.raises(DomainError, match="too large"):
+        PlacementConfig(n_inputs=10, n_accounts=2**62, alpha=0.5)
 
 
 def test_determinism():

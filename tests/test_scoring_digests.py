@@ -181,7 +181,7 @@ def contextual_workloads():
             else:
                 specs.append(TargetingSpec.untargeted(k, p_empty=0.1))
         counts = simulate_contextual(
-            Combination(range(n)), specs, displays_per_input=displays, seed=seed
+            Combination(range(n)), specs, displays_per_input=displays, seed=seed, n_inputs=n
         )
         yield counts, n, displays
 

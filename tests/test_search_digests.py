@@ -111,7 +111,7 @@ def search_digests() -> dict[str, str]:
             found = search(fam, CFG, trace=trace)
             verdict = predict_core_family(active, pm, CFG, method=method).to_dict()
             hashes[f"{method}.trace"].update(trace.to_jsonl().encode() + b"\n")
-            hashes[f"{method}.family"].update(found.to_json().encode() + b"\n")
+            hashes[f"{method}.family"].update(json.dumps(found.to_doc()).encode() + b"\n")
             hashes[f"{method}.verdict"].update(
                 json.dumps(verdict, sort_keys=True).encode() + b"\n"
             )

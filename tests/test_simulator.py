@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    account_inputs,
     in_target,
     out_of_target,
     simulate_behavioral_oracle,
     simulate_contextual_oracle,
 )
-from xcorr.core_model import Combination, Family
+from xcorr.core_model import Combination, Family, eval_targeting
 from xcorr.errors import SpecError
 from xcorr.placement import PlacementConfig, PlacementMatrix, bernoulli_placement
 from xcorr.simulator import (
@@ -20,7 +21,6 @@ from xcorr.simulator import (
     ObservationSet,
     SimulationTrace,
     TargetingSpec,
-    in_target_mask,
     simulate_behavioral,
     simulate_contextual,
 )
@@ -73,9 +73,8 @@ def test_strict_targeting_only_hits_in_target():
     core = Family([(1, 4), (7,)])
     spec = TargetingSpec.targeted(0, core, p_in=0.9, p_out=0.0)
     obs, trace = simulate_behavioral(pm, [spec], rounds=2, seed=11)
-    mask = in_target_mask(pm, core)
     for j in obs.behavioral[0]:
-        assert mask[j]
+        assert eval_targeting(core, account_inputs(pm, j))
     assert out_of_target(trace)[0] == frozenset()
     assert in_target(trace)[0] == obs.behavioral[0]
 
@@ -162,17 +161,25 @@ def test_contextual_strict():
         0, [(5,)], p_in=0.6, p_out=0.0, channel=CONTEXTUAL
     )
     counts = simulate_contextual(
-        Combination(range(8)), [spec], displays_per_input=200, seed=3
+        Combination(range(8)), [spec], displays_per_input=200, seed=3, n_inputs=8
     )
     x = counts[0]
     assert x[5] > 0
     assert all(x[i] == 0 for i in range(8) if i != 5)
 
 
+def test_contextual_user_inputs_must_lie_in_the_universe():
+    spec = TargetingSpec.untargeted(0, p_empty=0.3)
+    with pytest.raises(SpecError, match="outside 0..9"):
+        simulate_contextual(Combination([0, 10]), [spec], 5, seed=0, n_inputs=10)
+    counts = simulate_contextual(Combination([0, 2]), [spec], 5, seed=0, n_inputs=10)
+    assert counts[0].shape == (10,)
+
+
 def test_contextual_degenerate_uniform():
     spec = TargetingSpec.untargeted(0, p_empty=0.3)
     counts = simulate_contextual(
-        Combination(range(10)), [spec], displays_per_input=500, seed=7
+        Combination(range(10)), [spec], displays_per_input=500, seed=7, n_inputs=10
     )
     x = counts[0]
     assert np.all(np.abs(x - 150) < 5 * math.sqrt(500 * 0.3 * 0.7))
@@ -187,7 +194,7 @@ def test_contextual_self_ads():
         for k in range(4)
     ]
     counts = simulate_contextual(
-        Combination(range(6)), specs, displays_per_input=50, seed=1
+        Combination(range(6)), specs, displays_per_input=50, seed=1, n_inputs=6
     )
     for k in range(4):
         assert int(np.argmax(counts[k])) == k
@@ -198,7 +205,7 @@ def test_contextual_group_ad_fires_on_all_members():
         0, [(0,), (1,), (2,)], p_in=0.9, p_out=0.0, channel=CONTEXTUAL
     )
     counts = simulate_contextual(
-        Combination(range(5)), [spec], displays_per_input=100, seed=2
+        Combination(range(5)), [spec], displays_per_input=100, seed=2, n_inputs=5
     )
     x = counts[0]
     assert all(x[i] > 50 for i in range(3))
@@ -208,7 +215,7 @@ def test_contextual_group_ad_fires_on_all_members():
 def test_behavioral_spec_is_flat_in_contextual_channel():
     spec = TargetingSpec.targeted(0, [(1, 2)], p_in=0.9, p_out=0.05)
     counts = simulate_contextual(
-        Combination(range(4)), [spec], displays_per_input=1000, seed=4
+        Combination(range(4)), [spec], displays_per_input=1000, seed=4, n_inputs=4
     )
     x = counts[0]
     assert np.all(np.abs(x - 50) < 5 * math.sqrt(1000 * 0.05 * 0.95))

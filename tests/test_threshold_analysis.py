@@ -206,6 +206,20 @@ def test_recommend_phi_exceeds_ratio():
         assert alpha < -math.expm1(math.log1p(-x) / l)
 
 
+@pytest.mark.parametrize("l, r", [(54, 54), (60, 60), (40, 70)])
+def test_recommend_without_a_float64_operating_point(l, r):
+    # x = 1 - z**l rounds to 1.0, and alpha's log1p(-x) once raised a
+    # bare ValueError (math domain error)
+    with pytest.raises(DomainError, match=f"l={l}, r={r}"):
+        recommend_config(l, r, 0.0)
+
+
+def test_recommend_at_the_last_float64_diagonal():
+    x, alpha = recommend_config(53, 53, 0.0)
+    assert x == 1.0 - 2.0**-53
+    assert alpha == pytest.approx(0.475)
+
+
 def test_recommend_r1_avoids_degenerate_alpha():
     x, alpha = recommend_config(3, 1, 0.2)
     assert alpha > 0.01
