@@ -5,7 +5,7 @@ plus "untargeted".  Behavioral evidence is which accounts saw the
 output; contextual evidence is how often it was displayed next to each
 input.  All K outputs of a trial are scored in one pass: the K x m
 seen matrix times the m x N placement gives every overlap |A_i ∩ A_k|
-at once (the contextual channel stacks its K count vectors instead),
+at once (the contextual channel reads its K x N count matrix as is),
 the K x (N+1) log-likelihood matrix follows elementwise as exact
 Bernoulli-count products in log space, and a row-wise logsumexp turns
 it into posteriors.  The composite model averages the two channels'
@@ -25,14 +25,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DomainError
 from .placement import PlacementMatrix, active_matrix
-from .prediction import Posterior  # noqa: F401  (the posterior type bayes_predict returns)
-from .prediction import TARGETED, UNKNOWN, UNTARGETED, Prediction, Verdicts
+from .prediction import TARGETED, UNTARGETED, Prediction, Verdict, Verdicts
 
 BEHAVIORAL_MODEL = "behavioral"
 CONTEXTUAL_MODEL = "contextual"
@@ -132,18 +131,11 @@ def behavioral_evidence(
     )
 
 
-def contextual_evidence(
-    counts: Sequence[Sequence[int] | np.ndarray], n_inputs: int | None = None
-) -> Evidence:
-    """Evidence of K display-count vectors, stacked K x N.  ``n_inputs``
-    fixes N when K may be 0."""
-    width = n_inputs if n_inputs is not None else len(counts[0]) if len(counts) else 0
-    x = np.zeros((len(counts), width))
-    for k, row in enumerate(counts):
-        row = np.asarray(row, dtype=float)
-        if row.shape != (width,):
-            raise DomainError(f"display counts of shape {row.shape}, expected ({width},)")
-        x[k] = row
+def contextual_evidence(counts: np.ndarray | Sequence[Sequence[int]]) -> Evidence:
+    """Evidence of the K x N display-count matrix."""
+    x = np.asarray(counts, dtype=float)
+    if x.ndim != 2:
+        raise DomainError(f"display counts of shape {x.shape}, expected (K, N)")
     if np.any(x < 0):
         raise DomainError("display counts must be >= 0")
     return Evidence(hits=x, seen=x.sum(axis=1))
@@ -194,86 +186,57 @@ def posteriors(
 # -------------------------------------------------------------- predict
 
 
-def _present(observations) -> tuple[np.ndarray, Sequence]:
-    """The rows of one channel's observations that are not None, and
-    their values; a matrix has every row."""
-    if isinstance(observations, np.ndarray):
-        return np.arange(len(observations)), observations
-    rows = [k for k, o in enumerate(observations) if o is not None]
-    return np.array(rows, dtype=np.intp), [observations[k] for k in rows]
-
-
 def bayes_verdicts(
-    active_accounts: np.ndarray | Sequence[Iterable[int] | None] | None = None,
-    contextual_counts: np.ndarray | Sequence[Sequence[int] | np.ndarray | None] | None = None,
+    active_accounts: np.ndarray | Sequence[Iterable[int]] | None = None,
+    contextual_counts: np.ndarray | Sequence[Sequence[int]] | None = None,
     placement: PlacementMatrix | None = None,
     params: ModelParams = DEFAULT_INIT,
     contextual_params: ModelParams | None = None,
     score_floor: float = 0.5,
 ) -> Verdicts:
-    """Verdicts for K outputs from whichever observations each has.
+    """Verdicts for K outputs from one or both observation channels.
 
-    Row k of ``active_accounts`` and ``contextual_counts`` (either may be
-    omitted) are output k's behavioral and contextual observations:
-    the K x m seen matrix and the K x N count matrix, or lists whose
-    entries may be None.  With both channels present the two posterior
-    vectors are averaged hypothesis-wise before the argmax, so
-    disagreeing models still produce a well-defined winner.
-    TARGETED({i}) requires the winning hypothesis to be an input with
-    (averaged) posterior >= score_floor; an untargeted winner or a
-    sub-floor input yields UNTARGETED; an output with no observation is
-    UNKNOWN (flag ``no_observations``).  Each channel's maximum
-    posterior is its score, and the winner's averaged posterior the
-    composite score.
+    ``active_accounts`` is the K x m seen matrix (or K account sets) and
+    ``contextual_counts`` the K x N display-count matrix; row k of each
+    is output k, and either channel may be omitted for all outputs, not
+    both.  With both channels present the two posterior vectors are
+    averaged hypothesis-wise before the argmax, so disagreeing models
+    still produce a well-defined winner.  TARGETED({i}) requires the
+    winning hypothesis to be an input with (averaged) posterior >=
+    score_floor; an untargeted winner or a sub-floor input yields
+    UNTARGETED.  Each channel's maximum posterior is its score, and the
+    winner's averaged posterior the composite score.
     """
-    given = {BEHAVIORAL_MODEL: active_accounts, CONTEXTUAL_MODEL: contextual_counts}
-    channels = {name: obs for name, obs in given.items() if obs is not None and len(obs)}
-    sizes = {len(obs) for obs in channels.values()}
-    if len(sizes) > 1:
-        raise DomainError("behavioral and contextual observations list different outputs")
-    n_outputs = max(sizes, default=0)
-    scored: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    for name, obs in channels.items():
-        rows, values = _present(obs)
-        if not len(rows):
-            continue
-        if name == BEHAVIORAL_MODEL:
-            if placement is None:
-                raise DomainError("behavioral prediction needs the placement")
-            ev = behavioral_evidence(values, placement)
-            ch_params = params
-        else:
-            ev = contextual_evidence(values)
-            ch_params = contextual_params or params
-        probs, z = posteriors(log_likelihoods(ev, ch_params), ch_params)
-        scored[name] = (rows, probs, z)
-    if len({probs.shape[1] for _, probs, _ in scored.values()}) > 1:
-        raise DomainError("behavioral and contextual universes disagree")
-    width = next(iter(scored.values()))[1].shape[1] if scored else 1
-
-    combined = np.zeros((n_outputs, width))
-    present = np.zeros(n_outputs)
-    for rows, probs, _ in scored.values():
-        combined[rows] += probs
-        present[rows] += 1
-    observed = present > 0
-    combined /= np.maximum(present, 1)[:, None]  # unobserved rows stay zero
+    scored: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    if active_accounts is not None:
+        if placement is None:
+            raise DomainError("behavioral prediction needs the placement")
+        ev = behavioral_evidence(active_accounts, placement)
+        scored[BEHAVIORAL_MODEL] = posteriors(log_likelihoods(ev, params), params)
+    if contextual_counts is not None:
+        ctx_params = contextual_params or params
+        ev = contextual_evidence(contextual_counts)
+        scored[CONTEXTUAL_MODEL] = posteriors(log_likelihoods(ev, ctx_params), ctx_params)
+    shapes = {probs.shape for probs, _ in scored.values()}
+    if len(shapes) != 1:
+        raise DomainError(
+            "need one or both channels, over the same outputs and inputs; got "
+            f"posteriors of shapes {sorted(shapes)}"
+        )
+    combined = np.zeros(shapes.pop())
+    for probs, _ in scored.values():
+        combined += probs
+    combined /= len(scored)
+    n_outputs, width = combined.shape
     winners = combined.argmax(axis=1)
     tops = combined.max(axis=1)
-    targeted = observed & (winners < width - 1) & (tops >= score_floor)
-    codes = np.full(n_outputs, UNKNOWN, dtype=np.int8)
-    codes[observed] = UNTARGETED
-    codes[targeted] = TARGETED
+    targeted = (winners < width - 1) & (tops >= score_floor)
+    codes = np.where(targeted, TARGETED, UNTARGETED).astype(np.int8)
     targets = np.zeros((n_outputs, width - 1), dtype=bool)
     targets[targeted, winners[targeted]] = True
-    scores = {}
-    for name, (rows, probs, _) in scored.items():
-        scores[name] = np.full(n_outputs, np.nan)
-        scores[name][rows] = probs.max(axis=1)
-    if scored:
-        tops[~observed] = np.nan
-        scores[COMPOSITE_MODEL] = tops
-    return Verdicts(codes, targets, scores, {"no_observations": ~observed}, scored)
+    scores = {name: probs.max(axis=1) for name, (probs, _) in scored.items()}
+    scores[COMPOSITE_MODEL] = tops
+    return Verdicts(codes, targets, scores, posteriors=scored)
 
 
 def bayes_predict(
@@ -284,10 +247,14 @@ def bayes_predict(
     contextual_params: ModelParams | None = None,
     score_floor: float = 0.5,
 ) -> Prediction:
-    """Verdict for one output: :func:`bayes_verdicts` with K = 1."""
+    """Verdict for one output: :func:`bayes_verdicts` with K = 1, or
+    UNKNOWN (flag ``no_observations``) when neither channel is given."""
+    if active_accounts is None and contextual_counts is None:
+        return Prediction(Verdict.UNKNOWN, flags=("no_observations",))
     return bayes_verdicts(
-        [active_accounts], [contextual_counts], placement,
-        params, contextual_params, score_floor,
+        None if active_accounts is None else [active_accounts],
+        None if contextual_counts is None else [contextual_counts],
+        placement, params, contextual_params, score_floor,
     ).predictions()[0]
 
 
@@ -371,7 +338,7 @@ def _moment_match(
 
 
 def learn_params(
-    behavioral_obs: np.ndarray | Mapping[int, Iterable[int]],
+    seen: np.ndarray,
     placement: PlacementMatrix,
     init: ModelParams = DEFAULT_INIT,
     tol: float = 1e-3,
@@ -381,20 +348,16 @@ def learn_params(
     """Moment matching on the behavioral channel: p_in from (account
     holds the predicted input, account saw the output) pairs over |A_i|,
     p_out from the accounts not holding it over m - |A_i|, p_empty from
-    the hit rate of outputs predicted untargeted over m.
-    ``behavioral_obs`` is the K x m seen matrix or maps output ids to
-    active-account sets."""
-    if not isinstance(behavioral_obs, np.ndarray):
-        behavioral_obs = list(behavioral_obs.values())
-    ev = behavioral_evidence(behavioral_obs, placement)
+    the hit rate of outputs predicted untargeted over m, all read off
+    the K x m ``seen`` matrix."""
+    ev = behavioral_evidence(seen, placement)
     sizes = ev.sizes.astype(np.int64)
     m = placement.n_accounts
     return _moment_match(ev, sizes, m - sizes, m, init, tol, max_iter, score_floor)
 
 
 def learn_contextual_params(
-    contextual_obs: dict[int, np.ndarray],
-    n_inputs: int,
+    counts: np.ndarray,
     displays_per_input: int,
     init: ModelParams = DEFAULT_INIT,
     tol: float = 1e-3,
@@ -402,13 +365,12 @@ def learn_contextual_params(
     score_floor: float = 0.5,
 ) -> LearnResult:
     """Contextual twin of :func:`learn_params`: slot-count moment
-    matching, with per-input display totals as denominators."""
-    ev = contextual_evidence(
-        list(contextual_obs.values()), None if contextual_obs else n_inputs
-    )
-    d = displays_per_input
-    in_slots = np.full(ev.n_inputs, d, dtype=np.int64)
+    matching on the K x N display-count matrix, with per-input display
+    totals as denominators."""
+    ev = contextual_evidence(counts)
+    d, n = displays_per_input, ev.n_inputs
+    in_slots = np.full(n, d, dtype=np.int64)
     return _moment_match(
-        ev, in_slots, in_slots * (n_inputs - 1), d * n_inputs,
+        ev, in_slots, in_slots * (n - 1), d * n,
         init, tol, max_iter, score_floor,
     )

@@ -224,6 +224,10 @@ def _cmd_match(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    for flag, bound in (("recall", args.require_recall), ("precision", args.require_precision)):
+        # NaN fails every comparison, so a NaN gate would pass any run
+        if bound is not None and not 0.0 <= bound <= 1.0:
+            raise ConfigError(f"--require-{flag} must be a number in [0, 1], got {bound}")
     cfg, has_seed = _load_config(args)
     cfg = _resolve_seed(args, cfg, has_seed)
     _check_writable(args.out, args.csv)

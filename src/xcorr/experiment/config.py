@@ -92,8 +92,9 @@ _INT = (_is_int, "an integer")
 _OPT_INT = (lambda v: v is None or _is_int(v), "an integer or null")
 _REAL = (_is_real, "a finite number")
 _STR = (lambda v: isinstance(v, str), "a string")
+_UNIT = (lambda v: _is_real(v) and 0 <= v <= 1, "a number in [0, 1]")
 _MODEL_PARAMS = dict.fromkeys(("p_in", "p_out", "p_empty"), _REAL)
-_BAYES_OPTIONS = {**_MODEL_PARAMS, "score_floor": _REAL, "contextual": _MODEL_PARAMS}
+_BAYES_OPTIONS = {**_MODEL_PARAMS, "score_floor": _UNIT, "contextual": _MODEL_PARAMS}
 
 #: what every config field accepts on its own (type, and bounds that need
 #: no other field); a nested table checks a nested object, which may only

@@ -7,7 +7,8 @@ same observations, and score each against ground truth.  A scenario is
 ``trials`` independent trials pooled into one report.
 
 A trial is held column-wise from simulation to score: the observations
-keep the K x m seen matrix, every detector reads it and answers with
+keep the K x m seen matrix and, when collected, the K x N display-count
+matrix; every detector reads them and answers with
 verdict arrays, and scoring compares those with the trial's ground truth,
 projected once.  A stored record writes the verdicts with
 :meth:`~xcorr.prediction.Verdicts.to_doc`.
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,15 +63,6 @@ def _seed_int(ss: SpawnedSeed) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _reduced_counts(
-    counts: np.ndarray, clusters: list[list[int]]
-) -> np.ndarray:
-    """Pool per-input display counts within each cluster (the reduced
-    placement has one column per cluster, so the contextual vector must
-    shrink the same way)."""
-    return np.array([int(sum(counts[i] for i in c)) for c in clusters], dtype=np.int64)
-
-
 def algorithm_verdicts(
     algo: str,
     cfg: ScenarioConfig,
@@ -84,7 +76,8 @@ def algorithm_verdicts(
 
     ``pm`` is the placement the algorithm sees.  Under input matching it
     has one column per cluster, and ``clusters`` pools the contextual
-    counts the same way; without it the counts are used as given."""
+    count columns the same way, summing each cluster's inputs; without
+    it the counts are used as given."""
     opts = dict(cfg.algo_config.get(algo, {}))
     if algo == "setint":
         return set_intersection_verdicts(obs.seen, pm, SetIntersectionConfig(**opts))
@@ -98,10 +91,13 @@ def algorithm_verdicts(
         ctx_opts = opts.pop("contextual", None)
         ctx_params = ModelParams(**ctx_opts) if ctx_opts else None
         counts = None
-        if algo == "composite" and obs.contextual:
-            counts = [obs.contextual.get(oid) for oid in obs.output_ids]
+        if algo == "composite" and obs.contextual is not None:
+            counts = obs.contextual
             if clusters is not None:
-                counts = [None if c is None else _reduced_counts(c, clusters) for c in counts]
+                pool = np.zeros((obs.n_inputs, len(clusters)), dtype=np.int64)
+                for col, members in enumerate(clusters):
+                    pool[members, col] = 1
+                counts = counts @ pool
         return bayes_verdicts(
             active_accounts=obs.seen,
             contextual_counts=counts,
@@ -180,7 +176,7 @@ def match_inputs(
         seed=seed, n_inputs=n,
     )
     clusters = cluster_inputs(
-        build_signatures(counts, n_inputs=n), distance_threshold=cfg.match_threshold, raw=raw
+        build_signatures(counts), distance_threshold=cfg.match_threshold, raw=raw
     )
     return clusters, cluster_purity(clusters, [list(g) for g in cfg.overlap_groups])
 
@@ -219,12 +215,10 @@ def simulate_trial(
 
     obs, trace = simulate_behavioral(placement, specs, rounds=cfg.rounds, seed=b_ss)
     if cfg.collect_contextual:
-        obs.merge_contextual(
-            simulate_contextual(
-                Combination(range(n)), specs, cfg.displays_per_input, seed=c_ss, n_inputs=n
-            ),
-            cfg.displays_per_input,
+        counts = simulate_contextual(
+            Combination(range(n)), specs, cfg.displays_per_input, seed=c_ss, n_inputs=n
         )
+        obs = replace(obs, contextual=counts, displays_per_input=cfg.displays_per_input)
     truth = {oid: trace.true_family(oid) for oid in trace.output_ids}
     return SimulatedTrial(
         placement=placement,

@@ -23,7 +23,7 @@ merge — absence of evidence is not similarity.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,37 +35,29 @@ DEFAULT_DISTANCE_THRESHOLD = 0.5
 _BLOCK_ELEMENTS = 1 << 20
 
 
-def build_signatures(
-    contextual: Mapping[int, np.ndarray | Sequence[int]],
-    n_inputs: int | None = None,
-) -> np.ndarray:
-    """The N×K int64 signature matrix from per-output display counts.
+def _count_matrix(counts: np.ndarray, what: str) -> np.ndarray:
+    """``counts`` as a 2-D non-negative int64 array."""
+    counts = np.asarray(counts)
+    if counts.ndim != 2 or (counts.size and counts.dtype.kind not in "iu"):
+        raise DomainError(
+            f"{what} must be a 2-D integer count matrix, got {counts.dtype} "
+            f"of shape {counts.shape}"
+        )
+    # unsigned counts past 2**63 - 1 wrap to negative here, and are rejected
+    counts = counts.astype(np.int64, copy=False)
+    if counts.size and counts.min() < 0:
+        raise DomainError(f"display counts must be >= 0, got {counts.min()}")
+    return counts
 
-    ``contextual`` is the mapping produced by the contextual simulator
-    (or an ObservationSet's ``contextual`` field): output_id → length-N
-    count vector.  Column j holds the j-th output in ascending id; an
-    input never displayed against has an all-zero row.
+
+def build_signatures(counts: np.ndarray) -> np.ndarray:
+    """The N×K int64 signature matrix: the transpose of the K×N display
+    counts the contextual simulator returns (an ObservationSet's
+    ``contextual`` matrix), rows in ascending output id.  Column j holds
+    the j-th output; an input never displayed against has an all-zero
+    row.
     """
-    vecs = {int(k): np.asarray(v, dtype=np.int64) for k, v in contextual.items()}
-    if any(v.ndim != 1 for v in vecs.values()):
-        raise DomainError("count vectors must be one-dimensional")
-    lengths = {v.shape[0] for v in vecs.values()}
-    if len(lengths) > 1:
-        raise DomainError(f"count vectors disagree on input count: {sorted(lengths)}")
-    if n_inputs is None:
-        n_inputs = lengths.pop() if lengths else 0
-    elif lengths and lengths != {n_inputs}:
-        raise DomainError(
-            f"count vectors have length {lengths.pop()}, expected {n_inputs}"
-        )
-    ids = sorted(vecs)
-    counts = np.array([vecs[k] for k in ids], dtype=np.int64).reshape(len(ids), n_inputs)
-    if (counts < 0).any():
-        j, i = np.argwhere(counts < 0)[0]
-        raise DomainError(
-            f"display counts must be >= 0, got {counts[j, i]} for output {ids[j]}"
-        )
-    return np.ascontiguousarray(counts.T)
+    return np.ascontiguousarray(_count_matrix(counts, "display counts").T)
 
 
 def cluster_inputs(
@@ -80,23 +72,15 @@ def cluster_inputs(
     All-zero signatures are never linked to anything.  The result is a
     partition: sorted id lists, ordered by first member.
     """
-    counts = np.asarray(signatures)
-    if counts.ndim != 2 or (counts.size and counts.dtype.kind not in "iu"):
-        raise DomainError(
-            f"signatures must be a 2-D integer count matrix, got {counts.dtype} "
-            f"of shape {counts.shape}"
-        )
+    counts = _count_matrix(signatures, "signatures")
     if distance_threshold < 0:
         raise DomainError(f"distance threshold must be >= 0, got {distance_threshold}")
     n, k = counts.shape
     if counts.size:
-        if counts.min() < 0:
-            raise DomainError(f"display counts must be >= 0, got {counts.min()}")
         # the squared norms are summed exactly in int64
         limit = math.isqrt((2**63 - 1) // k)
         if counts.max() > limit:
             raise DomainError(f"display counts above {limit} overflow the squared norm")
-    counts = counts.astype(np.int64, copy=False)
     norm = np.sqrt((counts * counts).sum(axis=1))
     active = norm > 0
     scale = np.ones(n) if raw else np.where(active, norm, 1.0)

@@ -93,19 +93,19 @@ class Verdicts:
     is either a K x N boolean matrix whose row k marks the inputs of
     output k's target combination (set intersection, Bayes), or one
     Family or None per row (core-family search); rows that are not
-    TARGETED have no target.  ``scores`` maps a model name to K scores,
-    NaN where that model gave output k none.  ``flags`` maps a flag name
-    to the K-row boolean mask of outputs carrying it.  ``posteriors``
-    maps a Bayes channel to (rows, probabilities, log normalizers): the
-    rows it scored and, per row, its posterior over (D_0..D_{N-1},
-    untargeted).
+    TARGETED have no target.  ``scores`` maps a model name to its K
+    scores in [0, 1].  ``flags`` maps a flag name to the K-row boolean
+    mask of outputs carrying it.  ``posteriors`` maps a Bayes channel to
+    (probabilities, log normalizers): the K x (N+1) posteriors over
+    (D_0..D_{N-1}, untargeted), one row per output, and their K log
+    normalizers.
     """
 
     codes: np.ndarray
     targets: np.ndarray | tuple[Family | None, ...]
     scores: Mapping[str, np.ndarray] = field(default_factory=dict)
     flags: Mapping[str, np.ndarray] = field(default_factory=dict)
-    posteriors: Mapping[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+    posteriors: Mapping[str, tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict
     )
 
@@ -132,10 +132,11 @@ class Verdicts:
     def predictions(self) -> list[Prediction]:
         """One :class:`Prediction` per row, with its scores, flags and
         posteriors."""
-        posts: list[dict | None] = [None] * len(self)
-        for name, (rows, probs, z) in self.posteriors.items():
-            for row, p, log_z in zip(rows.tolist(), probs, z.tolist()):
-                posts[row] = {**(posts[row] or {}), name: Posterior(p, log_z)}
+        posts = [
+            {name: Posterior(p[row], float(z[row])) for name, (p, z) in self.posteriors.items()}
+            or None
+            for row in range(len(self))
+        ]
         return self._rows(posts)
 
     def _rows(self, posts: Sequence[dict | None]) -> list[Prediction]:
@@ -144,8 +145,7 @@ class Verdicts:
         scores = [{} for _ in range(k)]
         for name, col in self.scores.items():
             for row, s in enumerate(col.tolist()):
-                if s == s:  # NaN: no score from this model
-                    scores[row][name] = s
+                scores[row][name] = s
         flags = [() for _ in range(k)]
         for name, mask in self.flags.items():
             for row in np.flatnonzero(mask).tolist():

@@ -11,8 +11,10 @@ stream, all K of them derived in one vectorized step by
 :func:`~xcorr.placement.spawn_rngs` (the streams of ``seed.spawn(K)``);
 each stream fills its spec's row of one K x m uniform draw, and one
 gather of the placement's core-member columns, reduced per member and
-per core, gives every in-target mask.  Observations keep the K x m seen matrix; per-output
-account sets are derived from it when read.  The simulators do not
+per core, gives every in-target mask.  Both simulators return rows in
+ascending output id: the K x m seen matrix and the K x N display-count
+matrix.  Observations keep the two matrices; per-output account sets
+are derived from the seen matrix when read.  The simulators do not
 advance a passed SeedSequence's spawn counter, so hand each seed
 sequence to one simulation only.
 """
@@ -21,8 +23,8 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -131,13 +133,14 @@ class ObservationSet:
 
     ``seen`` is the K x m boolean matrix whose row k marks A_k, the
     accounts that saw output ``output_ids[k]`` at least once; rows are in
-    ascending output id.  ``contextual`` maps output_id to the length-N
-    vector of display counts next to each input.
+    ascending output id.  ``contextual`` is the K x N int64 matrix whose
+    row k counts the displays of output ``output_ids[k]`` next to each
+    input, or None when the contextual channel was not collected.
     """
 
     output_ids: tuple[int, ...] = ()
     seen: np.ndarray | None = None
-    contextual: dict[int, np.ndarray] = field(default_factory=dict)
+    contextual: np.ndarray | None = None
     rounds: int = 1
     n_accounts: int = 0
     n_inputs: int = 0
@@ -152,6 +155,13 @@ class ObservationSet:
                 f"outputs and {self.n_accounts} accounts"
             )
         self.seen.setflags(write=False)
+        if self.contextual is not None:
+            if self.contextual.shape != (len(self.output_ids), self.n_inputs):
+                raise DomainError(
+                    f"contextual matrix of shape {self.contextual.shape} for "
+                    f"{len(self.output_ids)} outputs and {self.n_inputs} inputs"
+                )
+            self.contextual.setflags(write=False)
 
     @functools.cached_property
     def behavioral(self) -> dict[int, frozenset[int]]:
@@ -162,7 +172,9 @@ class ObservationSet:
         }
 
     def to_doc(self) -> dict:
-        """JSON document of the observations, outputs in ascending id."""
+        """JSON document of the observations, outputs in ascending id;
+        ``contextual`` is ``{}`` when the channel was not collected."""
+        counts = [] if self.contextual is None else self.contextual.tolist()
         return {
             "rounds": self.rounds,
             "n_accounts": self.n_accounts,
@@ -171,9 +183,7 @@ class ObservationSet:
             "behavioral": {
                 str(k): np.flatnonzero(row).tolist() for k, row in zip(self.output_ids, self.seen)
             },
-            "contextual": {
-                str(k): [int(c) for c in v] for k, v in sorted(self.contextual.items())
-            },
+            "contextual": {str(k): row for k, row in zip(self.output_ids, counts)},
         }
 
     def to_json(self) -> str:
@@ -183,7 +193,8 @@ class ObservationSet:
     def from_json(cls, text: str) -> "ObservationSet":
         """Inverse of :meth:`to_json`.  Raises :class:`ConfigError` on
         missing keys, output ids not in canonical decimal form, accounts
-        outside 0..n_accounts-1, or contextual vectors that are not
+        outside 0..n_accounts-1, contextual outputs other than none or
+        exactly the behavioral ones, or contextual vectors that are not
         n_inputs non-negative JSON integers that fit in int64."""
         what = "observations"
         doc = parse_artifact(text, what, ("behavioral", "contextual", *_OBSERVATION_COUNTS))
@@ -193,6 +204,7 @@ class ObservationSet:
         if not isinstance(behavioral, dict) or not isinstance(contextual, dict):
             raise ConfigError(f"{what}: behavioral and contextual must be JSON objects")
         beh = sorted((_output_id(k, what), v) for k, v in behavioral.items())
+        ids = [oid for oid, _ in beh]
         ctx = {_output_id(k, what): v for k, v in contextual.items()}
         for oid, accounts in beh:
             if not isinstance(accounts, list) or not all(
@@ -209,17 +221,17 @@ class ObservationSet:
                     f"{what}: output {oid} display counts must be non-negative "
                     f"integers, got {vec}"
                 )
-            ctx[oid] = np.array(vec, dtype=np.int64)
+        if ctx and sorted(ctx) != ids:
+            raise ConfigError(
+                f"{what}: contextual lists outputs {sorted(ctx)} but behavioral lists "
+                f"{ids}; it must list none or exactly the behavioral outputs"
+            )
         return cls(
-            output_ids=tuple(oid for oid, _ in beh),
+            output_ids=tuple(ids),
             seen=active_matrix([accounts for _, accounts in beh], m, ConfigError),
-            contextual=ctx,
+            contextual=np.array([ctx[oid] for oid in ids], dtype=np.int64) if ctx else None,
             **counts,
         )
-
-    def merge_contextual(self, counts: Mapping[int, np.ndarray], displays: int) -> None:
-        self.contextual.update(counts)
-        self.displays_per_input = displays
 
 
 @dataclass
@@ -282,6 +294,17 @@ def _check_specs(specs: Sequence[TargetingSpec], n_inputs: int) -> None:
                 )
 
 
+def _ordered(
+    specs: Sequence[TargetingSpec], seed: int | np.random.SeedSequence | SpawnedSeed
+) -> tuple[list[TargetingSpec], list[np.random.Generator]]:
+    """The specs in ascending output id, each with its own stream: spec k
+    of ``specs`` keeps the k-th child stream of ``seed`` (see
+    :func:`~xcorr.placement.spawn_rngs`)."""
+    rngs = spawn_rngs(seed, len(specs))
+    order = sorted(range(len(specs)), key=lambda j: specs[j].output_id)
+    return [specs[j] for j in order], [rngs[j] for j in order]
+
+
 def simulate_behavioral(
     placement: PlacementMatrix,
     specs: Sequence[TargetingSpec],
@@ -304,12 +327,7 @@ def simulate_behavioral(
         raise SpecError(f"rounds must be >= 1, got {rounds}")
     _check_specs(specs, placement.n_inputs)
     k, m = len(specs), placement.n_accounts
-    rngs = spawn_rngs(seed, k)
-    ids = [s.output_id for s in specs]
-    if ids != sorted(ids):
-        # rows go in ascending output id; each spec keeps its own stream
-        order = sorted(range(k), key=ids.__getitem__)
-        specs, rngs, ids = [specs[j] for j in order], [rngs[j] for j in order], sorted(ids)
+    specs, rngs = _ordered(specs, seed)
     draws = np.empty((k, m))
     for row, rng in zip(draws, rngs):
         rng.random(out=row)
@@ -322,7 +340,7 @@ def simulate_behavioral(
     p_rest = [_effective(s.p_out if s.is_targeted else s.p_empty, rounds) for s in specs]
     seen = draws < np.where(in_mask, np.array(p_hit)[:, None], np.array(p_rest)[:, None])
     obs = ObservationSet(
-        output_ids=tuple(ids), seen=seen, rounds=rounds, n_accounts=m,
+        output_ids=tuple(s.output_id for s in specs), seen=seen, rounds=rounds, n_accounts=m,
         n_inputs=placement.n_inputs,
     )
     trace = SimulationTrace(
@@ -341,16 +359,17 @@ def simulate_contextual(
     seed: int | np.random.SeedSequence | SpawnedSeed = 0,
     *,
     n_inputs: int,
-) -> dict[int, np.ndarray]:
-    """Display counts next to each of the user's inputs, in a universe
-    of ``n_inputs`` inputs.
+) -> np.ndarray:
+    """The K x N int64 display counts of the K specs next to each of the
+    user's inputs, in a universe of N = ``n_inputs`` inputs; rows are in
+    ascending output id, as in :func:`simulate_behavioral`.
 
     Each input gets ``displays_per_input`` display slots; in a slot next
     to input i, a contextual spec fires with p_in when {i} is one of its
     core members and p_out otherwise, a behavioral spec fires at p_out
     regardless (it does not react to the displayed input), and an
-    untargeted spec fires at p_empty.  Spec k draws from the k-th child
-    stream of ``seed``, whose spawn counter is not advanced.
+    untargeted spec fires at p_empty.  Spec k draws its row from the k-th
+    child stream of ``seed``, whose spawn counter is not advanced.
     """
     if displays_per_input < 1:
         raise SpecError(f"displays_per_input must be >= 1, got {displays_per_input}")
@@ -358,6 +377,7 @@ def simulate_contextual(
     user = list(user_inputs.inputs)
     if user and user[-1] >= n_inputs:
         raise SpecError(f"user inputs {user_inputs!r} reach outside 0..{n_inputs - 1}")
+    specs, rngs = _ordered(specs, seed)
     # contextual cores have order 1: {i} is a member iff input i fires it
     keyed = np.zeros((len(specs), n_inputs), dtype=bool)
     for k, spec in enumerate(specs):
@@ -368,6 +388,6 @@ def simulate_contextual(
     p = np.where(keyed[:, user], p_hit[:, None], p_rest[:, None])
     counts = np.zeros((len(specs), n_inputs), dtype=np.int64)
     if user:
-        for row, p_row, rng in zip(counts, p, spawn_rngs(seed, len(specs))):
+        for row, p_row, rng in zip(counts, p, rngs):
             row[user] = rng.binomial(displays_per_input, p_row)
-    return {spec.output_id: row for spec, row in zip(specs, counts)}
+    return counts

@@ -200,12 +200,16 @@ def theoretical_account_constant(x: float, alpha: float, l: int) -> float:
     return 3.0 * q / (x - q) ** 2
 
 
+#: most points :func:`phi_curve` builds; its list is held in memory whole
+MAX_CURVE_POINTS = 10**6
+
+
 def phi_curve(l: int, r: int, n_points: int = 199) -> list[tuple[float, float, float]]:
-    """(z, x, phi) samples at ``n_points`` >= 1 points of a uniform z
-    grid, for plotting."""
+    """(z, x, phi) samples at 1 <= ``n_points`` <= :data:`MAX_CURVE_POINTS`
+    points of a uniform z grid, for plotting."""
     _check_l_r(l, r)
-    if n_points < 1:
-        raise DomainError(f"n_points must be >= 1, got {n_points}")
+    if not 1 <= n_points <= MAX_CURVE_POINTS:
+        raise DomainError(f"n_points must be in 1..{MAX_CURVE_POINTS}, got {n_points}")
     rows = []
     for k in range(1, n_points + 1):
         z = k / (n_points + 1)

@@ -7,7 +7,6 @@ from oracles import bayes_oracle, composite_score, input_accounts, learn_oracle
 from xcorr.bayes import (
     DEFAULT_INIT,
     ModelParams,
-    Posterior,
     bayes_predict,
     bayes_verdicts,
     behavioral_evidence,
@@ -16,10 +15,10 @@ from xcorr.bayes import (
     learn_params,
     log_likelihoods,
 )
-from xcorr.core_model import Combination, Family
+from xcorr.core_model import Combination
 from xcorr.errors import DomainError
 from xcorr.placement import PlacementConfig, PlacementMatrix, bernoulli_placement
-from xcorr.prediction import Verdict
+from xcorr.prediction import Posterior, Verdict
 from xcorr.simulator import TargetingSpec, simulate_behavioral
 
 
@@ -267,7 +266,7 @@ def _workload(seed, n=15, m=40, outputs=60, p_in=0.7, p_out=0.01, p_empty=0.1):
 
 def test_learn_recovers_generating_params():
     pm, obs = _workload(seed=21)
-    res = learn_params(obs.behavioral, pm, init=DEFAULT_INIT)
+    res = learn_params(obs.seen, pm, init=DEFAULT_INIT)
     assert res.converged
     assert res.params.p_in == pytest.approx(0.7, abs=0.05)
     assert res.params.p_out == pytest.approx(0.01, abs=0.05)
@@ -276,7 +275,7 @@ def test_learn_recovers_generating_params():
 
 def test_learn_from_perturbed_init():
     pm, obs = _workload(seed=22)
-    res = learn_params(obs.behavioral, pm, init=ModelParams(0.5, 0.05, 0.3))
+    res = learn_params(obs.seen, pm, init=ModelParams(0.5, 0.05, 0.3))
     assert res.params.p_in == pytest.approx(0.7, abs=0.07)
     assert res.params.p_empty == pytest.approx(0.1, abs=0.07)
 
@@ -288,7 +287,7 @@ def test_learn_untargeted_only_touches_p_empty():
     pm = bernoulli_placement(cfg)
     specs = [TargetingSpec.untargeted(k, p_empty=0.05) for k in range(40)]
     obs, _ = simulate_behavioral(pm, specs, rounds=1, seed=32)
-    res = learn_params(obs.behavioral, pm, init=DEFAULT_INIT)
+    res = learn_params(obs.seen, pm, init=DEFAULT_INIT)
     assert res.params.p_in == DEFAULT_INIT.p_in
     assert res.params.p_out == DEFAULT_INIT.p_out
     hit_rate = sum(len(v) for v in obs.behavioral.values()) / (40 * 30)
@@ -297,7 +296,7 @@ def test_learn_untargeted_only_touches_p_empty():
 
 def test_learn_single_iteration_with_infinite_tol():
     pm, obs = _workload(seed=41)
-    res = learn_params(obs.behavioral, pm, tol=math.inf, max_iter=50)
+    res = learn_params(obs.seen, pm, tol=math.inf, max_iter=50)
     assert res.iterations == 1
     assert res.converged
 
@@ -305,7 +304,7 @@ def test_learn_single_iteration_with_infinite_tol():
 def test_learn_nonconvergence_flag():
     pm, obs = _workload(seed=51)
     res = learn_params(
-        obs.behavioral, pm, init=ModelParams(0.4, 0.2, 0.5), tol=1e-12, max_iter=1
+        obs.seen, pm, init=ModelParams(0.4, 0.2, 0.5), tol=1e-12, max_iter=1
     )
     assert not res.converged
     assert res.iterations == 1
@@ -314,8 +313,8 @@ def test_learn_nonconvergence_flag():
 
 def test_learn_deterministic():
     pm, obs = _workload(seed=61)
-    r1 = learn_params(obs.behavioral, pm)
-    r2 = learn_params(obs.behavioral, pm)
+    r1 = learn_params(obs.seen, pm)
+    r2 = learn_params(obs.seen, pm)
     assert r1 == r2
 
 
@@ -339,8 +338,7 @@ def test_learn_contextual_self_consistency():
         Combination(range(n)), specs, displays_per_input=displays, seed=72, n_inputs=n
     )
     res = learn_contextual_params(
-        counts, n_inputs=n, displays_per_input=displays,
-        init=ModelParams(0.5, 0.05, 0.2),
+        counts, displays_per_input=displays, init=ModelParams(0.5, 0.05, 0.2)
     )
     assert res.params.p_in == pytest.approx(0.6, abs=0.07)
     assert res.params.p_out == pytest.approx(0.03, abs=0.03)
@@ -352,7 +350,9 @@ def test_learn_contextual_self_consistency():
 
 def _random_batch(rng):
     """A random trial: placement, params, and K outputs whose channels,
-    active sets and counts cover the edge cases."""
+    active sets and counts cover the edge cases.  The behavioral channel
+    is K account sets or None, the contextual one a K x N count matrix or
+    None, not both None."""
     m, n = int(rng.integers(1, 30)), int(rng.integers(1, 9))
     membership = rng.random((m, n)) < rng.uniform(0.2, 0.8)
     p_out = float(rng.uniform(1e-3, 0.3))
@@ -365,8 +365,8 @@ def _random_batch(rng):
     )
     ctx_params = None if rng.random() < 0.5 else ModelParams(0.58, 0.04, 0.1)
     k = int(rng.choice([0, 1, 2, 7]))
-    active, counts = [], []
-    for _ in range(k):
+    active, counts = [], np.zeros((k, n), dtype=np.int64)
+    for x in counts:
         kind = rng.integers(0, 4)
         if kind == 0:
             a_k = []
@@ -376,14 +376,24 @@ def _random_batch(rng):
             a_k = np.nonzero(membership[:, int(rng.integers(0, n))])[0].tolist()
         else:
             a_k = np.nonzero(rng.random(m) < 0.4)[0].tolist()
-        x = rng.integers(0, 20, size=n)
+        active.append(a_k)
+        x[:] = rng.integers(0, 20, size=n)
         if rng.random() < 0.3:
             x[int(rng.integers(0, n))] += 50
-        channels = rng.integers(0, 4)  # both, behavioral, contextual, neither
-        active.append(a_k if channels in (0, 1) else None)
-        counts.append(x if channels in (0, 2) else None)
+    channels = rng.integers(0, 3)  # both, behavioral, contextual
     floor = float(rng.choice([0.3, 0.5, 0.8]))
-    return membership, params, ctx_params, active, counts, floor
+    return (
+        membership, params, ctx_params,
+        active if channels < 2 else None, counts if channels != 1 else None, floor,
+    )
+
+
+def _per_output(active, counts):
+    """(active set or None, count vector or None) of each output."""
+    k = len(active) if active is not None else len(counts)
+    return zip(
+        [None] * k if active is None else active, [None] * k if counts is None else counts
+    )
 
 
 def test_batch_matches_scalar_oracle():
@@ -394,13 +404,10 @@ def test_batch_matches_scalar_oracle():
         preds = bayes_verdicts(
             active, counts, PlacementMatrix(membership), params, ctx_params, floor
         ).predictions()
-        assert len(preds) == len(active)
-        for a_k, x, pred in zip(active, counts, preds):
+        outputs = list(_per_output(active, counts))
+        assert len(preds) == len(outputs)
+        for (a_k, x), pred in zip(outputs, preds):
             want = bayes_oracle(a_k, x, membership, params, ctx_params, floor)
-            if want["combined"] is None:
-                assert pred.verdict is Verdict.UNKNOWN
-                assert pred.flags == ("no_observations",)
-                continue
             assert set(pred.posteriors) == set(want["posteriors"])
             for name, (probs, log_z) in want["posteriors"].items():
                 got = pred.posteriors[name]
@@ -426,17 +433,18 @@ def test_batch_rows_equal_single_output_calls():
         membership, params, ctx_params, active, counts, floor = _random_batch(rng)
         pm = PlacementMatrix(membership)
         batch = bayes_verdicts(active, counts, pm, params, ctx_params, floor).predictions()
-        for a_k, x, pred in zip(active, counts, batch):
+        for (a_k, x), pred in zip(_per_output(active, counts), batch, strict=True):
             one = bayes_predict(a_k, x, pm, params, ctx_params, floor)
             assert one.to_dict() == pred.to_dict()
-            for name, post in (one.posteriors or {}).items():
+            for name, post in one.posteriors.items():
                 assert post.probabilities.tobytes() == pred.posteriors[name].probabilities.tobytes()
                 assert post.log_normalizer == pred.posteriors[name].log_normalizer
 
 
 def test_batch_rejects_bad_observations():
     pm = PlacementMatrix(np.array([[True, False], [False, True], [True, True]]))
-    assert bayes_verdicts([], [], pm).predictions() == []
+    empty = bayes_verdicts(np.zeros((0, 3), dtype=bool), np.zeros((0, 2), dtype=np.int64), pm)
+    assert empty.predictions() == []
     with pytest.raises(DomainError):
         bayes_verdicts([[0, 3]], None, pm)
     with pytest.raises(DomainError):
@@ -448,7 +456,9 @@ def test_batch_rejects_bad_observations():
     with pytest.raises(DomainError):
         bayes_predict(contextual_counts=[-4, 2])
     with pytest.raises(DomainError):
-        bayes_verdicts(None, [[1, 2], [1, 2, 3]])
+        bayes_verdicts(None, [1, 2])
+    with pytest.raises(DomainError):
+        bayes_verdicts(None, None)
     with pytest.raises(DomainError):
         bayes_verdicts([[0]], [[1, 2, 3]], pm)
     with pytest.raises(DomainError):
@@ -473,21 +483,21 @@ def test_learners_match_scalar_oracle():
             lambda oid, p: bayes_oracle(obs.behavioral[oid], None, mem, p, None, 0.5),
             sizes, [m - s for s in sizes], m, init, tol=1e-6,
         )
-        got = learn_params(obs.behavioral, pm, init=init, tol=1e-6)
+        got = learn_params(obs.seen, pm, init=init, tol=1e-6)
         assert (got.params, got.iterations, got.converged) == (want[0], want[1], want[2])
         assert got.history == want[3]
 
         displays = int(rng.integers(5, 40))
-        counts = {
-            k: rng.binomial(displays, np.where(np.arange(n) == k % n, 0.6, 0.03))
+        counts = np.array([
+            rng.binomial(displays, np.where(np.arange(n) == k % n, 0.6, 0.03))
             if k % 3 else rng.binomial(displays, np.full(n, 0.1))
             for k in range(int(rng.integers(0, 20)))
-        }
+        ], dtype=np.int64).reshape(-1, n)
         want = learn_oracle(
-            {k: (x.tolist(), int(x.sum())) for k, x in counts.items()},
+            {k: (x.tolist(), int(x.sum())) for k, x in enumerate(counts)},
             lambda oid, p: bayes_oracle(None, counts[oid], None, p, None, 0.5),
             [displays] * n, [displays * (n - 1)] * n, displays * n, init, tol=1e-6,
         )
-        got = learn_contextual_params(counts, n, displays, init=init, tol=1e-6)
+        got = learn_contextual_params(counts, displays, init=init, tol=1e-6)
         assert (got.params, got.iterations, got.converged, got.history) == want
-        assert got.iterations > 1 or not counts
+        assert got.iterations > 1 or not len(counts)

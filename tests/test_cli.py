@@ -126,7 +126,7 @@ def test_match_raw_distance_matches_oracle(capsys, tmp_path):
         seed=cfg.seed, n_inputs=cfg.n_inputs,
     )
     expected = cluster_inputs_oracle(
-        oracle_signatures(counts, cfg.n_inputs), 15.0, raw=True
+        oracle_signatures(dict(enumerate(counts)), cfg.n_inputs), 15.0, raw=True
     )
     assert doc["clusters"] == expected
     # normalized distances are at most sqrt(2), so only the raw metric
@@ -288,6 +288,23 @@ OBSERVATION_DAMAGE = {
     "count overflows": lambda text: _corrupt(
         json.loads(text), lambda d: d["contextual"].__setitem__("0", [10**30])
     ),
+    # contextual counts are all outputs' or none: once a partial set mixed
+    # the channels row by row, and an extra output was dropped unread
+    "contextual names a subset of the outputs": lambda text: _corrupt(
+        json.loads(text), lambda d: d["contextual"].__setitem__("0", [0] * d["n_inputs"])
+    ),
+    "contextual names an extra output": lambda text: _corrupt(
+        json.loads(text),
+        lambda d: d["contextual"].update(
+            {k: [0] * d["n_inputs"] for k in [*d["behavioral"], "99"]}
+        ),
+    ),
+    "contextual outputs without behavioral ones": lambda text: _corrupt(
+        json.loads(text),
+        lambda d: d.update(
+            behavioral={}, contextual={str(k): [0] * d["n_inputs"] for k in range(4)}
+        ),
+    ),
     "contextual length": lambda text: _corrupt(
         json.loads(text), lambda d: d["contextual"].__setitem__("0", [1, 2])
     ),
@@ -356,9 +373,9 @@ def test_report_deterministic_and_csv(capsys, tmp_path, tiny_config):
 
 def test_report_requirement_gate(capsys, tiny_config):
     code, _, err = run(
-        capsys, "report", "--config", tiny_config, "--require-recall", "1.01"
+        capsys, "report", "--config", tiny_config, "--require-recall", "1.0"
     )
-    assert code == 3
+    assert code == 3  # setint recalls 8 of the 9 targeted outputs
     assert "requirement failed" in err
 
     code, _, _ = run(
@@ -506,6 +523,9 @@ def test_unknown_algo_rejected_by_parser(capsys, tmp_path):
     ("algo_config", {"setint": {"threshold": "x"}}),
     ("algo_config", {"bayes": {"p_in": "x"}}),
     ("algo_config", {"composite": {"contextual": {"p_out": None}}}),
+    # a floor above 1 once ran and made every verdict UNTARGETED
+    ("algo_config", {"bayes": {"score_floor": 7}}),
+    ("algo_config", {"composite": {"score_floor": -0.5}}),
     ("algo_config", {"corefamily": {"l_max": 1.5}}),
 ])
 def test_wrong_typed_config_is_a_config_error(capsys, tmp_path, key, value):

@@ -117,12 +117,12 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def _report(config: dict) -> tuple[int, str, str]:
+def _report(config: dict, *flags: str) -> tuple[int, str, str]:
     """``_run`` of ``report`` on ``config`` written to a file."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
-        return _run(["report", "--config", str(path)])
+        return _run(["report", "--config", str(path), *flags])
 
 
 def _check(argv: list[str]) -> None:
@@ -216,6 +216,17 @@ def test_out_of_memory_is_an_error_line(monkeypatch):
     assert err == "error: Unable to allocate 8.00 EiB for an array\n"
 
 
+@pytest.mark.parametrize("gate", ["recall", "precision"])
+@pytest.mark.parametrize("bound", ["nan", "inf", "-0.1", "1.5"])
+def test_requirement_outside_the_unit_interval_is_a_config_error(monkeypatch, gate, bound):
+    # every comparison with NaN is false, so a NaN gate once passed any run
+    monkeypatch.setattr("xcorr.cli.run_scenario", lambda *a, **k: pytest.fail("a trial ran"))
+    code, out, err = _report(TINY, f"--require-{gate}={bound}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: --require-{gate} must be a number in [0, 1]"), err
+
+
 def test_seed_stays_unbounded():
     code, _, err = _report({**TINY, "seed": 10**40})
     assert code == 0, err
@@ -262,3 +273,12 @@ def test_auto_alpha_without_a_float64_operating_point_exits_2():
     })
     assert code == 2, err
     assert err.startswith("error: no operating point for l=54, r=54"), err
+
+
+def test_threshold_curve_beyond_the_point_cap_exits_2():
+    # the whole curve is one list in memory: 10**8 points were killed
+    # with exit 137; the cap is checked before any point is built
+    code, out, err = _run(["threshold", "--l", "2", "--r", "2", "--curve", str(10**6 + 1)])
+    assert code == 2
+    assert out == ""
+    assert err == "error: n_points must be in 1..1000000, got 1000001\n"

@@ -4,11 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from xcorr.core_model import Combination, Family
+from xcorr.core_model import Family
 from xcorr.errors import ConfigError, MismatchedUniverse, parse_artifact
 from xcorr.experiment import (
     CorrelationStore,
-    Metrics,
     PRESETS,
     ScenarioConfig,
     Truth,

@@ -62,33 +62,31 @@ def test_zero_entries_are_dropped_and_negatives_rejected():
     assert s.coords == {2: 5}
     with pytest.raises(DomainError):
         ContextualSignature(0, {1: -2})
-    with pytest.raises(DomainError, match="output 5"):
-        build_signatures({0: [1, 2], 5: [0, -2]})
+    with pytest.raises(DomainError, match="got -2"):
+        build_signatures(np.array([[1, 2], [0, -2]]))
 
 
 def test_build_signatures_shapes():
-    contextual = {
-        9: np.array([1, 0, 0]),
-        7: np.array([0, 2, 0]),
-    }
-    m = build_signatures(contextual)
+    # K x N counts of outputs 7 and 9, rows in ascending id
+    counts = np.array([[0, 2, 0], [1, 0, 0]], dtype=np.int32)
+    m = build_signatures(counts)
     assert m.dtype == np.int64
     # one row per input, one column per output in ascending id (7, 9)
     assert m.tolist() == [[0, 1], [2, 0], [0, 0]]
     assert not m[2].any()  # never displayed against: all-zero signature
 
 
-def test_build_signatures_validates_lengths():
-    with pytest.raises(DomainError):
-        build_signatures({0: [1, 2], 1: [1, 2, 3]})
-    with pytest.raises(DomainError):
-        build_signatures({0: [1, 2]}, n_inputs=3)
-    with pytest.raises(DomainError):
-        build_signatures({0: [[1, 2]]})
-    assert build_signatures({}).shape == (0, 0)
-    assert build_signatures({}, n_inputs=2).shape == (2, 0)
-    assert cluster_inputs(build_signatures({})) == []
-    assert cluster_inputs(build_signatures({}, n_inputs=2)) == [[0], [1]]
+def test_build_signatures_checks_the_count_matrix():
+    for bad in ([1, 2], [[[1, 2]]], [[1.5, 2.0]]):
+        with pytest.raises(DomainError, match="2-D integer count matrix"):
+            build_signatures(np.array(bad))
+    with pytest.raises(DomainError, match="must be >= 0"):
+        build_signatures(np.array([[2**63]], dtype=np.uint64))
+    no_outputs = np.zeros((0, 2), dtype=np.int64)
+    assert build_signatures(np.zeros((0, 0), dtype=np.int64)).shape == (0, 0)
+    assert build_signatures(no_outputs).shape == (2, 0)
+    assert cluster_inputs(build_signatures(np.zeros((0, 0), dtype=np.int64))) == []
+    assert cluster_inputs(build_signatures(no_outputs)) == [[0], [1]]
 
 
 def test_cluster_inputs_rejects_bad_matrices():
@@ -196,7 +194,8 @@ def test_cluster_inputs_matches_oracle(case, raw, data):
         threshold = data.draw(st.sampled_from(distances))
     else:
         threshold = data.draw(st.floats(0.0, 60.0))
-    got = cluster_inputs(build_signatures(contextual, n_inputs=n), threshold, raw=raw)
+    counts = np.array([contextual[k] for k in sorted(contextual)], dtype=np.int64)
+    got = cluster_inputs(build_signatures(counts.reshape(-1, n)), threshold, raw=raw)
     assert got == cluster_inputs_oracle(oracle_sigs, threshold, raw=raw)
 
 
@@ -271,7 +270,7 @@ def test_category_workload_recovers_groups():
         counts, truth = _category_workload(seed)
         clusters = cluster_inputs(build_signatures(counts), 0.5)
         assert clusters == cluster_inputs_oracle(
-            oracle_signatures(counts, len(truth) * 3), 0.5
+            oracle_signatures(dict(enumerate(counts)), len(truth) * 3), 0.5
         )
         purities.append(cluster_purity(clusters, truth))
     assert float(np.mean(purities)) >= 17 / 18

@@ -183,7 +183,7 @@ def contextual_workloads():
         counts = simulate_contextual(
             Combination(range(n)), specs, displays_per_input=displays, seed=seed, n_inputs=n
         )
-        yield counts, n, displays
+        yield counts, displays
 
 
 def scoring_digests() -> dict[str, str]:
@@ -202,9 +202,9 @@ def scoring_digests() -> dict[str, str]:
                     hashes[algo].update(f"{name}/{t}/{v_idx}/{oid}".encode())
                     hashes[algo].update(_posterior_bytes(pred))
         for init in learn_inits:
-            res = learn_params(obs.behavioral, pm, init=init)
+            res = learn_params(obs.seen, pm, init=init)
             hashes["learn"].update(f"{name}/{t}".encode() + _learn_bytes(res))
-        res = learn_params(obs.behavioral, pm, tol=1e-9, max_iter=3)
+        res = learn_params(obs.seen, pm, tol=1e-9, max_iter=3)
         hashes["learn"].update(_learn_bytes(res))
     for kwargs in direct_cases():
         hashes["direct"].update(_posterior_bytes(bayes_predict(**kwargs)))
@@ -225,13 +225,14 @@ def scoring_digests() -> dict[str, str]:
             split = [sorted(inside[oid]), sorted(outside[oid])]
             hashes["simulator"].update(json.dumps(split).encode())
         hashes["simulator"].update(b"\n")
-    for counts, n, displays in contextual_workloads():
+    for counts, displays in contextual_workloads():
         for init in learn_inits:
-            res = learn_contextual_params(counts, n, displays, init=init)
+            res = learn_contextual_params(counts, displays, init=init)
             hashes["learn"].update(_learn_bytes(res))
     empty = PlacementMatrix(np.zeros((4, 3), dtype=bool))
-    hashes["learn"].update(_learn_bytes(learn_params({}, empty)))
-    hashes["learn"].update(_learn_bytes(learn_contextual_params({}, 3, 10)))
+    no_seen, no_counts = np.zeros((0, 4), dtype=bool), np.zeros((0, 3), dtype=np.int64)
+    hashes["learn"].update(_learn_bytes(learn_params(no_seen, empty)))
+    hashes["learn"].update(_learn_bytes(learn_contextual_params(no_counts, 10)))
     return {key: h.hexdigest() for key, h in hashes.items()}
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -13,13 +15,11 @@ from oracles import (
     simulate_contextual_oracle,
 )
 from xcorr.core_model import Combination, Family, eval_targeting
-from xcorr.errors import SpecError
+from xcorr.errors import DomainError, SpecError
 from xcorr.placement import PlacementConfig, PlacementMatrix, bernoulli_placement
 from xcorr.simulator import (
-    BEHAVIORAL,
     CONTEXTUAL,
     ObservationSet,
-    SimulationTrace,
     TargetingSpec,
     simulate_behavioral,
     simulate_contextual,
@@ -229,13 +229,18 @@ def test_observation_set_json_roundtrip():
     ]
     obs, _ = simulate_behavioral(pm, specs, rounds=2, seed=6)
     ctx = simulate_contextual(Combination(range(3)), specs, 20, seed=6, n_inputs=3)
-    obs.merge_contextual(ctx, displays=20)
+    obs = dataclasses.replace(obs, contextual=ctx, displays_per_input=20)
     back = ObservationSet.from_json(obs.to_json())
     assert back.behavioral == obs.behavioral
-    assert set(back.contextual) == set(obs.contextual)
-    for k in obs.contextual:
-        assert np.array_equal(back.contextual[k], obs.contextual[k])
+    assert back.contextual.dtype == np.int64
+    assert np.array_equal(back.contextual, obs.contextual)
     assert back.rounds == 2 and back.displays_per_input == 20
+    assert back.contextual.flags.writeable is False
+    unseen = dataclasses.replace(obs, contextual=None)
+    assert json.loads(unseen.to_json())["contextual"] == {}
+    assert ObservationSet.from_json(unseen.to_json()).contextual is None
+    with pytest.raises(DomainError, match="contextual matrix of shape"):
+        dataclasses.replace(obs, contextual=ctx[:1])
 
 
 # ------------------------------------------------------------ oracle
@@ -300,6 +305,5 @@ def test_columnar_simulators_equal_the_per_spec_oracle(workload, displays):
     user = Combination(i for i in range(n) if (seed >> i) & 1)
     got = simulate_contextual(user, specs, displays, seed=seed, n_inputs=n)
     want = simulate_contextual_oracle(user.inputs, specs, displays, seed, n)
-    assert sorted(got) == sorted(want)
-    for oid in want:
-        assert got[oid].tolist() == want[oid].tolist()
+    assert got.shape == (len(specs), n)
+    assert got.tolist() == [want[oid].tolist() for oid in obs.output_ids]

@@ -254,6 +254,11 @@ def test_phi_curve_needs_a_point(n_points):
         phi_curve(2, 2, n_points=n_points)
 
 
+def test_phi_curve_caps_its_points():
+    with pytest.raises(DomainError, match=r"n_points must be in 1\.\.1000000"):
+        phi_curve(2, 2, n_points=10**6 + 1)
+
+
 def test_runtime_budget():
     import time
 
