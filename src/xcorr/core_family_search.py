@@ -16,16 +16,19 @@ behind exclusion sets to find the remaining members; it needs no bound
 on the member order.
 
 Both searches run on the root family's packed rows alone, one per-run
-state holding the test budget, the memo, the trace and the members
+state holding the test budget, the memos, the trace and the members
 found.  Row i of the rows is input i, so a candidate combination is a
 sorted tuple of input ids that is also a tuple of row indices; a
 conditional or exclusion family is a member mask over the rows, and a
-conditional query reads the candidate's own rows as cleared.
+conditional query reads the candidate's own rows as cleared.  Inside a
+search a row and a member mask are Python ints (bit k for account k),
+and every distinct witness query is asked once: a repeat is charged and
+logged like any test, but answered from the search's witness memo.
 
 Every search is written as a generator.  Each step yields a block of
 witness queries over one family's rows, their member masks, cleared rows
 and thresholds, and is sent back one witness per query, as row indices
-(or None).  The memo, the budget and the trace stay inside the
+(or None).  The memos, the budget and the trace stay inside the
 generator, so a search does the same tests in the same order whoever
 answers its queries.  One driver answers them: it advances its
 searches in lock-step rounds, answering every pending block of a round
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Generator, Iterable, TypeVar
@@ -82,7 +86,8 @@ class DetectionConfig:
     search, optional for the removal search), ``test_budget`` caps the
     total number of witness searches, and ``min_members`` is the account
     support below which a conditional test answers unknown instead of
-    guessing.
+    guessing.  The four counts must be integers (not bools), as in a
+    scenario's ``algo_config``.
     """
 
     x: float = 0.95
@@ -92,6 +97,12 @@ class DetectionConfig:
     min_members: int = 3
 
     def __post_init__(self):
+        for name in ("l_max", "r_max", "test_budget", "min_members"):
+            value = getattr(self, name)
+            if value is None and name in ("r_max", "test_budget"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if not 0.0 < self.x < 1.0:
             raise ConfigError(f"x must lie in (0,1), got {self.x}")
         if self.l_max < 1:
@@ -149,7 +160,7 @@ class AdFamily:
         return cls._packed(pack_bitsets(placement.membership), pack_bitsets(seen.T)[0])
 
     def __len__(self) -> int:
-        return _size(self._mask)
+        return int(popcount_u64(self._mask).sum())
 
     @property
     def members(self) -> tuple[Combination, ...]:
@@ -161,7 +172,7 @@ class AdFamily:
         return iter(self.members)
 
     def all_inputs(self) -> tuple[int, ...]:
-        return tuple(_held(self._rows, self._mask))
+        return tuple(np.flatnonzero((self._rows & self._mask).any(axis=1)).tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AdFamily):
@@ -181,14 +192,17 @@ def _unpack(words: np.ndarray) -> np.ndarray:
     return np.unpackbits(le, axis=1, bitorder="little").astype(bool)
 
 
-def _size(mask: np.ndarray) -> int:
-    """Number of members in a member mask."""
-    return int(popcount_u64(mask).sum())
+def _ints(words: np.ndarray) -> list[int]:
+    """Each row of (n, w) uint64 words as one int: bit 64*j + k of the int
+    is bit k of word j, so bit k is account k."""
+    raw = np.ascontiguousarray(words, dtype="<u8").tobytes()
+    step = 8 * words.shape[1]
+    return [int.from_bytes(raw[at : at + step], "little") for at in range(0, len(raw), step)]
 
 
-def _held(rows: np.ndarray, mask: np.ndarray) -> list[int]:
-    """Indices of the rows some member of ``mask`` holds, ascending."""
-    return np.flatnonzero((rows & mask).any(axis=1)).tolist()
+def _words(mask: int, n_words: int) -> np.ndarray:
+    """An int member mask as a (1, n_words) uint64 row."""
+    return np.frombuffer(mask.to_bytes(8 * n_words, "little"), dtype="<u8")[None]
 
 
 def intersect_threshold(x: float, n_members: int) -> int:
@@ -202,9 +216,9 @@ def intersect_threshold(x: float, n_members: int) -> int:
 
 def _block(rows: np.ndarray, mask: np.ndarray, cleared: tuple[int, ...], x: float,
            support: int) -> Block:
-    """The block of one witness query on the ``support`` members of
-    ``mask``, reading the rows ``cleared`` as cleared."""
-    return rows, mask[None], [cleared], [intersect_threshold(x, support)]
+    """The block of one witness query on the ``support`` members of the
+    (1, w) ``mask``, reading the rows ``cleared`` as cleared."""
+    return rows, mask, [cleared], [intersect_threshold(x, support)]
 
 
 def find_x_intersecting_subset(
@@ -221,7 +235,7 @@ def find_x_intersecting_subset(
         raise EmptyFamily("witness search needs a non-empty family")
     if l_max < 1:
         raise DomainError(f"l_max must be >= 1, got {l_max}")
-    [[found]] = _answer_stacked([_block(fam._rows, fam._mask, (), x, len(fam))], l_max)
+    [[found]] = _answer_stacked([_block(fam._rows, fam._mask[None], (), x, len(fam))], l_max)
     return None if found is None else Combination(found.tolist())
 
 
@@ -236,13 +250,13 @@ def conditional_family(fam: AdFamily, c: Combination | Iterable[int]) -> AdFamil
         return AdFamily._packed(fam._rows, np.zeros_like(fam._mask))
     stripped = fam._rows.copy()
     stripped[list(ids)] = 0
-    return AdFamily._packed(stripped, _conditional(fam._rows, fam._mask, ids))
+    return AdFamily._packed(stripped, np.bitwise_and.reduce(fam._rows[list(ids)]) & fam._mask)
 
 
-def _conditional(rows: np.ndarray, mask: np.ndarray, c: Iterable[int]) -> np.ndarray:
+def _conditional(bits: list[int], mask: int, c: Iterable[int]) -> int:
     """Member mask of the members of ``mask`` holding every row of ``c``."""
     for k in c:
-        mask = mask & rows[k]
+        mask &= bits[k]
     return mask
 
 
@@ -256,15 +270,9 @@ def detect_targeting(fam: AdFamily, cfg: DetectionConfig) -> bool:
     "not enough data" should check the support themselves (as
     :func:`predict_core_family` does, reporting UNKNOWN).
     """
-    return _run(_detect(fam._rows, fam._mask, cfg), cfg.l_max)
-
-
-def _detect(rows: np.ndarray, mask: np.ndarray, cfg: DetectionConfig) -> Step[bool]:
-    """Search step of :func:`detect_targeting` on the members of ``mask``."""
-    support = _size(mask)
-    if support < cfg.min_members:
+    if len(fam) < cfg.min_members:
         return False
-    return (yield _block(rows, mask, (), cfg.x, support))[0] is not None
+    return find_x_intersecting_subset(fam, cfg.x, cfg.l_max) is not None
 
 
 def contains_core_test(
@@ -290,11 +298,12 @@ def contains_core_test(
 
 def _answer_stacked(blocks: list[Block], l_max: int) -> list[list[np.ndarray | None]]:
     """Answer blocks of witness queries with one kernel call over their
-    stacked masked rows, split back by offset.  All blocks' rows have one
-    shape: the families of one placement share its rows.  Cleared rows
+    stacked masked rows, split back by offset.  Every block of a run has
+    the same rows (the families of one placement share its rows), so the
+    stack is one AND of the rows with the blocks' masks.  Cleared rows
     are zeroed inside the stack; zero rows never change a witness."""
-    parts = [b[0] & b[1][:, None] for b in blocks]
-    stack = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    masks = blocks[0][1] if len(blocks) == 1 else np.concatenate([b[1] for b in blocks])
+    stack = blocks[0][0] & masks[:, None]
     n = stack.shape[1]
     cleared = [q * n + k for q, ks in enumerate(c for b in blocks for c in b[2]) for k in ks]
     if cleared:
@@ -361,20 +370,29 @@ class SearchTrace:
 
 class _Search:
     """The state of one search run over a family's packed rows: its test
-    budget, containment memo, trace and members found.
+    budget, containment and witness memos, trace and members found.
 
     A candidate is a sorted tuple of input ids, which are row indices,
-    and a family inside the search is a member mask over the rows.
+    and a family inside the search is a member mask over the rows.  Row
+    i is also ``bits[i]``, one int with bit k set for account k, and
+    every member mask is an int, the family's own being ``full``; a
+    mask becomes a (1, w) uint64 row only in a yielded block.  ``bits``
+    may be passed in when the caller has them: the outputs of one
+    placement share its rows.
     """
 
-    def __init__(self, fam: AdFamily, cfg: DetectionConfig, trace: SearchTrace | None):
+    def __init__(self, fam: AdFamily, cfg: DetectionConfig, trace: SearchTrace | None,
+                 bits: list[int] | None = None):
         if len(fam) == 0:
             raise EmptyFamily("cannot search an empty ad family")
-        self.rows, self.mask = fam._rows, fam._mask
+        self.rows = fam._rows
+        self.bits = _ints(fam._rows) if bits is None else bits
+        [self.full] = _ints(fam._mask[None])
         self.cfg = cfg
         self.trace = trace
         self.used = 0
         self.memo: dict[tuple[int, ...], bool | None] = {}
+        self.witnesses: dict[tuple[int, tuple[int, ...]], tuple[int, ...] | None] = {}
         self.found: list[tuple[int, ...]] = []
 
     def charge(self) -> None:
@@ -401,11 +419,22 @@ class _Search:
                 kept.append(c)
         return Family(kept)
 
-    def detect(self, mask: np.ndarray, known: bool | None = None) -> Step[bool]:
-        """The charged detection test on the members of ``mask``; ``known``
-        is its answer when the caller has already asked the same query."""
+    def ask(self, mask: int, cleared: tuple[int, ...]) -> Step[tuple[int, ...] | None]:
+        """The witness rows of the members of ``mask``, reading the rows
+        ``cleared`` as cleared; asked only the first time.  Not charged."""
+        key = (mask, cleared)
+        if key not in self.witnesses:
+            [w] = yield _block(self.rows, _words(mask, self.rows.shape[1]), cleared,
+                               self.cfg.x, mask.bit_count())
+            self.witnesses[key] = None if w is None else tuple(w.tolist())
+        return self.witnesses[key]
+
+    def detect(self, mask: int) -> Step[bool]:
+        """The charged detection test on the members of ``mask``."""
         self.charge()
-        res = known if known is not None else (yield from _detect(self.rows, mask, self.cfg))
+        res = mask.bit_count() >= self.cfg.min_members and (
+            (yield from self.ask(mask, ())) is not None
+        )
         self.log("detect", None, res)
         return res
 
@@ -415,42 +444,44 @@ class _Search:
         if c in self.memo:
             return self.memo[c]
         self.charge()
-        cond = _conditional(self.rows, self.mask, c)
-        support = _size(cond)
+        cond = _conditional(self.bits, self.full, c)
         res = None
-        if support >= self.cfg.min_members:
-            res = (yield _block(self.rows, cond, c, self.cfg.x, support))[0] is None
+        if cond.bit_count() >= self.cfg.min_members:
+            res = (yield from self.ask(cond, c)) is None
         self.memo[c] = res
         self.log("contains", c, res)
         return res
 
-    def steer(self, mask: np.ndarray, c: tuple[int, ...]) -> Step[list[int] | None]:
+    def steer(self, mask: int, c: tuple[int, ...]) -> Step[list[int] | None]:
         """Witness rows of the conditional at ``c`` of the members of
         ``mask``, ordered by the number of members each one hits
         (descending, then ascending row).  None, and no charge, when no
         member there holds an input outside ``c``."""
-        cond = _conditional(self.rows, mask, c)
-        live = self.rows & cond
-        live[list(c)] = 0
-        if not live.any():
+        cond = _conditional(self.bits, mask, c)
+        if not any(b & cond for k, b in enumerate(self.bits) if k not in c):
             return None
         self.charge()
-        [idx] = yield _block(self.rows, cond, c, self.cfg.x, _size(cond))
-        self.log("steer", None, None if idx is None else idx.tolist())
-        if idx is None:
+        w = yield from self.ask(cond, c)
+        self.log("steer", None, None if w is None else list(w))
+        if w is None:
             return None
-        hits = popcount_u64(live[idx]).sum(axis=1)
-        return [k for _, k in sorted(zip((-hits).tolist(), idx.tolist()))]
+        return sorted(w, key=lambda k: (-(self.bits[k] & cond).bit_count(), k))
+
+    def held(self, mask: int) -> list[int]:
+        """Rows some member of ``mask`` holds, ascending."""
+        return [k for k, b in enumerate(self.bits) if b & mask]
 
 
-def _contains_block(s: _Search, cands: list[tuple[int, ...]]) -> Step[list[bool | None]]:
+def _contains_block(s: _Search, mask: np.ndarray,
+                    cands: list[tuple[int, ...]]) -> Step[list[bool | None]]:
     """Containment tests of the same-order candidates ``cands``, asked as
-    one block: each conditional mask is the family's mask AND the
-    candidate's rows, which the query reads as cleared.  Candidates below
-    ``min_members`` support answer None without a query.  Not charged."""
+    one block: each conditional mask is the family's (1, w) ``mask`` AND
+    the candidate's rows, which the query reads as cleared.  Candidates
+    below ``min_members`` support answer None without a query.  Not
+    charged."""
     if not cands:
         return []
-    masks = np.bitwise_and.reduce(s.rows[np.array(cands)], axis=1) & s.mask
+    masks = np.bitwise_and.reduce(s.rows[np.array(cands)], axis=1) & mask
     support = popcount_u64(masks).sum(axis=1)
     asked = np.flatnonzero(support >= s.cfg.min_members).tolist()
     out: list[bool | None] = [None] * len(cands)
@@ -474,15 +505,11 @@ def agglomerative_core_search(
     one-input extensions up to order ``r_max``; supersets of found
     members are dropped.
     """
-    return _run(_agglomerative(fam, cfg, trace), cfg.l_max)
+    return _run(_agglomerative(_Search(fam, cfg, trace)), cfg.l_max)
 
 
-def _agglomerative(
-    fam: AdFamily, cfg: DetectionConfig, trace: SearchTrace | None,
-    detected: bool | None = None,
-) -> Step[Family]:
-    """Search steps of :func:`agglomerative_core_search`; ``detected`` is
-    the root detection answer when the caller already has it.
+def _agglomerative(s: _Search) -> Step[Family]:
+    """Search steps of :func:`agglomerative_core_search`.
 
     The walk goes level by level.  Only lower-order positives prune an
     order-k candidate, so level k is every k-combination of the held
@@ -496,12 +523,13 @@ def _agglomerative(
     empty level; a block asks no more candidates than the budget has
     left.
     """
+    cfg = s.cfg
     if cfg.r_max is None:
         raise ConfigError("agglomerative search needs r_max")
-    s = _Search(fam, cfg, trace)
-    if not (yield from s.detect(s.mask, detected)):
+    if not (yield from s.detect(s.full)):
         return Family([])
-    universe = _held(s.rows, s.mask)
+    universe = s.held(s.full)
+    mask = _words(s.full, s.rows.shape[1])
     per_block = max(1, _BLOCK_BYTES // s.rows.nbytes)
     for order in range(1, cfg.r_max + 1):
         level = [c for c in combinations(universe, order)
@@ -511,7 +539,7 @@ def _agglomerative(
         for start in range(0, len(level), per_block):
             block = level[start : start + per_block]
             room = len(block) if cfg.test_budget is None else cfg.test_budget - s.used
-            answers = yield from _contains_block(s, block[:room])
+            answers = yield from _contains_block(s, mask, block[:room])
             for k, c in enumerate(block):
                 s.charge()
                 s.log("contains", c, answers[k])
@@ -522,7 +550,7 @@ def _agglomerative(
     return s.result()
 
 
-def _grow(s: _Search, steer: np.ndarray) -> Step[tuple[int, ...] | None]:
+def _grow(s: _Search, steer: int) -> Step[tuple[int, ...] | None]:
     """Depth-first walk from ∅ toward a combination passing the test.
 
     Extension candidates come from the witness of the steering family's
@@ -532,7 +560,7 @@ def _grow(s: _Search, steer: np.ndarray) -> Step[tuple[int, ...] | None]:
     the containment test itself always runs against the whole family,
     where account support is maximal.
     """
-    max_depth = s.cfg.r_max if s.cfg.r_max is not None else len(_held(s.rows, steer))
+    max_depth = s.cfg.r_max if s.cfg.r_max is not None else len(s.held(steer))
     seen: set[tuple[int, ...]] = set()
 
     def walk(c: tuple[int, ...], depth: int) -> Step[tuple[int, ...] | None]:
@@ -594,19 +622,15 @@ def removal_core_search(
     subfamily of accounts disjoint from them, but every containment
     test runs against the full family.
     """
-    return _run(_removal(fam, cfg, trace), cfg.l_max)
+    return _run(_removal(_Search(fam, cfg, trace)), cfg.l_max)
 
 
-def _removal(
-    fam: AdFamily, cfg: DetectionConfig, trace: SearchTrace | None,
-    detected: bool | None = None,
-) -> Step[Family]:
-    """Search steps of :func:`removal_core_search`; ``detected`` is the
-    root detection answer when the caller already has it."""
-    s = _Search(fam, cfg, trace)
-    if not (yield from s.detect(s.mask, detected)):
+def _removal(s: _Search) -> Step[Family]:
+    """Search steps of :func:`removal_core_search`."""
+    cfg = s.cfg
+    if not (yield from s.detect(s.full)):
         return Family([])
-    first = yield from _grow(s, s.mask)
+    first = yield from _grow(s, s.full)
     if first is None:
         s.log("grow_exhausted", None, None)
         return Family([])
@@ -619,8 +643,10 @@ def _removal(
         for ex in _exclusion_sets(s.found):
             if ex in exhausted:
                 continue
-            sub = s.mask & ~np.bitwise_or.reduce(s.rows[list(ex)], axis=0)
-            if _size(sub) < cfg.min_members or not (yield from s.detect(sub)):
+            sub = s.full
+            for k in ex:
+                sub &= ~s.bits[k]
+            if sub.bit_count() < cfg.min_members or not (yield from s.detect(sub)):
                 exhausted.add(ex)
                 continue
             grown = yield from _grow(s, sub)
@@ -675,14 +701,16 @@ def core_family_verdicts(
 
     The outputs' searches advance in lock-step rounds: each round
     answers the pending witness query of every unfinished search with
-    one batched kernel call.  Each output keeps its own memo and test
-    budget, so every verdict equals the single-output one.
+    one batched kernel call.  Each output keeps its own memos and test
+    budget, so every verdict equals the single-output one; the rows are
+    packed, and turned into ints, once for all of them.
     """
     if method not in _SEARCHES:
         raise ConfigError(f"unknown search method {method!r}")
     rows = pack_bitsets(placement.membership)
+    bits = _ints(rows)
     masks = pack_bitsets(active_matrix(active_accounts, placement.n_accounts).T)
-    searches = [_predict(AdFamily._packed(rows, mask), cfg, method, None) for mask in masks]
+    searches = [_predict(AdFamily._packed(rows, mask), cfg, method, None, bits) for mask in masks]
     return _verdicts(_run_lockstep(searches, cfg.l_max))
 
 
@@ -705,17 +733,19 @@ def _verdicts(found: list[_Found]) -> Verdicts:
 
 
 def _predict(
-    fam: AdFamily, cfg: DetectionConfig, method: str, trace: SearchTrace | None
+    fam: AdFamily, cfg: DetectionConfig, method: str, trace: SearchTrace | None,
+    bits: list[int] | None = None,
 ) -> Step[_Found]:
     """Search steps of :func:`predict_core_family`.  The root detection
-    query is asked once: its answer chooses UNTARGETED and is passed to
-    the recovery search as its first, charged test."""
+    query is asked once: its answer chooses UNTARGETED, and it stays in
+    the recovery search's witness memo for its first, charged test."""
     if len(fam) < cfg.min_members:
         return UNKNOWN, None, "below_min_members"
-    if not (yield from _detect(fam._rows, fam._mask, cfg)):
+    s = _Search(fam, cfg, trace, bits)
+    if (yield from s.ask(s.full, ())) is None:
         return UNTARGETED, None, None
     try:
-        members = yield from _SEARCHES[method](fam, cfg, trace, detected=True)
+        members = yield from _SEARCHES[method](s)
     except BudgetExceeded:
         return UNKNOWN, None, "budget_exhausted"
     if members.size == 0:

@@ -135,7 +135,8 @@ class ObservationSet:
     accounts that saw output ``output_ids[k]`` at least once; rows are in
     ascending output id.  ``contextual`` is the K x N int64 matrix whose
     row k counts the displays of output ``output_ids[k]`` next to each
-    input, or None when the contextual channel was not collected.
+    input, or None when the contextual channel was not collected; its
+    counts are integers that ``from_json`` reads back (0..2**63 - 1).
     """
 
     output_ids: tuple[int, ...] = ()
@@ -160,6 +161,13 @@ class ObservationSet:
                 raise DomainError(
                     f"contextual matrix of shape {self.contextual.shape} for "
                     f"{len(self.output_ids)} outputs and {self.n_inputs} inputs"
+                )
+            if self.contextual.dtype.kind not in "iu" or self.contextual.size and not (
+                0 <= self.contextual.min() and self.contextual.max() <= _INT64_MAX
+            ):
+                raise DomainError(
+                    f"contextual counts must be integers in 0..2**63 - 1, got a "
+                    f"{self.contextual.dtype} matrix"
                 )
             self.contextual.setflags(write=False)
 

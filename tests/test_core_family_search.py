@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -25,6 +25,7 @@ from xcorr.core_family_search import (
     _agglomerative,
     _removal,
     _run_lockstep,
+    _Search,
     DetectionConfig,
     SearchTrace,
     agglomerative_core_search,
@@ -241,6 +242,21 @@ def test_detect_sound_on_untargeted_with_support():
 def test_agglomerative_needs_r_max():
     with pytest.raises(ConfigError):
         agglomerative_core_search(FIXTURE, DetectionConfig(x=0.9, l_max=2, r_max=None))
+
+
+@pytest.mark.parametrize("field", ["l_max", "r_max", "test_budget", "min_members"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "2", np.float64(3)])
+def test_detection_config_counts_must_be_integers(field, value):
+    # the rule of a scenario's algo_config: a float count would reach the
+    # kernel as a TypeError, and a bool or a fractional support would pass
+    with pytest.raises(ConfigError, match=field):
+        DetectionConfig(x=0.99, **{field: value})
+
+
+def test_detection_config_takes_numpy_integers_and_optional_none():
+    cfg = DetectionConfig(l_max=np.int64(2), r_max=None, test_budget=None,
+                          min_members=np.uint8(3))
+    assert cfg.l_max == 2 and cfg.min_members == 3
 
 
 def test_searches_reject_empty_family():
@@ -652,17 +668,29 @@ def test_predict_budget_exhausted_is_unknown():
         assert batched.to_dict() == pred.to_dict()
 
 
+def _member_sets(stack):
+    """A stacked query's members as input sets: its non-empty columns,
+    sorted, so the same query over other account numbers compares equal."""
+    bits = np.unpackbits(
+        np.ascontiguousarray(stack, dtype="<u8").view(np.uint8), axis=1, bitorder="little"
+    )
+    return tuple(sorted(tuple(np.flatnonzero(col).tolist()) for col in bits.T if col.any()))
+
+
 def test_predict_asks_the_root_detection_query_once(monkeypatch):
     # the detection that rules out UNTARGETED is also the search's first
-    # charged test, so every witness query the removal search has
-    # answered is a charged test; a charged containment test on too small
-    # a conditional asks none.  The agglomerative search asks the root
-    # query alone, then each level in one block: every level but the one
-    # it stops in asks exactly its charged tests
-    queries = []
+    # charged test.  The removal search asks every distinct witness query
+    # of its charged tests once: no two of its kernel queries are equal,
+    # and they are the distinct queries of the member-list oracle, which
+    # asks one per charged test (none for a containment test on too small
+    # a conditional).  The agglomerative search asks the root query
+    # alone, then each level in one block: every level but the one it
+    # stops in asks exactly its charged tests
+    queries, asked = [], []
 
     def counted(stack, thresholds, l_max):
         queries.append(len(thresholds))
+        asked.extend(zip(stack, thresholds.tolist()))
         return find_witness_batch(stack, thresholds, l_max)
 
     monkeypatch.setattr(core_family_search, "find_witness_batch", counted)
@@ -672,6 +700,7 @@ def test_predict_asks_the_root_detection_query_once(monkeypatch):
     obs, _ = simulate_behavioral(pm, [spec], seed=6)
     for method in ("removal", "agglomerative"):
         queries.clear()
+        asked.clear()
         trace = SearchTrace()
         pred = predict_core_family(obs.behavioral[0], pm, cfg, method=method, trace=trace)
         assert pred.verdict is Verdict.TARGETED
@@ -680,7 +709,15 @@ def test_predict_asks_the_root_detection_query_once(monkeypatch):
         )
         assert trace.records[0] == {"kind": "detect", "combination": None, "outcome": True}
         if method == "removal":
-            assert sum(queries) == trace.tests_used - unasked
+            assert len({(q.tobytes(), t) for q, t in asked}) == len(asked)
+            got = sorted((t, _member_sets(q)) for q, t in asked)
+            asked.clear()
+            oracle_trace = SearchTrace()
+            removal_oracle(AdFamily.from_placement(obs.behavioral[0], pm), cfg, oracle_trace)
+            assert oracle_trace.to_jsonl() == trace.to_jsonl()
+            assert len(asked) == trace.tests_used - unasked
+            assert got == sorted({(t, _member_sets(q)) for q, t in asked})
+            assert len(got) < len(asked)
             continue
         orders = [len(r["combination"]) for r in trace.records[1:] if r["outcome"] is not None]
         assert len(orders) == trace.tests_used - unasked - 1
@@ -748,7 +785,7 @@ def test_lockstep_searches_keep_their_traces():
                                (_agglomerative, agglomerative_core_search)):
             traces = [SearchTrace() for _ in fams]
             together = _run_lockstep(
-                [search(f, cfg, t) for f, t in zip(fams, traces)], cfg.l_max
+                [search(_Search(f, cfg, t)) for f, t in zip(fams, traces)], cfg.l_max
             )
             for fam, trace, found in zip(fams, traces, together):
                 alone = SearchTrace()
@@ -836,6 +873,12 @@ def _search_outcome(search, fam, cfg):
     cut=st.one_of(st.none(), st.floats(0.0, 1.0)),
     strip=st.booleans(),
 )
+# account counts at the word boundaries of the packed member masks
+@example(seed=11, n=8, m=63, l_max=2, r_max=2, min_members=3, x=0.9, cut=None, strip=False)
+@example(seed=12, n=9, m=64, l_max=2, r_max=2, min_members=3, x=0.8, cut=0.5, strip=True)
+@example(seed=13, n=8, m=65, l_max=2, r_max=3, min_members=3, x=0.9, cut=None, strip=False)
+@example(seed=14, n=10, m=128, l_max=3, r_max=2, min_members=4, x=0.99, cut=0.7, strip=False)
+@example(seed=15, n=8, m=129, l_max=2, r_max=2, min_members=3, x=0.9, cut=None, strip=True)
 def test_agglomerative_levels_match_the_candidate_by_candidate_oracle(
     seed, n, m, l_max, r_max, min_members, x, cut, strip
 ):
@@ -878,6 +921,12 @@ def test_agglomerative_levels_match_the_candidate_by_candidate_oracle(
     x=st.sampled_from([0.6, 0.8, 0.9, 0.99]),
     strip=st.booleans(),
 )
+# account counts at the word boundaries of the packed member masks
+@example(seed=11, n=8, m=63, l_max=2, r_max=None, min_members=3, x=0.9, strip=False)
+@example(seed=12, n=9, m=64, l_max=2, r_max=2, min_members=3, x=0.8, strip=True)
+@example(seed=13, n=8, m=65, l_max=3, r_max=None, min_members=3, x=0.9, strip=False)
+@example(seed=14, n=10, m=128, l_max=2, r_max=3, min_members=4, x=0.99, strip=False)
+@example(seed=15, n=8, m=129, l_max=2, r_max=None, min_members=3, x=0.9, strip=True)
 def test_removal_walk_matches_the_member_list_oracle(
     seed, n, m, l_max, r_max, min_members, x, strip
 ):

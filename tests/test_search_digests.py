@@ -19,6 +19,9 @@ lock-step rounds, and are not to be re-recorded either.
 ``ALL_TRIALS_AGGLOMERATIVE_DIGEST`` pins the agglomerative method the
 same way on all seven trials; it was recorded before each breadth-first
 level of containment tests was asked as one stacked block.
+``QUERY_COUNTS`` pin the kernel work of the same detector: a change that
+asks a repeated witness query again fails here, not only in the
+benchmark.
 """
 
 import hashlib
@@ -26,6 +29,8 @@ import json
 
 import numpy as np
 
+from xcorr import core_family_search
+from xcorr._kernels import find_witness_batch
 from xcorr.core_family_search import (
     AdFamily,
     DetectionConfig,
@@ -151,6 +156,32 @@ def test_trial_predictions_match_recorded_digests():
 
 def test_agglomerative_predictions_on_every_trial_match_recorded_digest():
     assert trial_digests({"agglomerative": None}) == ALL_TRIALS_AGGLOMERATIVE_DIGEST
+
+
+#: Kernel calls (lock-step rounds) and witness queries of the runner's
+#: ``corefamily`` detector on the three trials of a scenario_mix-shaped
+#: scenario at seed 13.  A search asks each distinct witness query once,
+#: the root detection query included; the same trials asked 11, 11 and
+#: 13 calls and 132, 132 and 142 queries when repeats were asked again.
+QUERY_COUNTS = [(7, 76), (7, 80), (9, 87)]
+
+
+def test_trial_searches_ask_each_distinct_query_once(monkeypatch):
+    counted = []
+
+    def batch(stack, thresholds, l_max):
+        counted.append(len(thresholds))
+        return find_witness_batch(stack, thresholds, l_max)
+
+    monkeypatch.setattr(core_family_search, "find_witness_batch", batch)
+    cfg = ScenarioConfig.from_dict({**TRIAL_SCENARIOS["mix"], "trials": 3, "seed": 13})
+    got = []
+    for ss in np.random.SeedSequence(cfg.seed).spawn(cfg.trials):
+        sim = simulate_trial(cfg, ss)
+        counted.clear()
+        algorithm_verdicts("corefamily", cfg, sim.observations, sim.detection_placement)
+        got.append((len(counted), sum(counted)))
+    assert got == QUERY_COUNTS
 
 
 if __name__ == "__main__":

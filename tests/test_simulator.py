@@ -243,6 +243,33 @@ def test_observation_set_json_roundtrip():
         dataclasses.replace(obs, contextual=ctx[:1])
 
 
+def _one_output(counts):
+    return ObservationSet(output_ids=(0,), seen=np.zeros((1, 2), dtype=bool),
+                          contextual=counts, n_accounts=2, n_inputs=2)
+
+
+@pytest.mark.parametrize("counts", [
+    np.array([[1.5, -2.0]]),
+    np.array([[1.0, 2.0]]),
+    np.array([[1, -2]]),
+    np.array([[True, False]]),
+    np.array([[2**63, 0]], dtype=np.uint64),
+])
+def test_observation_set_rejects_counts_its_json_cannot_hold(counts):
+    # its to_json would write counts that from_json rejects
+    with pytest.raises(DomainError, match="contextual counts"):
+        _one_output(counts)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int8, np.uint8, np.uint64])
+def test_observation_set_counts_round_trip(dtype):
+    top = min(np.iinfo(dtype).max, np.iinfo(np.int64).max)
+    obs = _one_output(np.array([[0, top]], dtype=dtype))
+    back = ObservationSet.from_json(obs.to_json())
+    assert back.contextual.tolist() == [[0, top]]
+    assert back.to_json() == obs.to_json()
+
+
 # ------------------------------------------------------------ oracle
 
 
