@@ -137,12 +137,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_detect(args) -> int:
     pm = PlacementMatrix.from_json(_read_text(args.placement))
-    obs = ObservationSet.from_json(_read_text(args.obs))
-    if (obs.n_accounts, obs.n_inputs) != (pm.n_accounts, pm.n_inputs):
-        raise ConfigError(
-            f"observations cover {obs.n_accounts} accounts and {obs.n_inputs} inputs "
-            f"but the placement has {pm.n_accounts} and {pm.n_inputs}"
-        )
+    obs = ObservationSet.from_json(_read_text(args.obs), pm)
     if args.config is not None:
         cfg, _ = _load_config(args)
         if cfg.n_inputs != pm.n_inputs:

@@ -86,8 +86,8 @@ class DetectionConfig:
     search, optional for the removal search), ``test_budget`` caps the
     total number of witness searches, and ``min_members`` is the account
     support below which a conditional test answers unknown instead of
-    guessing.  The four counts must be integers (not bools), as in a
-    scenario's ``algo_config``.
+    guessing.  The four counts must be integers (not bools) and ``x`` a
+    real number, as in a scenario's ``algo_config``.
     """
 
     x: float = 0.95
@@ -103,8 +103,8 @@ class DetectionConfig:
                 continue
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if not 0.0 < self.x < 1.0:
-            raise ConfigError(f"x must lie in (0,1), got {self.x}")
+        if not isinstance(self.x, numbers.Real) or not 0.0 < self.x < 1.0:
+            raise ConfigError(f"x must be a number in (0,1), got {self.x!r}")
         if self.l_max < 1:
             raise ConfigError(f"l_max must be >= 1, got {self.l_max}")
         if self.r_max is not None and self.r_max < 1:

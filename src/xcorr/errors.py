@@ -105,8 +105,9 @@ def parse_artifact(text: str, what: str, required: tuple[str, ...]) -> dict:
 
 
 def require_count(doc: dict, key: str, what: str) -> int:
-    """``doc[key]`` as a non-negative int, else :class:`ConfigError`."""
+    """``doc[key]`` as an int in 0..2**63 - 1 (a size numpy can hold),
+    else :class:`ConfigError`."""
     value = doc[key]
-    if type(value) is not int or value < 0:
-        raise ConfigError(f"{what}: {key} must be a non-negative integer, got {value!r}")
+    if type(value) is not int or not 0 <= value <= 2**63 - 1:
+        raise ConfigError(f"{what}: {key} must be an integer in 0..2**63 - 1, got {value!r}")
     return value

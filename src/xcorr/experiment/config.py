@@ -16,6 +16,7 @@ overlap experiment.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import math
@@ -297,11 +298,15 @@ class ScenarioConfig:
     # -------------------------------------------------------- serialization
 
     def to_dict(self) -> dict:
-        doc = dataclasses.asdict(self)
+        """The fields as a JSON document: tuples as lists and a deep copy
+        of ``algo_config``, so changing the document leaves the config
+        unchanged."""
+        doc = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         for f in _TUPLE_FIELDS:
             doc[f] = list(doc[f])
         if doc["overlap_groups"] is not None:
             doc["overlap_groups"] = [list(g) for g in doc["overlap_groups"]]
+        doc["algo_config"] = copy.deepcopy(doc["algo_config"])
         return doc
 
     @classmethod
@@ -335,7 +340,7 @@ def _pick(rng: np.random.Generator, values: tuple[int, ...]) -> int:
     return values[int(rng.integers(0, len(values)))]
 
 
-def build_specs(cfg: ScenarioConfig, rng: np.random.Generator) -> list[TargetingSpec]:
+def build_specs(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[TargetingSpec, ...]:
     """Draw one trial's ad workload.
 
     Without overlap groups, each targeted output gets a fresh random core:
@@ -344,31 +349,49 @@ def build_specs(cfg: ScenarioConfig, rng: np.random.Generator) -> list[Targeting
     members are automatically an antichain).  With overlap groups, targeted
     outputs cycle round-robin through the groups and each core is the
     group's inputs as singleton members, i.e. the ad reacts to any one
-    input of its group; the outputs of one group share its core.
-    Untargeted outputs follow.
+    input of its group; the outputs of one group share its core.  Such a
+    workload draws nothing from ``rng``, so it is built once per distinct
+    set of groups, output counts, hit probabilities and channel, and
+    shared (specs and tuple are immutable).  Untargeted outputs follow.
     """
+    if cfg.overlap_groups is not None:
+        return _grouped_specs(
+            cfg.overlap_groups, cfg.n_targeted, cfg.n_untargeted,
+            cfg.p_in, cfg.p_out, cfg.p_empty, cfg.targeted_channel,
+        )
     specs: list[TargetingSpec] = []
-    groups = cfg.overlap_groups
-    if groups is not None:
-        group_cores = [
-            (Family([(i,) for i in g]), f"group{g_idx}") for g_idx, g in enumerate(groups)
-        ]
     for oid in range(cfg.n_targeted):
-        if groups is not None:
-            core, tag = group_cores[oid % len(groups)]
-        else:
-            l, r = _pick(rng, cfg.l_values), _pick(rng, cfg.r_values)
-            ids = rng.choice(cfg.n_inputs, size=l * r, replace=False).tolist()
-            core, tag = Family([ids[k * r : (k + 1) * r] for k in range(l)]), None
-        specs.append(TargetingSpec(
-            oid, core, cfg.p_in, cfg.p_out, group_tag=tag, channel=cfg.targeted_channel
-        ))
-    first = cfg.n_targeted
-    specs.extend(
-        TargetingSpec(oid, p_empty=cfg.p_empty)
-        for oid in range(first, first + cfg.n_untargeted)
+        l, r = _pick(rng, cfg.l_values), _pick(rng, cfg.r_values)
+        ids = rng.choice(cfg.n_inputs, size=l * r, replace=False).tolist()
+        core = Family([ids[k * r : (k + 1) * r] for k in range(l)])
+        specs.append(TargetingSpec(oid, core, cfg.p_in, cfg.p_out, channel=cfg.targeted_channel))
+    return (*specs, *_untargeted_specs(cfg.n_targeted, cfg.n_untargeted, cfg.p_empty))
+
+
+@functools.lru_cache(maxsize=64)
+def _grouped_specs(
+    groups: tuple[tuple[int, ...], ...],
+    n_targeted: int,
+    n_untargeted: int,
+    p_in: float,
+    p_out: float,
+    p_empty: float,
+    channel: str,
+) -> tuple[TargetingSpec, ...]:
+    cores = [Family([(i,) for i in g]) for g in groups]
+    targeted = (
+        TargetingSpec(
+            oid, cores[oid % len(groups)], p_in, p_out,
+            group_tag=f"group{oid % len(groups)}", channel=channel,
+        )
+        for oid in range(n_targeted)
     )
-    return specs
+    return (*targeted, *_untargeted_specs(n_targeted, n_untargeted, p_empty))
+
+
+def _untargeted_specs(first: int, count: int, p_empty: float) -> list[TargetingSpec]:
+    """The untargeted outputs, ids ``first`` onward."""
+    return [TargetingSpec(oid, p_empty=p_empty) for oid in range(first, first + count)]
 
 
 def matching_specs(cfg: ScenarioConfig) -> tuple[TargetingSpec, ...]:

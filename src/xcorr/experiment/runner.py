@@ -343,12 +343,14 @@ def run_scenario(cfg: ScenarioConfig, store: CorrelationStore | None = None) -> 
     """Run all trials of a scenario and pool the results.
 
     With a store, every trial's placement, observations, ground truth and
-    predictions are appended under the scenario's hash key, followed by
-    the report itself.
+    predictions are appended under the scenario's hash key as the trial
+    finishes (its record in one append, all of its predictions in a
+    second), followed by the report itself.
     """
     t0 = time.perf_counter()
     root = np.random.SeedSequence(cfg.seed)
-    key = scenario_hash(cfg.to_dict()) if store is not None else None
+    config = cfg.to_dict()
+    key = scenario_hash(config) if store is not None else None
 
     per_trial: dict[str, list[Metrics]] = {a: [] for a in cfg.algorithms}
     purities: list[float] = []
@@ -366,12 +368,10 @@ def run_scenario(cfg: ScenarioConfig, store: CorrelationStore | None = None) -> 
         if store is not None:
             store.append(key, "trials", res.sim.to_record(t))
             ids = res.sim.observations.output_ids
-            for algo in cfg.algorithms:
-                store.append(
-                    key,
-                    "predictions",
-                    {"trial": t, "algo": algo, "predictions": res.verdicts[algo].to_doc(ids)},
-                )
+            store.append(key, "predictions", *(
+                {"trial": t, "algo": algo, "predictions": res.verdicts[algo].to_doc(ids)}
+                for algo in cfg.algorithms
+            ))
 
     algorithms = {
         algo: {
@@ -388,7 +388,7 @@ def run_scenario(cfg: ScenarioConfig, store: CorrelationStore | None = None) -> 
             "trials": len(purities),
         }
     report = Report(
-        config=cfg.to_dict(),
+        config=config,
         version=__version__,
         rng=RNG_ALGORITHM,
         resolved={

@@ -42,11 +42,18 @@ class CorrelationStore:
     def path(self, key: str, kind: str) -> Path:
         return self.root / key / f"{kind}.jsonl"
 
-    def append(self, key: str, kind: str, record: Mapping) -> None:
+    def append(self, key: str, kind: str, *records: Mapping) -> None:
+        """Append ``records`` in order, one line each, through one open;
+        the key's directory is made by the first append that needs it."""
         path = self.path(key, kind)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("a", encoding="utf-8") as fh:
-            fh.write(canonical_json(record) + "\n")
+        text = "".join(canonical_json(record) + "\n" for record in records)
+        try:
+            fh = path.open("a", encoding="utf-8")
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fh = path.open("a", encoding="utf-8")
+        with fh:
+            fh.write(text)
 
     def read(self, key: str, kind: str) -> list[dict]:
         """All records of one kind, oldest first; empty list when none."""

@@ -3,9 +3,10 @@
 A detector scores all K outputs of a trial at once and answers with
 :class:`Verdicts`, one row per output held in arrays.  A
 :class:`Prediction` is one row of it as an object: single-output calls
-return one, and :meth:`Verdicts.to_doc` writes each row through
-:meth:`Prediction.to_dict`, the one definition of a row's JSON form, for
-stored records and the CLI.
+return one.  :func:`_row_doc` is the one definition of a row's JSON form:
+:meth:`Prediction.to_dict` writes through it, and so does
+:meth:`Verdicts.to_doc`, straight from the arrays, for stored records and
+the CLI.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ class Verdict(str, Enum):
 #: Row codes of :attr:`Verdicts.codes`: code c stands for ``VERDICTS[c]``.
 VERDICTS = tuple(Verdict)
 TARGETED, UNTARGETED, UNKNOWN = (VERDICTS.index(v) for v in Verdict)
+_VALUES = tuple(v.value for v in VERDICTS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,17 +74,28 @@ class Prediction:
                 raise DomainError(f"score {name}={s} outside [0,1]")
 
     def to_dict(self) -> dict:
-        target: list | None = None
-        if isinstance(self.target, Family):
-            target = self.target.to_doc()
-        elif isinstance(self.target, Combination):
-            target = [list(self.target.inputs)]
-        return {
-            "verdict": self.verdict.value,
-            "target": target,
-            "scores": {k: float(v) for k, v in sorted(self.scores.items())},
-            "flags": list(self.flags),
-        }
+        return _row_doc(self.verdict.value, self.target, self.scores, self.flags)
+
+
+def _row_doc(
+    verdict: str,
+    target: Family | Combination | Sequence[int] | None,
+    scores: Mapping[str, float],
+    flags: Sequence[str],
+) -> dict:
+    """The JSON form of one verdict row: the verdict's value, a Family
+    target as its sorted members, any other target (a Combination or
+    sorted input ids) as one member, scores by sorted name."""
+    if isinstance(target, Family):
+        target = target.to_doc()
+    elif target is not None:
+        target = [list(target)]
+    return {
+        "verdict": verdict,
+        "target": target,
+        "scores": {k: float(v) for k, v in sorted(scores.items())},
+        "flags": list(flags),
+    }
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,10 +150,27 @@ class Verdicts:
             or None
             for row in range(len(self))
         ]
-        return self._rows(posts)
+        out = []
+        for row, (code, target, scores, flags) in enumerate(zip(*self._columns())):
+            if target is not None and not isinstance(target, Family):
+                target = Combination(target)
+            out.append(Prediction(VERDICTS[code], target, scores, flags, posts[row]))
+        return out
 
-    def _rows(self, posts: Sequence[dict | None]) -> list[Prediction]:
-        """One :class:`Prediction` per row, row k with posteriors ``posts[k]``."""
+    def to_doc(self, output_ids: Sequence[int]) -> dict[str, dict]:
+        """The rows as JSON, keyed by output id: row k is output
+        ``output_ids[k]``, one id per row.  A row's JSON holds no
+        posterior, so none is built, nor any :class:`Prediction`."""
+        rows = zip(output_ids, *self._columns(), strict=True)
+        return {
+            str(oid): _row_doc(_VALUES[code], target, scores, flags)
+            for oid, code, target, scores, flags in rows
+        }
+
+    def _columns(self) -> tuple[list, list, list, list]:
+        """The rows' verdict codes, targets (the Family, or the sorted
+        input ids of a matrix row; None unless TARGETED), scores by name
+        and flags, one list each."""
         k = len(self)
         scores = [{} for _ in range(k)]
         for name, col in self.scores.items():
@@ -150,19 +180,9 @@ class Verdicts:
         for name, mask in self.flags.items():
             for row in np.flatnonzero(mask).tolist():
                 flags[row] += (name,)
-        out = []
-        for row, code in enumerate(self.codes.tolist()):
-            target = None
-            if code == TARGETED:
-                target = self.targets[row]
-                if isinstance(self.targets, np.ndarray):
-                    target = Combination(np.flatnonzero(target).tolist())
-            out.append(Prediction(VERDICTS[code], target, scores[row], flags[row], posts[row]))
-        return out
-
-    def to_doc(self, output_ids: Sequence[int]) -> dict[str, dict]:
-        """The rows as JSON, keyed by output id: row k is output
-        ``output_ids[k]``, one id per row.  A row's JSON holds no
-        posterior, so none is built."""
-        rows = zip(output_ids, self._rows([None] * len(self)), strict=True)
-        return {str(oid): p.to_dict() for oid, p in rows}
+        dense = isinstance(self.targets, np.ndarray)
+        targets: list = [None] * k
+        for row in np.flatnonzero(self.codes == TARGETED).tolist():
+            target = self.targets[row]
+            targets[row] = np.flatnonzero(target).tolist() if dense else target
+        return self.codes.tolist(), targets, scores, flags

@@ -11,10 +11,13 @@ stream, all K of them derived in one vectorized step by
 :func:`~xcorr.placement.spawn_rngs` (the streams of ``seed.spawn(K)``);
 each stream fills its spec's row of one K x m uniform draw, and one
 gather of the placement's core-member columns, reduced per member and
-per core, gives every in-target mask.  Both simulators return rows in
-ascending output id: the K x m seen matrix and the K x N display-count
-matrix.  Observations keep the two matrices; per-output account sets
-are derived from the seen matrix when read.  The simulators do not
+per core, gives every in-target mask.  A contextual row is drawn run by
+run: one binomial call per maximal run of consecutive user inputs that
+share a hit probability, which numpy fills element by element exactly as
+one call over the row's probability vector would.  Both simulators
+return rows in ascending output id: the K x m seen matrix and the K x N
+display-count matrix.  Observations keep the two matrices; per-output
+account sets are derived from the seen matrix when read.  The simulators do not
 advance a passed SeedSequence's spawn counter, so hand each seed
 sequence to one simulation only.
 """
@@ -198,16 +201,26 @@ class ObservationSet:
         return json.dumps(self.to_doc())
 
     @classmethod
-    def from_json(cls, text: str) -> "ObservationSet":
+    def from_json(
+        cls, text: str, placement: PlacementMatrix | None = None
+    ) -> "ObservationSet":
         """Inverse of :meth:`to_json`.  Raises :class:`ConfigError` on
-        missing keys, output ids not in canonical decimal form, accounts
-        outside 0..n_accounts-1, contextual outputs other than none or
-        exactly the behavioral ones, or contextual vectors that are not
-        n_inputs non-negative JSON integers that fit in int64."""
+        missing keys, counts outside 0..2**63 - 1, output ids not in
+        canonical decimal form, accounts outside 0..n_accounts-1,
+        contextual outputs other than none or exactly the behavioral
+        ones, or contextual vectors that are not n_inputs non-negative
+        JSON integers that fit in int64.  Given the ``placement`` the
+        observations were drawn on, it also raises unless their
+        n_accounts and n_inputs are its own, before any matrix is built."""
         what = "observations"
         doc = parse_artifact(text, what, ("behavioral", "contextual", *_OBSERVATION_COUNTS))
         counts = {k: require_count(doc, k, what) for k in _OBSERVATION_COUNTS}
         m, n = counts["n_accounts"], counts["n_inputs"]
+        if placement is not None and (m, n) != (placement.n_accounts, placement.n_inputs):
+            raise ConfigError(
+                f"{what} cover {m} accounts and {n} inputs but the placement has "
+                f"{placement.n_accounts} and {placement.n_inputs}"
+            )
         behavioral, contextual = doc["behavioral"], doc["contextual"]
         if not isinstance(behavioral, dict) or not isinstance(contextual, dict):
             raise ConfigError(f"{what}: behavioral and contextual must be JSON objects")
@@ -377,7 +390,10 @@ def simulate_contextual(
     core members and p_out otherwise, a behavioral spec fires at p_out
     regardless (it does not react to the displayed input), and an
     untargeted spec fires at p_empty.  Spec k draws its row from the k-th
-    child stream of ``seed``, whose spawn counter is not advanced.
+    child stream of ``seed``, whose spawn counter is not advanced, in
+    ascending input order: one binomial call per maximal run of user
+    inputs that share a probability, so a row costs a call per run, not
+    per input.
     """
     if displays_per_input < 1:
         raise SpecError(f"displays_per_input must be >= 1, got {displays_per_input}")
@@ -386,16 +402,22 @@ def simulate_contextual(
     if user and user[-1] >= n_inputs:
         raise SpecError(f"user inputs {user_inputs!r} reach outside 0..{n_inputs - 1}")
     specs, rngs = _ordered(specs, seed)
-    # contextual cores have order 1: {i} is a member iff input i fires it
-    keyed = np.zeros((len(specs), n_inputs), dtype=bool)
-    for k, spec in enumerate(specs):
+    where = {i: j for j, i in enumerate(user)}  # input -> position among the user's
+    drawn = np.empty((len(specs), len(user)), dtype=np.int64)
+    for row, spec, rng in zip(drawn, specs, rngs):
+        keyed: set[int] = set()
         if spec.is_targeted and spec.channel == CONTEXTUAL:
-            keyed[k, [c.inputs[0] for c in spec.core.combinations]] = True
-    p_hit = np.array([s.p_in if s.is_targeted else s.p_empty for s in specs])
-    p_rest = np.array([s.p_out if s.is_targeted else s.p_empty for s in specs])
-    p = np.where(keyed[:, user], p_hit[:, None], p_rest[:, None])
+            # contextual cores have order 1: {i} is a member iff input i fires it
+            keys = (c.inputs[0] for c in spec.core.combinations)
+            keyed = {where[i] for i in keys if i in where}
+        # the positions where the probability changes: a run of keyed
+        # positions starts at its first one and ends one past its last
+        bounds = [0, *sorted(keyed ^ {j + 1 for j in keyed}), len(user)]
+        p_rest = spec.p_out if spec.is_targeted else spec.p_empty
+        for s, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            if a < b:  # odd segments are the runs of keyed positions
+                p = spec.p_in if s % 2 else p_rest
+                row[a:b] = rng.binomial(displays_per_input, p, size=b - a)
     counts = np.zeros((len(specs), n_inputs), dtype=np.int64)
-    if user:
-        for row, p_row, rng in zip(counts, p, rngs):
-            row[user] = rng.binomial(displays_per_input, p_row)
+    counts[:, user] = drawn
     return counts

@@ -31,7 +31,13 @@ output by output.
 
 The simulation oracles stand in for the columnar simulators: one spec
 at a time, each with a generator built from its own spawned
-SeedSequence child, and the in-target test evaluated member by member.
+SeedSequence child, and the in-target test evaluated member by member;
+a contextual row is one binomial call over its whole probability
+vector, where the library makes one call per run of equal probability.
+
+The config oracle writes a scenario config through
+``dataclasses.asdict``, which ``ScenarioConfig.to_dict`` no longer
+calls.
 
 The input-matching oracle stands in for the count-matrix clustering:
 sparse per-input signatures, one Python distance per input pair summed
@@ -45,6 +51,7 @@ Python sets for the tests; the library itself works on the matrices.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -624,6 +631,17 @@ def simulate_contextual_oracle(user, specs, displays, seed, n_inputs):
             x[list(user)] = rng.binomial(displays, p)
         counts[spec.output_id] = x
     return counts
+
+
+def scenario_config_asdict(cfg) -> dict:
+    """``ScenarioConfig.to_dict`` by way of ``dataclasses.asdict``: a deep
+    copy of every field, with tuples written as lists."""
+    doc = dataclasses.asdict(cfg)
+    for f in ("l_values", "r_values", "algorithms"):
+        doc[f] = list(doc[f])
+    if doc["overlap_groups"] is not None:
+        doc["overlap_groups"] = [list(g) for g in doc["overlap_groups"]]
+    return doc
 
 
 # ------------------------------------------------------ input matching

@@ -2,7 +2,9 @@
 ops through module attributes; a rename or an inlined call in ``src/``
 must fail here, not silently break ``perfbench/run.py``.  The first unit
 of every workload also runs here, so a break in what the workloads call
-fails here rather than as a failed benchmark run."""
+fails here rather than as a failed benchmark run; for the two workloads
+that run the simulators, the input matching and the store, every
+recorded unit runs, so a draw that moves by one count fails here too."""
 
 import importlib.util
 import json
@@ -75,3 +77,18 @@ def test_workload_first_unit_gives_its_recorded_outcome(name, tmp_path):
     assert json.loads(json.dumps(wl.outcome(0, result))) == expected
     assert wl.problems(0, result, len(rec.latencies_ns)) == []
     assert len(rec.latencies_ns) >= 1
+
+
+@pytest.mark.parametrize("name", ["scenario_mix", "matched_store"])
+def test_every_recorded_unit_gives_its_recorded_outcome(name, tmp_path):
+    # the units after the first, checked as the benchmark checks them,
+    # then the checks the benchmark pools over a run
+    workloads = _load_workloads()
+    wl = workloads.WORKLOADS[name](13, _load_tracer().Recorder(), tmp_path)
+    expected = json.loads((PERFBENCH / "expected.json").read_text())[name]
+    assert len(expected) == wl.recorded
+    for j in range(1, wl.recorded):
+        result = wl.run(j)
+        assert json.loads(json.dumps(wl.outcome(j, result))) == expected[j], j
+        assert wl.problems(j, result, 1) == [], j
+    assert wl.run_problems() == []

@@ -13,6 +13,7 @@ observation set with keys replaced the same way.  Integers stay within
 import io
 import json
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -203,6 +204,24 @@ def test_size_numpy_cannot_allocate_is_a_config_error(change, message):
     code, _, err = _report({**TINY, **change})
     assert code == 2, err
     assert err.startswith("error: ") and message in err, err
+
+
+@pytest.mark.parametrize("n_accounts", [2**64, 2**62, 2**40])
+def test_observations_sized_unlike_their_placement_exit_2_at_once(n_accounts, tmp_path):
+    # such counts once reached the seen-matrix allocation: 2**64 and 2**62
+    # died with a numpy ValueError traceback, and 2**40 first asked for
+    # terabytes; the counts are checked against the placement before any
+    # matrix is built
+    pm_path, obs_path = tmp_path / "placement.json", tmp_path / "obs.json"
+    pm_path.write_text(json.dumps(PLACEMENT))
+    obs_path.write_text(json.dumps({**OBSERVATIONS, "n_accounts": n_accounts}))
+    start = time.perf_counter()
+    code, out, err = _run(
+        ["detect", "--algo", "bayes", "--placement", str(pm_path), "--obs", str(obs_path)]
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "", err
+    assert err.startswith("error: observations") and err.count("\n") == 1, err
 
 
 def test_out_of_memory_is_an_error_line(monkeypatch):

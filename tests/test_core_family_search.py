@@ -253,6 +253,13 @@ def test_detection_config_counts_must_be_integers(field, value):
         DetectionConfig(x=0.99, **{field: value})
 
 
+@pytest.mark.parametrize("x", ["0.9", None, 1j, [0.9], 0.0, 1.0, float("nan")])
+def test_detection_config_x_must_be_a_number_in_the_unit_interval(x):
+    # a string, None or a complex once raised TypeError from the comparison
+    with pytest.raises(ConfigError, match="x must be a number in"):
+        DetectionConfig(x=x)
+
+
 def test_detection_config_takes_numpy_integers_and_optional_none():
     cfg = DetectionConfig(l_max=np.int64(2), r_max=None, test_budget=None,
                           min_members=np.uint8(3))

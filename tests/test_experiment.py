@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import scenario_config_asdict
 from xcorr.core_model import Family
 from xcorr.errors import ConfigError, MismatchedUniverse, parse_artifact
 from xcorr.experiment import (
@@ -43,6 +44,29 @@ def test_config_json_roundtrip():
     again = ScenarioConfig.from_dict(parse_artifact(canonical_json(cfg.to_dict()), "config", ()))
     assert again == cfg
     assert canonical_json(again.to_dict()) == canonical_json(cfg.to_dict())
+
+
+@pytest.mark.parametrize("preset", [None, *sorted(PRESETS)])
+def test_config_to_dict_equals_the_asdict_oracle_and_is_a_copy(preset):
+    doc = {
+        "n_inputs": 6, "overlap_groups": [[0, 1], [2, 5]], "l_values": [1, 2],
+        "algorithms": ["setint", "composite"],
+        "algo_config": {
+            "setint": {"threshold": 0.8},
+            "composite": {"contextual": {"p_in": 0.4, "p_out": 0.1, "p_empty": 0.1}},
+        },
+    }
+    cfg = ScenarioConfig.from_dict(doc if preset is None else {"preset": preset, **doc})
+    out = cfg.to_dict()
+    assert out == scenario_config_asdict(cfg)
+    assert list(out) == list(scenario_config_asdict(cfg))
+    out["algo_config"]["composite"]["contextual"]["p_in"] = 0.9
+    out["algo_config"]["setint"].clear()
+    out["l_values"].append(3)
+    out["overlap_groups"][0].append(4)
+    assert cfg.algo_config["composite"]["contextual"]["p_in"] == 0.4
+    assert cfg.to_dict() == scenario_config_asdict(cfg)
+    assert cfg == ScenarioConfig.from_dict(doc if preset is None else {"preset": preset, **doc})
 
 
 def test_config_preset_merge_and_override():
@@ -306,6 +330,32 @@ def test_verdicts_to_doc_keys_rows_by_output_id():
             verdicts.to_doc(ids[:-1])
 
 
+@pytest.mark.parametrize("width", TARGET_FORMS)
+def test_verdicts_to_doc_equals_the_prediction_rows(width):
+    # to_doc writes rows straight from the arrays, building no Prediction;
+    # each row must still be that row's Prediction.to_dict
+    wide = Family([(2, 3)]) if width else Family([(2,), (3, 4)])
+    base = _verdicts([Family([(1,)]), None, Verdict.UNKNOWN, wide, Verdict.UNKNOWN], width)
+    verdicts = Verdicts(
+        base.codes, base.targets,
+        scores={"zeta": np.array([0.9, 0.1, 0.5, 1.0, 0.0]), "alpha": np.full(5, 0.25)},
+        flags={
+            "late": np.array([1, 0, 1, 1, 0], dtype=bool),
+            "early": np.array([1, 1, 0, 1, 0], dtype=bool),
+        },
+    )
+    ids = (7, 3, 11, 0, 5)
+    doc = verdicts.to_doc(ids)
+    assert list(doc) == ["7", "3", "11", "0", "5"]
+    assert doc == {str(oid): p.to_dict() for oid, p in zip(ids, verdicts.predictions())}
+    assert doc["0"]["flags"] == ["late", "early"]
+    assert doc["11"] == {"verdict": "unknown", "target": None,
+                         "scores": {"alpha": 0.25, "zeta": 0.5}, "flags": ["late"]}
+    for wrong in (ids[:-1], ids + (9,)):
+        with pytest.raises(ValueError):
+            verdicts.to_doc(wrong)
+
+
 def test_run_scenario_report_shape_and_pooling():
     rep = run_scenario(TINY)
     assert rep.resolved == {"n_inputs": 8, "n_accounts": 30, "alpha": 0.5}
@@ -396,6 +446,20 @@ def test_store_append_read_roundtrip(tmp_path):
     assert store.read("k1", "missing") == []
     assert store.keys() == ["k1"]
     assert store.kinds("k1") == ["notes"]
+
+
+def test_store_append_of_several_records_writes_one_call_each_bytes(tmp_path):
+    one, many = CorrelationStore(tmp_path / "one"), CorrelationStore(tmp_path / "many")
+    records = [{"trial": 0, "b": [1, 2.5], "a": None}, {"trial": 1, "é": "x"}]
+    for store in (one, many):
+        store.append("k", "predictions", {"first": True})
+    for record in records:
+        one.append("k", "predictions", record)
+    many.append("k", "predictions", *records)
+    written = many.path("k", "predictions").read_bytes()
+    assert written == one.path("k", "predictions").read_bytes()
+    assert written.count(b"\n") == 3
+    assert many.read("k", "predictions") == [{"first": True}, *records]
 
 
 def test_stored_observations_rescore_identically(tmp_path):

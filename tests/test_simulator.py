@@ -334,3 +334,39 @@ def test_columnar_simulators_equal_the_per_spec_oracle(workload, displays):
     want = simulate_contextual_oracle(user.inputs, specs, displays, seed, n)
     assert got.shape == (len(specs), n)
     assert got.tolist() == [want[oid].tolist() for oid in obs.output_ids]
+
+
+@st.composite
+def _contextual_draws(draw):
+    """Specs of every kind over up to 24 inputs, ids in any order, hit
+    probabilities at 0 and 1 as well as between, contextual cores keyed
+    on inputs that need not be contiguous, and a user set that is empty,
+    the whole universe or any subset."""
+    n = draw(st.integers(1, 24))
+    probs = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    specs = []
+    for oid in draw(st.permutations(range(draw(st.integers(0, 6))))):
+        kind = draw(st.sampled_from(["behavioral", "contextual", "untargeted"]))
+        if kind == "untargeted":
+            p_empty = draw(st.just(1.0) | st.floats(0.01, 1.0))
+            specs.append(TargetingSpec.untargeted(oid, p_empty))
+            continue
+        p_out, p_in = sorted(draw(st.lists(probs, min_size=2, max_size=2, unique=True)))
+        inputs = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=8))
+        specs.append(TargetingSpec.targeted(
+            oid, [(i,) for i in inputs], p_in, p_out, channel=kind
+        ))
+    user = draw(st.just(set()) | st.just(set(range(n))) | st.sets(st.integers(0, n - 1)))
+    return n, specs, Combination(user)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_contextual_draws(), st.integers(1, 60), st.integers(0, 2**64 - 1))
+def test_contextual_runs_equal_the_array_p_oracle(draw, displays, seed):
+    # simulate_contextual draws a row one scalar-p call per run of inputs
+    # that share a probability; the oracle draws it in one array-p call
+    n, specs, user = draw
+    got = simulate_contextual(user, specs, displays, seed=seed, n_inputs=n)
+    want = simulate_contextual_oracle(user.inputs, specs, displays, seed, n)
+    assert got.dtype == np.int64 and got.shape == (len(specs), n)
+    assert got.tolist() == [want[oid].tolist() for oid in sorted(want)]
