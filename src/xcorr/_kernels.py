@@ -11,7 +11,10 @@ The kernel answers many searches at once: :func:`find_witness_batch`
 takes a stack of Q families over one input universe, as lock-step
 core-family searches produce them (the pending queries of a trial's
 outputs, a breadth-first level of containment tests among them), and
-:func:`find_witness` is its one-query call.  Size 1 is
+:func:`find_witness` is its one-query call.  It lays the stack out
+words-first, each query's rows as a (words, n) block, so every sum of
+popcounts over a row's words adds whole contiguous rows of n counts
+rather than a few words at a time.  Size 1 is
 read off a Q x n degree matrix.  Size 2 covers popcount(b_i | b_j)
 (= deg_i + deg_j - |b_i & b_j|) for every pair of every open query at
 once, taken in blocks of first rows i against all rows j and masked to
@@ -27,8 +30,6 @@ from itertools import combinations, islice
 
 import numpy as np
 
-_S1 = np.uint64(1)
-
 _CHUNK = 2048
 
 #: Always False: the witness engine is plain numpy.  ``perfbench/run.py``
@@ -41,19 +42,12 @@ def pack_bitsets(contains: np.ndarray) -> np.ndarray:
 
     Bit k of word w in row i is set iff member 64*w+k contains input i.
     """
-    contains = np.ascontiguousarray(contains, dtype=bool)
+    contains = np.asarray(contains, dtype=bool)
     if contains.ndim != 2:
         raise ValueError(f"expected a 2-d membership matrix, got {contains.ndim}-d")
     k, n = contains.shape
-    n_words = max(1, -(-k // 64))
-    packed = np.zeros((n, n_words), dtype=np.uint64)
-    weights = np.left_shift(_S1, np.arange(64, dtype=np.uint64))
-    for w in range(n_words):
-        block = contains[64 * w : 64 * (w + 1)]
-        if block.shape[0] == 0:
-            break
-        sel = np.where(block.T, weights[: block.shape[0]], np.uint64(0))
-        packed[:, w] = np.bitwise_or.reduce(sel, axis=1)
+    packed = np.zeros((n, max(1, -(-k // 64))), dtype="<u8")
+    packed.view(np.uint8)[:, : -(-k // 8)] = np.packbits(contains.T, axis=1, bitorder="little")
     return packed
 
 
@@ -62,20 +56,26 @@ def popcount_u64(x: np.ndarray) -> np.ndarray:
     return np.bitwise_count(np.asarray(x, dtype=np.uint64)).astype(np.int64)
 
 
-def _first_pairs(stack, thresholds, queries, out) -> list[int]:
+def _first_pairs(rows, thresholds, queries, out) -> list[int]:
     """Fill ``out[q]`` with each query's first pair (i < j), lexicographic,
     whose OR covers its threshold.  Returns the queries left without one.
 
-    Pairs are taken for blocks of first rows i against all rows j, so
-    row-major order within a block is lexicographic order."""
+    ``rows`` is the words-first (Q, words, n) stack.  Pairs are taken for
+    blocks of first rows i against all rows j, so row-major order within
+    a block is lexicographic order; a pair's coverage is summed over the
+    words axis, one contiguous (i, j) block per word, in int32 (exact up
+    to 2**31 / 64 words)."""
     live = np.asarray(queries, dtype=np.int64)
-    sub, thr = stack[live], thresholds[live, None, None]
-    n, words = stack.shape[1:]
+    if live.size < rows.shape[0]:
+        sub, thr = rows[live], thresholds[live, None, None]
+    else:
+        sub, thr = rows, thresholds[:, None, None]
+    words, n = rows.shape[1:]
     cols = np.arange(n)
     step = max(1, _CHUNK * 32 // (live.size * n * words))
     for start in range(0, n - 1, step):
-        cover = np.bitwise_count(sub[:, start : start + step, None] | sub[:, None])
-        cover = cover[..., 0] if words == 1 else cover.sum(axis=3, dtype=np.int64)
+        cover = np.bitwise_count(sub[:, :, start : start + step, None] | sub[:, :, None])
+        cover = cover[:, 0] if words == 1 else cover.sum(axis=1, dtype=np.int32)
         upper = cols > cols[start : start + step, None]
         hit = ((cover >= thr) & upper).reshape(live.size, -1)
         still = []
@@ -94,15 +94,16 @@ def _first_pairs(stack, thresholds, queries, out) -> list[int]:
 
 
 def _first_combination(bitsets: np.ndarray, threshold: int, size: int):
-    """First combination of ``size`` rows, lexicographic, whose OR covers
-    at least threshold members."""
-    it = combinations(range(bitsets.shape[0]), size)
+    """First combination of ``size`` columns of the words-first
+    (words, n) ``bitsets``, lexicographic, whose OR covers at least
+    threshold members."""
+    it = combinations(range(bitsets.shape[1]), size)
     while chunk := list(islice(it, _CHUNK)):
         idx = np.asarray(chunk, dtype=np.int64)
-        acc = bitsets[idx[:, 0]]
+        acc = bitsets[:, idx[:, 0]]
         for j in range(1, size):
-            acc = acc | bitsets[idx[:, j]]
-        hits = np.flatnonzero(popcount_u64(acc).sum(axis=1) >= threshold)
+            acc = acc | bitsets[:, idx[:, j]]
+        hits = np.flatnonzero(np.bitwise_count(acc).sum(axis=0, dtype=np.int64) >= threshold)
         if hits.size:
             return idx[hits[0]].copy()
     return None
@@ -117,14 +118,16 @@ def find_witness_batch(stack: np.ndarray, thresholds, l_max: int) -> list:
     query.  Returns a list of Q results, each a sorted int64 index array
     or None.
 
-    Size 1 is read off a Q x n degree matrix, size 2 off the pair
-    coverages of every query still open, and sizes of 3 and up run per
-    query over that query's nonzero rows.  No combination holding a zero
-    row can be the first hit (dropping the row leaves a smaller
-    combination with the same coverage, already tried), so each answer
-    is the one the query would get on its own.
+    The kernel reads the stack words-first, as (Q, n_words, n), so every
+    sum over words adds whole rows of n counts.  Size 1 is read off a
+    Q x n degree matrix, size 2 off the pair coverages of every query
+    still open, and sizes of 3 and up run per query over that query's
+    nonzero rows.  No combination holding a zero row can be the first
+    hit (dropping the row leaves a smaller combination with the same
+    coverage, already tried), so each answer is the one the query would
+    get on its own.
     """
-    stack = np.ascontiguousarray(stack, dtype=np.uint64)
+    stack = np.asarray(stack)
     if stack.ndim != 3:
         raise ValueError(f"expected a 3-d (queries, rows, words) stack, got {stack.ndim}-d")
     thresholds = np.asarray(thresholds)
@@ -140,7 +143,8 @@ def find_witness_batch(stack: np.ndarray, thresholds, l_max: int) -> list:
     out: list = [None] * q
     if q == 0 or n == 0:
         return out
-    deg = np.bitwise_count(stack).sum(axis=2, dtype=np.int64)
+    rows = np.ascontiguousarray(stack.transpose(0, 2, 1), dtype=np.uint64)
+    deg = np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
     hit = deg >= thresholds[:, None]
     pending = []
     for k, (any_hit, h) in enumerate(zip(hit.any(axis=1).tolist(), hit.argmax(axis=1).tolist())):
@@ -150,10 +154,10 @@ def find_witness_batch(stack: np.ndarray, thresholds, l_max: int) -> list:
             pending.append(k)
     if l_max < 2 or n < 2 or not pending:
         return out
-    for k in _first_pairs(stack, thresholds, pending, out):
+    for k in _first_pairs(rows, thresholds, pending, out):
         keep = np.flatnonzero(deg[k])
         for size in range(3, min(l_max, keep.size) + 1):
-            idx = _first_combination(stack[k, keep], int(thresholds[k]), size)
+            idx = _first_combination(rows[k][:, keep], int(thresholds[k]), size)
             if idx is not None:
                 out[k] = keep[idx]
                 break

@@ -23,7 +23,9 @@ conditional or exclusion family is a member mask over the rows, and a
 conditional query reads the candidate's own rows as cleared.  Inside a
 search a row and a member mask are Python ints (bit k for account k),
 and every distinct witness query is asked once: a repeat is charged and
-logged like any test, but answered from the search's witness memo.
+logged like any test, but answered from the search's witness memo.  The
+whole-family query is kept on the family itself, for each x and l_max,
+so detection and both searches on one family ask it once between them.
 
 Every search is written as a generator.  Each step yields a block of
 witness queries over one family's rows, their member masks, cleared rows
@@ -64,10 +66,11 @@ MODEL_NAME = "core_family"
 
 #: A search step yields blocks of witness queries over one family's rows:
 #: the (n, words) rows, Q member masks (Q, words), the rows each query
-#: reads as cleared and Q member thresholds.  It is sent back Q witnesses
-#: as sorted row indices (None if none), and returns its result.
+#: reads as cleared (Q tuples of one length, or one (Q, order) array) and
+#: Q member thresholds.  It is sent back Q witnesses as sorted row
+#: indices (None if none), and returns its result.
 _R = TypeVar("_R")
-Block = tuple[np.ndarray, np.ndarray, list[tuple[int, ...]], list[int]]
+Block = tuple[np.ndarray, np.ndarray, "list[tuple[int, ...]] | np.ndarray", list[int]]
 Step = Generator[Block, "list[np.ndarray | None]", _R]
 
 #: Bytes of stacked rows in one agglomerative block: a wider level is
@@ -132,9 +135,13 @@ class AdFamily:
     0..max id.  A conditional family keeps the member numbering, with its
     own mask and its stripped rows zeroed.  Members turn back into
     :class:`Combination` objects only when they are asked for.
+
+    The family also keeps its root witness, the answer to the witness
+    query on all of its members, for each (x, l_max) it was asked with:
+    detection and both searches on one family ask that query once.
     """
 
-    __slots__ = ("_rows", "_mask")
+    __slots__ = ("_rows", "_mask", "_roots")
 
     def __init__(self, members: Iterable[Combination | Iterable[int]] = ()):
         combos = [c if isinstance(c, Combination) else Combination(c) for c in members]
@@ -144,12 +151,13 @@ class AdFamily:
             contains[row, list(member.inputs)] = True
         self._rows = pack_bitsets(contains)
         self._mask = pack_bitsets(np.ones((len(combos), 1), dtype=bool))[0]
+        self._roots: dict[tuple[float, int], tuple[int, ...] | None] = {}
 
     @classmethod
     def _packed(cls, rows: np.ndarray, mask: np.ndarray) -> "AdFamily":
         """The family of the members of ``mask`` over the packed ``rows``."""
         out = object.__new__(cls)
-        out._rows, out._mask = rows, mask
+        out._rows, out._mask, out._roots = rows, mask, {}
         return out
 
     @classmethod
@@ -235,8 +243,11 @@ def find_x_intersecting_subset(
         raise EmptyFamily("witness search needs a non-empty family")
     if l_max < 1:
         raise DomainError(f"l_max must be >= 1, got {l_max}")
-    [[found]] = _answer_stacked([_block(fam._rows, fam._mask[None], (), x, len(fam))], l_max)
-    return None if found is None else Combination(found.tolist())
+    if (x, l_max) not in fam._roots:
+        [[w]] = _answer_stacked([_block(fam._rows, fam._mask[None], (), x, len(fam))], l_max)
+        fam._roots[x, l_max] = None if w is None else tuple(w.tolist())
+    found = fam._roots[x, l_max]
+    return None if found is None else Combination(found)
 
 
 def conditional_family(fam: AdFamily, c: Combination | Iterable[int]) -> AdFamily:
@@ -301,13 +312,19 @@ def _answer_stacked(blocks: list[Block], l_max: int) -> list[list[np.ndarray | N
     stacked masked rows, split back by offset.  Every block of a run has
     the same rows (the families of one placement share its rows), so the
     stack is one AND of the rows with the blocks' masks.  Cleared rows
-    are zeroed inside the stack; zero rows never change a witness."""
+    are zeroed inside the stack, a lone block's by one fancy-index
+    assignment; zero rows never change a witness."""
     masks = blocks[0][1] if len(blocks) == 1 else np.concatenate([b[1] for b in blocks])
     stack = blocks[0][0] & masks[:, None]
-    n = stack.shape[1]
-    cleared = [q * n + k for q, ks in enumerate(c for b in blocks for c in b[2]) for k in ks]
-    if cleared:
-        stack.reshape(-1, stack.shape[2])[cleared] = 0
+    if len(blocks) == 1:
+        cleared = np.asarray(blocks[0][2], dtype=np.int64)
+        if cleared.size:
+            stack[np.arange(len(cleared))[:, None], cleared] = 0
+    else:
+        n = stack.shape[1]
+        cleared = [q * n + k for q, ks in enumerate(c for b in blocks for c in b[2]) for k in ks]
+        if cleared:
+            stack.reshape(-1, stack.shape[2])[cleared] = 0
     answers = find_witness_batch(stack, np.array([t for b in blocks for t in b[3]]), l_max)
     out, at = [], 0
     for b in blocks:
@@ -378,7 +395,9 @@ class _Search:
     every member mask is an int, the family's own being ``full``; a
     mask becomes a (1, w) uint64 row only in a yielded block.  ``bits``
     may be passed in when the caller has them: the outputs of one
-    placement share its rows.
+    placement share its rows.  The witness memo starts with the family's
+    root witness when an earlier search or detection on the same family
+    asked it with the same x and l_max, and :meth:`root` keeps it there.
     """
 
     def __init__(self, fam: AdFamily, cfg: DetectionConfig, trace: SearchTrace | None,
@@ -393,6 +412,9 @@ class _Search:
         self.used = 0
         self.memo: dict[tuple[int, ...], bool | None] = {}
         self.witnesses: dict[tuple[int, tuple[int, ...]], tuple[int, ...] | None] = {}
+        self.roots = fam._roots
+        if (cfg.x, cfg.l_max) in self.roots:
+            self.witnesses[self.full, ()] = self.roots[cfg.x, cfg.l_max]
         self.found: list[tuple[int, ...]] = []
 
     def charge(self) -> None:
@@ -429,11 +451,18 @@ class _Search:
             self.witnesses[key] = None if w is None else tuple(w.tolist())
         return self.witnesses[key]
 
+    def root(self) -> Step[tuple[int, ...] | None]:
+        """The witness rows of the whole family, kept on the family for
+        the next search with the same x and l_max.  Not charged."""
+        w = yield from self.ask(self.full, ())
+        self.roots[self.cfg.x, self.cfg.l_max] = w
+        return w
+
     def detect(self, mask: int) -> Step[bool]:
         """The charged detection test on the members of ``mask``."""
         self.charge()
         res = mask.bit_count() >= self.cfg.min_members and (
-            (yield from self.ask(mask, ())) is not None
+            (yield from (self.root() if mask == self.full else self.ask(mask, ()))) is not None
         )
         self.log("detect", None, res)
         return res
@@ -481,13 +510,15 @@ def _contains_block(s: _Search, mask: np.ndarray,
     charged."""
     if not cands:
         return []
-    masks = np.bitwise_and.reduce(s.rows[np.array(cands)], axis=1) & mask
+    idx = np.array(cands)
+    masks = np.bitwise_and.reduce(s.rows[idx], axis=1) & mask
     support = popcount_u64(masks).sum(axis=1)
     asked = np.flatnonzero(support >= s.cfg.min_members).tolist()
     out: list[bool | None] = [None] * len(cands)
     if asked:
-        thresholds = [intersect_threshold(s.cfg.x, n) for n in support[asked].tolist()]
-        witnesses = yield s.rows, masks[asked], [cands[k] for k in asked], thresholds
+        # intersect_threshold's float operations, one candidate per element
+        thresholds = np.maximum(1, np.ceil(s.cfg.x * support[asked] - 1e-9)).astype(np.int64)
+        witnesses = yield s.rows, masks[asked], idx[asked], thresholds.tolist()
         for k, w in zip(asked, witnesses):
             out[k] = w is None
     return out
@@ -532,8 +563,9 @@ def _agglomerative(s: _Search) -> Step[Family]:
     mask = _words(s.full, s.rows.shape[1])
     per_block = max(1, _BLOCK_BYTES // s.rows.nbytes)
     for order in range(1, cfg.r_max + 1):
+        found = [set(f) for f in s.found]
         level = [c for c in combinations(universe, order)
-                 if not any(set(f).issubset(c) for f in s.found)]
+                 if not any(f.issubset(c) for f in found)]
         if not level:
             break
         for start in range(0, len(level), per_block):
@@ -742,7 +774,7 @@ def _predict(
     if len(fam) < cfg.min_members:
         return UNKNOWN, None, "below_min_members"
     s = _Search(fam, cfg, trace, bits)
-    if (yield from s.ask(s.full, ())) is None:
+    if (yield from s.root()) is None:
         return UNTARGETED, None, None
     try:
         members = yield from _SEARCHES[method](s)

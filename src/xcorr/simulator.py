@@ -211,7 +211,12 @@ class ObservationSet:
         ones, or contextual vectors that are not n_inputs non-negative
         JSON integers that fit in int64.  Given the ``placement`` the
         observations were drawn on, it also raises unless their
-        n_accounts and n_inputs are its own, before any matrix is built."""
+        n_accounts and n_inputs are its own, before any matrix is built.
+        Without one it raises, before any matrix is built, when the K x
+        n_accounts seen matrix is over the bound a placement draw has
+        (K * n_accounts * 8 above the intp maximum); a size inside that
+        bound but beyond the machine's memory still raises
+        :class:`MemoryError`."""
         what = "observations"
         doc = parse_artifact(text, what, ("behavioral", "contextual", *_OBSERVATION_COUNTS))
         counts = {k: require_count(doc, k, what) for k in _OBSERVATION_COUNTS}
@@ -225,6 +230,8 @@ class ObservationSet:
         if not isinstance(behavioral, dict) or not isinstance(contextual, dict):
             raise ConfigError(f"{what}: behavioral and contextual must be JSON objects")
         beh = sorted((_output_id(k, what), v) for k, v in behavioral.items())
+        if len(beh) * m * 8 > np.iinfo(np.intp).max:
+            raise ConfigError(f"{what}: a {len(beh)} x {m} seen matrix is too large to allocate")
         ids = [oid for oid, _ in beh]
         ctx = {_output_id(k, what): v for k, v in contextual.items()}
         for oid, accounts in beh:

@@ -11,8 +11,10 @@ extraction or evaluation code.
 The witness-search oracles stand in for the packed kernel and the
 family views: :func:`witness_enumerate` walks every candidate
 combination in order and counts coverage with a shift-and-mask
-popcount, and the family oracles rebuild conditional and exclusion
-families member by member from their definitions.
+popcount, :func:`pack_bitsets_reference` sets the packed layout's bits
+one member and input at a time, and the family oracles rebuild
+conditional and exclusion families member by member from their
+definitions.
 
 The agglomerative oracle is the breadth-first core-family walk as it
 was before a level's containment tests were answered together: one
@@ -250,6 +252,19 @@ def witness_enumerate(bitsets, threshold: int, l_max: int, chunk: int = 2048):
             if hits.size:
                 return idx[hits[0]].copy()
     return None
+
+
+def pack_bitsets_reference(contains) -> list[list[int]]:
+    """A (K, n) membership matrix packed bit by bit, as n rows of
+    max(1, ceil(K / 64)) Python-int words: bit k of word w in row i is
+    set iff member 64*w + k contains input i."""
+    k, n = np.shape(contains)
+    rows = [[0] * max(1, -(-k // 64)) for _ in range(n)]
+    for member, inputs in enumerate(np.asarray(contains, dtype=bool).tolist()):
+        for i, held in enumerate(inputs):
+            if held:
+                rows[i][member // 64] |= 1 << (member % 64)
+    return rows
 
 
 def conditional_members(members, c) -> list:

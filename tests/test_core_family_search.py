@@ -15,6 +15,7 @@ from oracles import (
     account_inputs,
     agglomerative_oracle,
     conditional_members,
+    pack_bitsets_reference,
     removal_oracle,
     witness_enumerate,
 )
@@ -493,6 +494,41 @@ def test_find_witness_batch_pairs_across_row_blocks():
         assert {len(g) if g is not None else 0 for g in got} >= {0, 2}
 
 
+def test_find_witness_batch_on_many_word_stacks():
+    # 257-1000 members, 5-16 words a row, zero-padded into one stack.
+    # Thresholds sit on both sides of 255 and at or just past the best
+    # single row, pair and triple, so some pair witnesses cover more than
+    # 255 members (pair sums kept in 8 bits would wrap and miss them) and
+    # some answers need 3 or 4 rows
+    rng = np.random.default_rng(41)
+    outcomes = set()
+    for l_max in (1, 2, 3, 4):
+        for _ in range(8):
+            n = int(rng.integers(3, 9))
+            queries = []
+            for _ in range(int(rng.integers(1, 10))):
+                k = int(rng.integers(257, 1001))
+                bits = pack_bitsets(_random_bool_matrix(rng, k, n, float(rng.uniform(0.2, 0.4))))
+                best = [max(int(popcount_u64(np.bitwise_or.reduce(bits[list(c)])).sum())
+                                for c in itertools.combinations(range(n), size))
+                        for size in (1, 2, 3)]
+                choices = [254, 255, 256, 257, *best, *(b + 1 for b in best)]
+                queries.append((bits, int(rng.choice(choices))))
+            words = max(bits.shape[1] for bits, _ in queries)
+            assert 5 <= words <= 16
+            stack = np.zeros((len(queries), n, words), dtype=np.uint64)
+            for q, (bits, _) in enumerate(queries):
+                stack[q, :, : bits.shape[1]] = bits
+            got = find_witness_batch(stack, np.array([t for _, t in queries]), l_max)
+            for (bits, thr), g in zip(queries, got):
+                expect = witness_enumerate(bits, thr, l_max)
+                assert (g is None) == (expect is None)
+                if g is not None:
+                    assert g.dtype == np.int64 and g.tolist() == expect.tolist()
+                outcomes.add("miss" if g is None else (len(g), thr > 255))
+    assert outcomes >= {"miss", (1, True), (2, True), (2, False), (3, True), (4, True)}
+
+
 def test_find_witness_keeps_no_memory_between_calls():
     # searches over many universe sizes: every working array, the pair
     # masks included, is freed when its call returns
@@ -619,6 +655,20 @@ def test_pack_bitsets_column_sums():
     assert popcount_u64(bits).sum(axis=1).tolist() == mat.sum(axis=0).tolist()
 
 
+@pytest.mark.parametrize("n", [1, 7, 40])
+@pytest.mark.parametrize("k", [0, 1, 63, 64, 65, 130, 1000])
+def test_pack_bitsets_matches_the_bit_by_bit_reference(k, n):
+    # every bit of every word, also for a transposed (non-contiguous)
+    # membership such as an output's seen column
+    rng = np.random.default_rng(100 * k + n)
+    contains = rng.random((k, n)) < 0.4
+    expect = pack_bitsets_reference(contains)
+    for view in (contains, np.ascontiguousarray(contains.T).T):
+        got = pack_bitsets(view)
+        assert got.dtype == np.uint64 and got.shape == (n, max(1, -(-k // 64)))
+        assert got.tolist() == expect
+
+
 # --------------------------------------------------------------- predict
 
 
@@ -731,6 +781,49 @@ def test_predict_asks_the_root_detection_query_once(monkeypatch):
         assert len(queries) == 1 + max(orders)
         assert queries[:-1] == [1] + [orders.count(k) for k in range(1, max(orders))]
         assert queries[-1] >= orders.count(max(orders))
+
+
+def test_one_family_asks_its_root_query_once(monkeypatch):
+    # detection and both searches on one family ask the whole-family
+    # query once between them, and answer as they do on fresh families;
+    # another x or l_max is another root query, asked once in turn
+    asked = []
+
+    def counted(stack, thresholds, l_max):
+        asked.extend((q.tobytes(), t, l_max) for q, t in zip(stack, thresholds.tolist()))
+        return find_witness_batch(stack, thresholds, l_max)
+
+    monkeypatch.setattr(core_family_search, "find_witness_batch", counted)
+    cfg = DetectionConfig(x=0.99, l_max=2, r_max=2)
+    pm = bernoulli_placement(PlacementConfig(n_inputs=12, n_accounts=220, alpha=0.5, seed=5))
+    spec = TargetingSpec.targeted(0, Family([[1, 3], [4]]), p_in=0.9, p_out=0.0)
+    obs, _ = simulate_behavioral(pm, [spec], seed=6)
+    fam = AdFamily.from_placement(obs.behavioral[0], pm)
+    root = (fam._rows & fam._mask).tobytes()
+
+    def roots(x=0.99, l_max=2):
+        return asked.count((root, intersect_threshold(x, len(fam)), l_max))
+
+    def run(fams):
+        traces = [SearchTrace(), SearchTrace()]
+        return (
+            detect_targeting(fams[0], cfg),
+            agglomerative_core_search(fams[1], cfg, traces[0]),
+            removal_core_search(fams[2], cfg, traces[1]),
+            [t.to_jsonl() for t in traces],
+        )
+
+    shared = run([fam] * 3)
+    assert roots() == 1
+    asked.clear()
+    fresh = run([AdFamily.from_placement(obs.behavioral[0], pm) for _ in range(3)])
+    assert roots() == 3
+    assert shared == fresh and shared[0] is True
+    asked.clear()
+    for other in (DetectionConfig(x=0.9, l_max=2), DetectionConfig(x=0.99, l_max=3)):
+        for _ in range(2):
+            detect_targeting(fam, other)
+    assert roots(0.9, 2) == 1 and roots(0.99, 3) == 1 and len(asked) == 2
 
 
 # ------------------------------------------------------------- lock-step

@@ -15,7 +15,7 @@ from oracles import (
     simulate_contextual_oracle,
 )
 from xcorr.core_model import Combination, Family, eval_targeting
-from xcorr.errors import DomainError, SpecError
+from xcorr.errors import ConfigError, DomainError, SpecError
 from xcorr.placement import PlacementConfig, PlacementMatrix, bernoulli_placement
 from xcorr.simulator import (
     CONTEXTUAL,
@@ -268,6 +268,22 @@ def test_observation_set_counts_round_trip(dtype):
     back = ObservationSet.from_json(obs.to_json())
     assert back.contextual.tolist() == [[0, top]]
     assert back.to_json() == obs.to_json()
+
+
+@pytest.mark.parametrize("n_outputs", [1, 3])
+def test_observations_without_placement_reject_a_seen_matrix_numpy_cannot_hold(n_outputs):
+    # 2**62 accounts fit in int64, but a K x 2**62 seen matrix is past the
+    # bound a placement draw has; it is refused before numpy is asked
+    doc = {
+        "behavioral": {str(k): [0] for k in range(n_outputs)},
+        "contextual": {},
+        "n_accounts": 2**62,
+        "n_inputs": 2,
+        "rounds": 1,
+        "displays_per_input": 0,
+    }
+    with pytest.raises(ConfigError, match="too large to allocate"):
+        ObservationSet.from_json(json.dumps(doc))
 
 
 # ------------------------------------------------------------ oracle
