@@ -32,6 +32,7 @@ from .prediction import Prediction, Verdict, Verdicts  # noqa: F401
 from .simulator import (  # noqa: F401
     ObservationSet,
     SimulationTrace,
+    SpecTable,
     TargetingSpec,
     simulate_behavioral,
     simulate_contextual,

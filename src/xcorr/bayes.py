@@ -295,6 +295,11 @@ def _moment_match(
     untargeted over ``empty_slots`` each.  A parameter with no
     supporting predictions keeps its previous value.  All accumulators
     are exact integer counts, so estimates do not depend on output order.
+
+    A round's estimates depend only on the previous round's, so once a
+    round repeats the one two rounds back the run is a 2-cycle that never
+    converges: the rest of its history is filled in by parity, exactly as
+    the remaining rounds would write it.
     """
     hits = ev.hits.astype(np.int64)
     seen = ev.seen.astype(np.int64)
@@ -328,6 +333,12 @@ def _moment_match(
         history.append(params.as_tuple())
         if delta < tol:
             converged = True
+            break
+        if len(history) >= 3 and history[-1] == history[-3]:
+            for iterations in range(iterations + 1, max_iter + 1):
+                history.append(history[-2])
+            p_in, p_out, p_empty = history[-1]
+            params = replace(params, p_in=p_in, p_out=p_out, p_empty=p_empty)
             break
     return LearnResult(
         params=params,

@@ -79,8 +79,9 @@ class MismatchedUniverse(XCorrError, ValueError):
 
 def parse_artifact(text: str, what: str, required: tuple[str, ...]) -> dict:
     """Decode a stored JSON object, raising :class:`ConfigError` when the
-    text is not JSON, repeats a key within one object, is not an object,
-    or lacks a required key."""
+    text is not JSON, nests deeper than the decoder's recursion limit,
+    repeats a key within one object, is not an object, or lacks a
+    required key."""
     repeated: list[str] = []
 
     def unique(pairs: list[tuple[str, object]]) -> dict:
@@ -94,6 +95,8 @@ def parse_artifact(text: str, what: str, required: tuple[str, ...]) -> dict:
         doc = json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what}: not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{what}: JSON nested too deeply to decode") from exc
     if repeated:
         raise ConfigError(f"{what}: key {repeated[0]!r} appears twice in one object")
     if not isinstance(doc, dict):

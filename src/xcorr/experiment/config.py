@@ -11,7 +11,10 @@ exact setup that produced them.
 Workload generation lives here too: :func:`build_specs` draws the ad
 specs for one trial from the config, and :func:`matching_specs` builds
 the dedicated per-group category ads used to cluster inputs before an
-overlap experiment.
+overlap experiment.  Both return a
+:class:`~xcorr.simulator.SpecTable`, the form the simulators and the
+scorer read; a random workload is drawn straight into its rows, with no
+per-spec objects.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 from ..core_model import Family
 from ..errors import ConfigError, Inadmissible
 from ..placement import sized_account_count
-from ..simulator import BEHAVIORAL, CONTEXTUAL, TargetingSpec
+from ..simulator import BEHAVIORAL, CONTEXTUAL, SpecRow, SpecTable, TargetingSpec
 from ..threshold_analysis import recommend_config
 
 #: algorithms the runner knows how to dispatch
@@ -340,8 +343,19 @@ def _pick(rng: np.random.Generator, values: tuple[int, ...]) -> int:
     return values[int(rng.integers(0, len(values)))]
 
 
-def build_specs(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[TargetingSpec, ...]:
-    """Draw one trial's ad workload.
+def _sample(rng: np.random.Generator, n: int, size: int) -> list[int]:
+    """The draw ``rng.choice(n, size=size, replace=False)`` makes.  For
+    one input that is a single bounded draw from [0, n), the draw
+    ``rng.integers(0, n)`` makes, so it is made without choice's array
+    set-up."""
+    if size == 1:
+        return [int(rng.integers(0, n))]
+    return rng.choice(n, size=size, replace=False).tolist()
+
+
+def build_specs(cfg: ScenarioConfig, rng: np.random.Generator) -> SpecTable:
+    """Draw one trial's ad workload as a spec table, output ids 0.. in
+    order (spec k keeps the k-th stream).
 
     Without overlap groups, each targeted output gets a fresh random core:
     size l and order r are drawn from the configured value sets, then l*r
@@ -350,22 +364,25 @@ def build_specs(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[Targetin
     outputs cycle round-robin through the groups and each core is the
     group's inputs as singleton members, i.e. the ad reacts to any one
     input of its group; the outputs of one group share its core.  Such a
-    workload draws nothing from ``rng``, so it is built once per distinct
-    set of groups, output counts, hit probabilities and channel, and
-    shared (specs and tuple are immutable).  Untargeted outputs follow.
+    workload draws nothing from ``rng``, so its table is built once per
+    distinct set of groups, output counts, hit probabilities and channel,
+    and shared (the table is immutable).  Untargeted outputs follow.
     """
     if cfg.overlap_groups is not None:
         return _grouped_specs(
             cfg.overlap_groups, cfg.n_targeted, cfg.n_untargeted,
             cfg.p_in, cfg.p_out, cfg.p_empty, cfg.targeted_channel,
         )
-    specs: list[TargetingSpec] = []
+    contextual = cfg.targeted_channel == CONTEXTUAL
+    rows: list[SpecRow] = []
     for oid in range(cfg.n_targeted):
         l, r = _pick(rng, cfg.l_values), _pick(rng, cfg.r_values)
-        ids = rng.choice(cfg.n_inputs, size=l * r, replace=False).tolist()
-        core = Family([ids[k * r : (k + 1) * r] for k in range(l)])
-        specs.append(TargetingSpec(oid, core, cfg.p_in, cfg.p_out, channel=cfg.targeted_channel))
-    return (*specs, *_untargeted_specs(cfg.n_targeted, cfg.n_untargeted, cfg.p_empty))
+        ids = _sample(rng, cfg.n_inputs, l * r)
+        core = sorted(sorted(ids[k * r : (k + 1) * r]) for k in range(l))
+        rows.append((oid, core, cfg.p_in, cfg.p_out, 0.0, contextual))
+    first, count = cfg.n_targeted, cfg.n_untargeted
+    rows += [(oid, None, 0.0, 0.0, cfg.p_empty, False) for oid in range(first, first + count)]
+    return SpecTable.from_rows(rows)
 
 
 @functools.lru_cache(maxsize=64)
@@ -377,32 +394,28 @@ def _grouped_specs(
     p_out: float,
     p_empty: float,
     channel: str,
-) -> tuple[TargetingSpec, ...]:
+) -> SpecTable:
     cores = [Family([(i,) for i in g]) for g in groups]
-    targeted = (
-        TargetingSpec(
-            oid, cores[oid % len(groups)], p_in, p_out,
-            group_tag=f"group{oid % len(groups)}", channel=channel,
-        )
+    targeted = [
+        TargetingSpec(oid, cores[oid % len(groups)], p_in, p_out, channel=channel)
         for oid in range(n_targeted)
-    )
-    return (*targeted, *_untargeted_specs(n_targeted, n_untargeted, p_empty))
+    ]
+    untargeted = [
+        TargetingSpec(oid, p_empty=p_empty)
+        for oid in range(n_targeted, n_targeted + n_untargeted)
+    ]
+    return SpecTable.from_specs(targeted + untargeted)
 
 
-def _untargeted_specs(first: int, count: int, p_empty: float) -> list[TargetingSpec]:
-    """The untargeted outputs, ids ``first`` onward."""
-    return [TargetingSpec(oid, p_empty=p_empty) for oid in range(first, first + count)]
-
-
-def matching_specs(cfg: ScenarioConfig) -> tuple[TargetingSpec, ...]:
-    """Category ads for the input-matching phase.
+def matching_specs(cfg: ScenarioConfig) -> SpecTable:
+    """Category ads for the input-matching phase, as a spec table.
 
     Each overlap group gets ``ads_per_group`` contextual ads keyed on any
     input of the group; their display counts give same-group inputs nearly
     parallel signatures.  IDs start at :data:`MATCH_AD_BASE` so they stay
-    disjoint from the workload.  The specs depend only on the groups, the
-    ad count and the hit probabilities, so they are built once per
-    distinct set of those and shared (specs and tuple are immutable).
+    disjoint from the workload.  The ads depend only on the groups, the
+    ad count and the hit probabilities, so their table is built and
+    checked once per distinct set of those and shared (it is immutable).
     """
     if cfg.overlap_groups is None:
         raise ConfigError("matching_specs: config has no overlap_groups")
@@ -412,17 +425,12 @@ def matching_specs(cfg: ScenarioConfig) -> tuple[TargetingSpec, ...]:
 @functools.lru_cache(maxsize=64)
 def _matching_specs(
     groups: tuple[tuple[int, ...], ...], ads_per_group: int, p_in: float, p_out: float
-) -> tuple[TargetingSpec, ...]:
+) -> SpecTable:
     specs: list[TargetingSpec] = []
     oid = MATCH_AD_BASE
-    for g_idx, g in enumerate(groups):
+    for g in groups:
         core = Family([(i,) for i in g])
         for _ in range(ads_per_group):
-            specs.append(
-                TargetingSpec.targeted(
-                    oid, core, p_in, p_out,
-                    group_tag=f"group{g_idx}", channel=CONTEXTUAL,
-                )
-            )
+            specs.append(TargetingSpec.targeted(oid, core, p_in, p_out, channel=CONTEXTUAL))
             oid += 1
-    return tuple(specs)
+    return SpecTable.from_specs(specs)

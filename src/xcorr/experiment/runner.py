@@ -6,11 +6,16 @@ auditor would observe, run every configured detection algorithm on the
 same observations, and score each against ground truth.  A scenario is
 ``trials`` independent trials pooled into one report.
 
-A trial is held column-wise from simulation to score: the observations
-keep the K x m seen matrix and, when collected, the K x N display-count
-matrix; every detector reads them and answers with
-verdict arrays, and scoring compares those with the trial's ground truth,
-projected once.  A stored record writes the verdicts with
+A trial is held column-wise from draw to score: the workload is one
+:class:`~xcorr.simulator.SpecTable` that both simulators read and that
+is the trial's ground truth; the observations keep the K x m seen
+matrix and, when collected, the K x N display-count matrix; every
+detector reads them and answers with verdict arrays, and scoring
+compares those with the table, projected once
+(:meth:`~xcorr.experiment.scoring.Truth.of`).  Family objects for the
+true cores are built only where they are needed: for a stored record,
+for scoring family targets, and for projecting cores through overlap
+groups.  A stored record writes the verdicts with
 :meth:`~xcorr.prediction.Verdicts.to_doc`.
 
 Determinism: a scenario seeds one SeedSequence tree; each trial gets a
@@ -51,7 +56,7 @@ from ..placement import (
 )
 from ..prediction import Verdicts
 from ..set_intersection import SetIntersectionConfig, set_intersection_verdicts
-from ..simulator import ObservationSet, simulate_behavioral, simulate_contextual
+from ..simulator import ObservationSet, SpecTable, simulate_behavioral, simulate_contextual
 from .config import ScenarioConfig, build_specs, matching_specs
 from .scoring import Metrics, Truth, precision_recall, rates, wilson_interval
 from .store import CorrelationStore, canonical_json, scenario_hash
@@ -120,7 +125,8 @@ class SimulatedTrial:
     ``detection_placement`` is what the algorithms see: identical to
     ``placement`` normally, reduced to one representative column per
     cluster under matching.  ``reps`` maps reduced column index back to
-    the original input ID.
+    the original input ID.  ``specs`` is the workload's spec table, the
+    ground truth the trial is scored against.
     """
 
     placement: PlacementMatrix
@@ -129,7 +135,12 @@ class SimulatedTrial:
     clusters: list[list[int]] | None
     purity: float | None
     observations: ObservationSet
-    truth: dict[int, Family | None]
+    specs: SpecTable
+
+    @property
+    def truth(self) -> dict[int, Family | None]:
+        """Output id -> true core (None: untargeted), ids ascending."""
+        return dict(zip(self.specs.output_ids, self.specs.cores))
 
     def to_record(self, trial: int) -> dict:
         """The stored trial record: placement, observations and ground
@@ -213,13 +224,12 @@ def simulate_trial(
         )
         det_pm = placement
 
-    obs, trace = simulate_behavioral(placement, specs, rounds=cfg.rounds, seed=b_ss)
+    obs, _ = simulate_behavioral(placement, specs, rounds=cfg.rounds, seed=b_ss)
     if cfg.collect_contextual:
         counts = simulate_contextual(
             Combination(range(n)), specs, cfg.displays_per_input, seed=c_ss, n_inputs=n
         )
         obs = replace(obs, contextual=counts, displays_per_input=cfg.displays_per_input)
-    truth = {oid: trace.true_family(oid) for oid in trace.output_ids}
     return SimulatedTrial(
         placement=placement,
         detection_placement=det_pm,
@@ -227,7 +237,7 @@ def simulate_trial(
         clusters=clusters,
         purity=purity,
         observations=obs,
-        truth=truth,
+        specs=specs,
     )
 
 
@@ -235,7 +245,7 @@ def run_trial(cfg: ScenarioConfig, trial_seed: np.random.SeedSequence) -> TrialR
     """Simulate and score a single trial of the scenario."""
     sim = simulate_trial(cfg, trial_seed)
     obs, det_pm = sim.observations, sim.detection_placement
-    truth = Truth.of(sim.truth, cfg.group_map(), n_inputs=cfg.n_inputs)
+    truth = Truth.of(sim.specs, cfg.group_map(), n_inputs=cfg.n_inputs)
     metrics: dict[str, Metrics] = {}
     verdicts: dict[str, Verdicts] = {}
     for algo in cfg.algorithms:

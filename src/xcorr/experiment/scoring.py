@@ -11,7 +11,10 @@ groups), both sides are projected through the group map before comparison,
 so naming any input of the right group counts as finding the association.
 
 Scoring reads a trial's verdict arrays (:class:`~xcorr.prediction.Verdicts`)
-against its :class:`Truth`, which projects the true cores once per trial.
+against its :class:`Truth`, which reads the trial's spec table
+(:class:`~xcorr.simulator.SpecTable`) and projects the true cores once
+per trial; core families are built only to score family targets or to
+project through groups.
 A detector whose targets are single combinations (a K x N matrix) is
 scored by comparing rows; family targets are compared as families.
 :func:`rates` turns confusion counts into the two rates, for one trial
@@ -29,6 +32,7 @@ import numpy as np
 from ..core_model import Combination, Family
 from ..errors import MismatchedUniverse
 from ..prediction import TARGETED, UNKNOWN, Verdicts
+from ..simulator import SpecTable
 
 
 def project_family(fam: Family, group_map: Mapping[int, int]) -> Family:
@@ -92,59 +96,65 @@ class Metrics:
 @dataclass(frozen=True, eq=False)
 class Truth:
     """One trial's ground truth as the scorer reads it, rows in
-    ascending output id.
+    ascending output id: the trial's spec table, projected once.
 
-    ``families[k]`` is output k's true core projected through the group
-    map (None when untargeted).  When that projected core has a single
-    member, ``single[k]`` is set and row k of the K x N matrix ``combos``
-    marks its inputs.  ``projection`` is the N x N boolean matrix that
-    maps input i to its group's representative (None without groups).
+    When row k's true core, projected through the group map, has a
+    single member, ``single[k]`` is set and row k of the K x N matrix
+    ``combos`` marks its inputs.  ``projection`` is the N x N boolean
+    matrix that maps input i to its group's representative (None
+    without groups), and ``projected`` holds the projected cores then.
     """
 
-    output_ids: tuple[int, ...]
-    families: tuple[Family | None, ...]
+    specs: SpecTable
     single: np.ndarray
     combos: np.ndarray
     group_map: Mapping[int, int] | None = None
     projection: np.ndarray | None = None
+    projected: tuple[Family | None, ...] | None = None
 
     @classmethod
     def of(
         cls,
-        truth: Mapping[int, Family | None],
+        specs: SpecTable,
         group_map: Mapping[int, int] | None = None,
         *,
         n_inputs: int,
     ) -> "Truth":
-        """``truth`` maps output id to true core (None: untargeted);
-        ``n_inputs`` is the universe size N."""
-        ids = tuple(sorted(truth))
-        families = tuple(truth[oid] for oid in ids)
+        """The truth of the trial whose workload is ``specs``;
+        ``n_inputs`` is the universe size N.  Without a group map no
+        :class:`Family` is built."""
+        members = specs.members
+        projected = projection = None
         if group_map:
-            families = tuple(
-                None if fam is None else project_family(fam, group_map) for fam in families
+            projected = tuple(
+                None if core is None else project_family(core, group_map)
+                for core in specs.cores
             )
-        rows: list[int] = []
-        cols: list[int] = []
-        for row, fam in enumerate(families):
-            if fam is not None and fam.size == 1:
-                (member,) = fam.combinations
-                rows += [row] * member.order
-                cols += member.inputs
-        single = np.zeros(len(ids), dtype=bool)
-        single[rows] = True
-        combos = np.zeros((len(ids), n_inputs), dtype=bool)
-        combos[rows, cols] = True
-        projection = None
-        if group_map:
+            members = [None if fam is None else [c.inputs for c in fam] for fam in projected]
             projection = np.eye(n_inputs, dtype=bool)
             for i, rep in group_map.items():
                 projection[i] = False
                 projection[i, rep] = True
-        return cls(ids, families, single, combos, group_map or None, projection)
+        rows: list[int] = []
+        cols: list[int] = []
+        for row, core in enumerate(members):
+            if core is not None and len(core) == 1:
+                rows += [row] * len(core[0])
+                cols += core[0]
+        single = np.zeros(len(specs), dtype=bool)
+        single[rows] = True
+        combos = np.zeros((len(specs), n_inputs), dtype=bool)
+        combos[rows, cols] = True
+        return cls(specs, single, combos, group_map or None, projection, projected)
+
+    @property
+    def families(self) -> tuple[Family | None, ...]:
+        """Each row's true core as a family, projected through the group
+        map (None when untargeted)."""
+        return self.specs.cores if self.projected is None else self.projected
 
     def __len__(self) -> int:
-        return len(self.output_ids)
+        return len(self.specs)
 
     def correct(self, verdicts: Verdicts) -> int:
         """How many TARGETED rows of ``verdicts`` name exactly the true
@@ -197,7 +207,7 @@ def precision_recall(verdicts: Verdicts, truth: Truth) -> Metrics:
         raise MismatchedUniverse(
             f"{len(verdicts)} verdicts for {len(truth)} outputs of ground truth"
         )
-    true_targeted = len(truth) - truth.families.count(None)
+    true_targeted = truth.specs.n_targeted
     emitted = int(np.count_nonzero(verdicts.codes == TARGETED))
     correct = truth.correct(verdicts)
     precision, recall, flags = rates(correct, emitted, true_targeted)

@@ -6,6 +6,14 @@ sees the output; the contextual channel counts how often the output is
 displayed next to each input in the user's own account.  Ground truth
 is recorded in a trace the detection engine never sees.
 
+A trial's specs travel as one immutable :class:`SpecTable`: a row per
+output in ascending output id, with the output's stream index,
+targeted and contextual-channel masks, its three hit probabilities and
+the core members laid out as gathered input columns.  The simulators
+take the table; a sequence of :class:`TargetingSpec` objects is turned
+into one on entry (:meth:`SpecTable.from_specs`).  Family objects are
+built from the table only when asked for (:attr:`SpecTable.cores`).
+
 A simulation works on whole matrices: each spec keeps its own RNG
 stream, all K of them derived in one vectorized step by
 :func:`~xcorr.placement.spawn_rngs` (the streams of ``seed.spawn(K)``);
@@ -112,6 +120,147 @@ class TargetingSpec:
         cls, output_id: int, p_empty: float, group_tag: str | None = None
     ) -> "TargetingSpec":
         return cls(output_id=output_id, p_empty=p_empty, group_tag=group_tag)
+
+
+#: a spec as :meth:`SpecTable.from_rows` reads it: output id, core members
+#: (sorted lists of sorted inputs) or None, p_in, p_out, p_empty, and
+#: whether the spec drives the contextual channel
+SpecRow = tuple[int, Sequence[Sequence[int]] | None, float, float, float, bool]
+
+
+@dataclass(frozen=True, eq=False)
+class SpecTable:
+    """A trial's targeting specs as one immutable table, one row per
+    output in ascending output id.
+
+    ``stream[k]`` is the position of row k's spec in the sequence the
+    table was built from: it draws from that child stream of a
+    simulation's seed.  ``targeted`` and ``contextual`` are boolean
+    masks of the rows with a core and, among them, the contextual-channel
+    ones; ``p_in``, ``p_out`` and ``p_empty`` are each row's hit
+    probabilities (0 where a :class:`TargetingSpec` of that kind leaves
+    them unset).
+    ``members[k]`` lists row k's core members as sorted input tuples, in
+    sorted order, or is None for an untargeted row.  The same members
+    are laid out for one gather: ``cols`` holds every member's inputs,
+    core by core in row order, ``starts`` the first column of each
+    member and ``first`` the first member of each core, one per targeted
+    row.  ``width`` is one more than the largest input a core names (0
+    without cores).
+    """
+
+    output_ids: tuple[int, ...]
+    stream: tuple[int, ...]
+    targeted: np.ndarray
+    contextual: np.ndarray
+    p_in: tuple[float, ...]
+    p_out: tuple[float, ...]
+    p_empty: tuple[float, ...]
+    members: tuple[tuple[tuple[int, ...], ...] | None, ...]
+    cols: np.ndarray
+    starts: np.ndarray
+    first: np.ndarray
+    width: int
+
+    def __post_init__(self):
+        for array in (self.targeted, self.contextual, self.cols, self.starts, self.first):
+            array.setflags(write=False)
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[SpecRow]) -> "SpecTable":
+        """The table of ``rows``, given in stream order.  Raises
+        :class:`SpecError` when two rows share an output id; every other
+        property of a valid :class:`TargetingSpec` (an antichain core of
+        sorted members, probabilities in range) is the caller's to keep."""
+        order = sorted(range(len(rows)), key=lambda j: rows[j][0])
+        ids, cores, p_in, p_out, p_empty, ctx = list(zip(*(rows[j] for j in order))) or [()] * 6
+        if len(set(ids)) < len(ids):
+            raise SpecError("duplicate output_id in specs")
+        members: list[tuple[tuple[int, ...], ...] | None] = []
+        cols: list[int] = []
+        starts: list[int] = []
+        first: list[int] = []
+        for core in cores:
+            if core is None:
+                members.append(None)
+                continue
+            members.append(tuple(map(tuple, core)))
+            first.append(len(starts))
+            for member in core:
+                starts.append(len(cols))
+                cols += member
+        intp = functools.partial(np.array, dtype=np.intp)
+        targeted = np.array([core is not None for core in cores], dtype=bool)
+        return cls(
+            output_ids=ids,
+            stream=tuple(order),
+            targeted=targeted,
+            contextual=targeted & np.array(ctx, dtype=bool),
+            p_in=p_in,
+            p_out=p_out,
+            p_empty=p_empty,
+            members=tuple(members),
+            cols=intp(cols),
+            starts=intp(starts),
+            first=intp(first),
+            width=max(cols) + 1 if cols else 0,
+        )
+
+    @classmethod
+    def from_specs(cls, specs: Sequence[TargetingSpec]) -> "SpecTable":
+        """The table of ``specs``: spec k keeps the k-th stream.  Raises
+        :class:`SpecError` when two specs share an output id."""
+        return cls.from_rows([
+            (
+                s.output_id,
+                None if s.core is None else [c.inputs for c in s.core],
+                s.p_in, s.p_out, s.p_empty, s.channel == CONTEXTUAL,
+            )
+            for s in specs
+        ])
+
+    def __len__(self) -> int:
+        return len(self.output_ids)
+
+    @property
+    def n_targeted(self) -> int:
+        return len(self.first)
+
+    @property
+    def p_rest(self) -> list[float]:
+        """Each row's hit probability outside its target: p_out for a
+        targeted row, p_empty for an untargeted one."""
+        return [p if ms is not None else e
+                for p, e, ms in zip(self.p_out, self.p_empty, self.members)]
+
+    @functools.cached_property
+    def cores(self) -> tuple[Family | None, ...]:
+        """Each row's core as a :class:`Family` (None when untargeted),
+        built on first use."""
+        return tuple(None if ms is None else Family(ms) for ms in self.members)
+
+    def check_universe(self, n_inputs: int) -> None:
+        """Raise :class:`SpecError` when a core names an input outside
+        0..n_inputs-1."""
+        if self.width <= n_inputs:
+            return
+        oid, member = next(
+            (oid, member)
+            for oid, ms in zip(self.output_ids, self.members)
+            for member in ms or ()
+            if max(member) >= n_inputs
+        )
+        raise SpecError(
+            f"output {oid}: core member {Combination(member)!r} references "
+            f"inputs outside 0..{n_inputs - 1}"
+        )
+
+
+def _table(specs: SpecTable | Sequence[TargetingSpec], n_inputs: int) -> SpecTable:
+    """``specs`` as a table checked against a universe of ``n_inputs``."""
+    table = specs if isinstance(specs, SpecTable) else SpecTable.from_specs(specs)
+    table.check_universe(n_inputs)
+    return table
 
 
 _OBSERVATION_COUNTS = ("rounds", "n_accounts", "n_inputs", "displays_per_input")
@@ -264,21 +413,20 @@ class ObservationSet:
 
 @dataclass
 class SimulationTrace:
-    """Ground truth per output: the specs themselves plus the split of
+    """Ground truth per output: the trial's spec table plus the split of
     active accounts into genuinely in-target vs noise.
 
     ``seen`` and ``in_target_mask`` are K x m matrices, rows in ascending
-    output id (``output_ids``): an output's in-target accounts are its row
-    of ``seen & in_target_mask``."""
+    output id (``output_ids``, the table's rows): an output's in-target
+    accounts are its row of ``seen & in_target_mask``."""
 
-    specs: dict[int, TargetingSpec]
-    output_ids: tuple[int, ...]
+    specs: SpecTable
     seen: np.ndarray
     in_target_mask: np.ndarray
 
-    def true_family(self, output_id: int) -> Family | None:
-        spec = self.specs[output_id]
-        return spec.core if spec.is_targeted else None
+    @property
+    def output_ids(self) -> tuple[int, ...]:
+        return self.specs.output_ids
 
 
 @functools.lru_cache(maxsize=256)
@@ -287,55 +435,18 @@ def _effective(p: float, rounds: int) -> float:
     return -np.expm1(rounds * np.log1p(-p)) if p < 1.0 else 1.0
 
 
-def _in_target(placement: PlacementMatrix, cores: Sequence[Family]) -> np.ndarray:
-    """len(cores) x m boolean matrix: row k marks the accounts that hold
-    some member of ``cores[k]`` whole.  The members' input columns are
-    gathered once; an AND over each member's columns and an OR over each
-    core's members reduce them.  Every core must have a member unless
-    none has."""
-    starts: list[int] = []  # first gathered column of each member
-    cols: list[int] = []
-    first: list[int] = []  # first member of each core
-    for core in cores:
-        first.append(len(starts))
-        for member in core.combinations:
-            starts.append(len(cols))
-            cols += member.inputs
-    if not cols:
-        return np.zeros((len(cores), placement.n_accounts), dtype=bool)
-    whole = np.logical_and.reduceat(placement.membership[:, cols], starts, axis=1)
-    return np.logical_or.reduceat(whole, first, axis=1).T
-
-
-def _check_specs(specs: Sequence[TargetingSpec], n_inputs: int) -> None:
-    ids = [s.output_id for s in specs]
-    if len(set(ids)) != len(ids):
-        raise SpecError("duplicate output_id in specs")
-    for spec in specs:
-        if not spec.is_targeted:
-            continue
-        for member in spec.core.combinations:
-            if any(i >= n_inputs for i in member.inputs):
-                raise SpecError(
-                    f"output {spec.output_id}: core member {member!r} references "
-                    f"inputs outside 0..{n_inputs - 1}"
-                )
-
-
-def _ordered(
-    specs: Sequence[TargetingSpec], seed: int | np.random.SeedSequence | SpawnedSeed
-) -> tuple[list[TargetingSpec], list[np.random.Generator]]:
-    """The specs in ascending output id, each with its own stream: spec k
-    of ``specs`` keeps the k-th child stream of ``seed`` (see
-    :func:`~xcorr.placement.spawn_rngs`)."""
-    rngs = spawn_rngs(seed, len(specs))
-    order = sorted(range(len(specs)), key=lambda j: specs[j].output_id)
-    return [specs[j] for j in order], [rngs[j] for j in order]
+def _in_target(placement: PlacementMatrix, table: SpecTable) -> np.ndarray:
+    """n_targeted x m boolean matrix: row j marks the accounts that hold
+    some member of the j-th targeted row's core whole.  The members'
+    input columns are gathered once; an AND over each member's columns
+    and an OR over each core's members reduce them."""
+    whole = np.logical_and.reduceat(placement.membership[:, table.cols], table.starts, axis=1)
+    return np.logical_or.reduceat(whole, table.first, axis=1).T
 
 
 def simulate_behavioral(
     placement: PlacementMatrix,
-    specs: Sequence[TargetingSpec],
+    specs: SpecTable | Sequence[TargetingSpec],
     rounds: int = 1,
     seed: int | np.random.SeedSequence | SpawnedSeed = 0,
 ) -> tuple[ObservationSet, SimulationTrace]:
@@ -347,42 +458,36 @@ def simulate_behavioral(
     contextual-channel spec has no behavioral audience: it shows up in
     shadow accounts only at its out-of-context rate p_out.
 
-    Spec k draws its row of uniforms from the k-th child stream of
-    ``seed`` (see :func:`~xcorr.placement.spawn_rngs`); ``seed``'s spawn
+    Row k of the table draws its uniforms from child stream
+    ``stream[k]`` of ``seed`` (see :func:`~xcorr.placement.spawn_rngs`),
+    so spec k of a spec sequence keeps the k-th stream; ``seed``'s spawn
     counter is not advanced.
     """
     if rounds < 1:
         raise SpecError(f"rounds must be >= 1, got {rounds}")
-    _check_specs(specs, placement.n_inputs)
-    k, m = len(specs), placement.n_accounts
-    specs, rngs = _ordered(specs, seed)
+    table = _table(specs, placement.n_inputs)
+    k, m = len(table), placement.n_accounts
+    rngs = spawn_rngs(seed, k)
     draws = np.empty((k, m))
-    for row, rng in zip(draws, rngs):
-        rng.random(out=row)
-    aimed = [s.is_targeted and s.channel == BEHAVIORAL for s in specs]
+    for row, j in zip(draws, table.stream):
+        rngs[j].random(out=row)
     in_mask = np.zeros((k, m), dtype=bool)
-    in_mask[np.array(aimed, dtype=bool)] = _in_target(
-        placement, [s.core for s, a in zip(specs, aimed) if a]
-    )
-    p_hit = [_effective(s.p_in, rounds) if s.is_targeted else 0.0 for s in specs]
-    p_rest = [_effective(s.p_out if s.is_targeted else s.p_empty, rounds) for s in specs]
+    if table.n_targeted:
+        in_mask[table.targeted] = _in_target(placement, table)
+        in_mask[table.contextual] = False
+    p_hit = [_effective(p, rounds) for p in table.p_in]
+    p_rest = [_effective(p, rounds) for p in table.p_rest]
     seen = draws < np.where(in_mask, np.array(p_hit)[:, None], np.array(p_rest)[:, None])
     obs = ObservationSet(
-        output_ids=tuple(s.output_id for s in specs), seen=seen, rounds=rounds, n_accounts=m,
+        output_ids=table.output_ids, seen=seen, rounds=rounds, n_accounts=m,
         n_inputs=placement.n_inputs,
     )
-    trace = SimulationTrace(
-        specs={s.output_id: s for s in specs},
-        output_ids=obs.output_ids,
-        seen=obs.seen,
-        in_target_mask=in_mask,
-    )
-    return obs, trace
+    return obs, SimulationTrace(specs=table, seen=obs.seen, in_target_mask=in_mask)
 
 
 def simulate_contextual(
     user_inputs: Combination,
-    specs: Sequence[TargetingSpec],
+    specs: SpecTable | Sequence[TargetingSpec],
     displays_per_input: int,
     seed: int | np.random.SeedSequence | SpawnedSeed = 0,
     *,
@@ -396,35 +501,36 @@ def simulate_contextual(
     to input i, a contextual spec fires with p_in when {i} is one of its
     core members and p_out otherwise, a behavioral spec fires at p_out
     regardless (it does not react to the displayed input), and an
-    untargeted spec fires at p_empty.  Spec k draws its row from the k-th
-    child stream of ``seed``, whose spawn counter is not advanced, in
+    untargeted spec fires at p_empty.  Row k draws from child stream
+    ``stream[k]`` of ``seed``, whose spawn counter is not advanced, in
     ascending input order: one binomial call per maximal run of user
     inputs that share a probability, so a row costs a call per run, not
     per input.
     """
     if displays_per_input < 1:
         raise SpecError(f"displays_per_input must be >= 1, got {displays_per_input}")
-    _check_specs(specs, n_inputs)
+    table = _table(specs, n_inputs)
     user = list(user_inputs.inputs)
     if user and user[-1] >= n_inputs:
         raise SpecError(f"user inputs {user_inputs!r} reach outside 0..{n_inputs - 1}")
-    specs, rngs = _ordered(specs, seed)
+    rngs = spawn_rngs(seed, len(table))
     where = {i: j for j, i in enumerate(user)}  # input -> position among the user's
-    drawn = np.empty((len(specs), len(user)), dtype=np.int64)
-    for row, spec, rng in zip(drawn, specs, rngs):
+    drawn = np.empty((len(table), len(user)), dtype=np.int64)
+    for row, stream, members, ctx, p_in, p_rest in zip(
+        drawn, table.stream, table.members, table.contextual.tolist(), table.p_in,
+        table.p_rest,
+    ):
         keyed: set[int] = set()
-        if spec.is_targeted and spec.channel == CONTEXTUAL:
+        if ctx:
             # contextual cores have order 1: {i} is a member iff input i fires it
-            keys = (c.inputs[0] for c in spec.core.combinations)
-            keyed = {where[i] for i in keys if i in where}
+            keyed = {where[i] for (i,) in members if i in where}
         # the positions where the probability changes: a run of keyed
         # positions starts at its first one and ends one past its last
         bounds = [0, *sorted(keyed ^ {j + 1 for j in keyed}), len(user)]
-        p_rest = spec.p_out if spec.is_targeted else spec.p_empty
         for s, (a, b) in enumerate(zip(bounds, bounds[1:])):
             if a < b:  # odd segments are the runs of keyed positions
-                p = spec.p_in if s % 2 else p_rest
-                row[a:b] = rng.binomial(displays_per_input, p, size=b - a)
-    counts = np.zeros((len(specs), n_inputs), dtype=np.int64)
+                p = p_in if s % 2 else p_rest
+                row[a:b] = rngs[stream].binomial(displays_per_input, p, size=b - a)
+    counts = np.zeros((len(table), n_inputs), dtype=np.int64)
     counts[:, user] = drawn
     return counts

@@ -594,7 +594,73 @@ def learn_oracle(observations, score, in_slots, out_slots, empty_slots, init,
     return params, iterations, converged, tuple(history)
 
 
+def learn_params_loop_oracle(seen, placement, init, tol=1e-3, max_iter=50, floor=0.5):
+    """``learn_params`` run round by round until it converges or reaches
+    ``max_iter``, scoring every output with the library's posteriors:
+    ``(params, iterations, converged, history)``, with no shortcut for a
+    run that cycles."""
+    from dataclasses import replace
+
+    from xcorr.bayes import behavioral_evidence, log_likelihoods, posteriors
+
+    ev = behavioral_evidence(seen, placement)
+    hits, seen = ev.hits.astype(np.int64), ev.seen.astype(np.int64)
+    in_slots = ev.sizes.astype(np.int64)
+    m, n = placement.n_accounts, ev.n_inputs
+    params, history, converged, iterations = init, [], False, 0
+    for iterations in range(1, max_iter + 1):
+        probs, _ = posteriors(log_likelihoods(ev, params), params)
+        acc = dict(in_seen=0, in_total=0, out_seen=0, out_total=0, e_seen=0, e_total=0)
+        for k, row in enumerate(probs):
+            i = int(row.argmax())
+            if i < n and row[i] >= floor:
+                acc["in_seen"] += int(hits[k, i])
+                acc["in_total"] += int(in_slots[i])
+                acc["out_seen"] += int(seen[k]) - int(hits[k, i])
+                acc["out_total"] += m - int(in_slots[i])
+            else:
+                acc["e_seen"] += int(seen[k])
+                acc["e_total"] += m
+        p_in = acc["in_seen"] / acc["in_total"] if acc["in_total"] else params.p_in
+        p_out = acc["out_seen"] / acc["out_total"] if acc["out_total"] else params.p_out
+        p_empty = acc["e_seen"] / acc["e_total"] if acc["e_total"] else params.p_empty
+        p_in = min(max(p_in, 1e-6), 1.0 - 1e-6)
+        p_empty = min(max(p_empty, 1e-6), 1.0 - 1e-6)
+        p_out = min(max(p_out, 1e-7), p_in * (1.0 - 1e-9))
+        delta = max(abs(p_in - params.p_in), abs(p_out - params.p_out),
+                    abs(p_empty - params.p_empty))
+        params = replace(params, p_in=p_in, p_out=p_out, p_empty=p_empty)
+        history.append((p_in, p_out, p_empty))
+        if delta < tol:
+            converged = True
+            break
+    return params, iterations, converged, tuple(history)
+
+
 # --------------------------------------------------------- simulation
+
+
+def build_specs_oracle(cfg, rng):
+    """One trial's workload as ``TargetingSpec`` objects, drawn with plain
+    ``rng.choice`` calls: per targeted output its size l and order r,
+    then l*r distinct inputs chunked into l members; with overlap groups
+    the targeted outputs cycle through the groups' singleton cores and
+    nothing is drawn.  Untargeted outputs follow."""
+    from xcorr.simulator import TargetingSpec
+
+    specs = []
+    for oid in range(cfg.n_targeted):
+        if cfg.overlap_groups is None:
+            l, r = int(rng.choice(cfg.l_values)), int(rng.choice(cfg.r_values))
+            ids = rng.choice(cfg.n_inputs, size=l * r, replace=False).tolist()
+            core = Family([ids[k * r : (k + 1) * r] for k in range(l)])
+        else:
+            core = Family([(i,) for i in cfg.overlap_groups[oid % len(cfg.overlap_groups)]])
+        specs.append(TargetingSpec(oid, core, cfg.p_in, cfg.p_out, channel=cfg.targeted_channel))
+    first = cfg.n_targeted
+    specs += [TargetingSpec(oid, p_empty=cfg.p_empty)
+              for oid in range(first, first + cfg.n_untargeted)]
+    return specs
 
 
 def _spec_streams(seed, k):

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import bayes_oracle, composite_score, input_accounts, learn_oracle
+from oracles import (
+    bayes_oracle,
+    composite_score,
+    input_accounts,
+    learn_oracle,
+    learn_params_loop_oracle,
+)
 from xcorr.bayes import (
     DEFAULT_INIT,
     ModelParams,
@@ -501,3 +507,27 @@ def test_learners_match_scalar_oracle():
         got = learn_contextual_params(counts, displays, init=init, tol=1e-6)
         assert (got.params, got.iterations, got.converged, got.history) == want
         assert got.iterations > 1 or not len(counts)
+
+
+def test_a_learning_run_that_cycles_ends_as_the_full_loop_does():
+    # scenario_mix-shaped trials; trials 15 and 21 of seed 13 fall into a
+    # 2-cycle, which learn_params stops early and fills in by parity
+    from xcorr.experiment import ScenarioConfig
+    from xcorr.experiment.runner import simulate_trial
+
+    cfg = ScenarioConfig.from_dict({
+        "preset": "gmail_like", "n_inputs": 32, "n_accounts": 60, "n_targeted": 8,
+        "n_untargeted": 8, "l_values": [1, 2], "r_values": [1, 2],
+    })
+    seeds = np.random.SeedSequence(13).spawn(22)
+    cycled = 0
+    for t in (0, 1, 2, 15, 21):
+        sim = simulate_trial(cfg, seeds[t])
+        obs, pm = sim.observations, sim.detection_placement
+        for init in (DEFAULT_INIT, ModelParams(0.6, 0.05, 0.2)):
+            want = learn_params_loop_oracle(obs.seen, pm, init)
+            got = learn_params(obs.seen, pm, init=init)
+            assert (got.params, got.iterations, got.converged, got.history) == want
+            history = want[3]
+            cycled += not want[2] and history[-1] == history[-3] != history[-2]
+    assert cycled >= 2

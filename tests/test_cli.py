@@ -483,6 +483,31 @@ def test_malformed_config_json(capsys, tmp_path):
     assert "not valid JSON" in err
 
 
+#: a JSON array nested past the decoder's recursion limit, a few KB long
+DEEP = "[" * 1000 + "]" * 1000
+
+
+@pytest.mark.parametrize("where", ["config", "config value", "placement", "observations"])
+def test_deeply_nested_json_is_a_config_error(capsys, tmp_path, tiny_config, where):
+    out_dir = tmp_path / "trials"
+    run(capsys, "simulate", "--config", tiny_config, "--out-dir", str(out_dir))
+    deep = tmp_path / "deep.json"
+    if where == "config value":
+        deep.write_text('{"n_inputs": 4, "algo_config": {"bayes": {"p_in": ' + DEEP + "}}}")
+    else:
+        deep.write_text(DEEP)
+    placement = str(deep if where == "placement" else out_dir / "trial0_placement.json")
+    obs = str(deep if where == "observations" else out_dir / "trial0_observations.json")
+    if where.startswith("config"):
+        argv = ("report", "--config", str(deep))
+    else:
+        argv = ("detect", "--algo", "bayes", "--obs", obs, "--placement", placement)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "nested too deeply" in err
+
+
 @pytest.mark.parametrize("text", [
     '{"n_inputs": 4, ' + json.dumps(TINY)[1:],
     '{"algo_config": {"setint": {}, "setint": {"threshold": 0.5}}, ' + json.dumps(TINY)[1:],

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import scenario_config_asdict
+from oracles import build_specs_oracle, scenario_config_asdict
 from xcorr.core_model import Family
 from xcorr.errors import ConfigError, MismatchedUniverse, parse_artifact
 from xcorr.experiment import (
@@ -28,7 +28,7 @@ from xcorr.experiment.config import MATCH_AD_BASE
 from xcorr.placement import PlacementMatrix
 from xcorr.prediction import TARGETED, UNKNOWN, UNTARGETED, Verdict, Verdicts
 from xcorr.set_intersection import SetIntersectionConfig, predict_set_intersection
-from xcorr.simulator import CONTEXTUAL, ObservationSet
+from xcorr.simulator import CONTEXTUAL, ObservationSet, SpecTable, TargetingSpec
 from xcorr.threshold_analysis import recommend_config
 
 
@@ -128,18 +128,19 @@ def test_build_specs_shapes_and_ids():
         n_inputs=12, n_targeted=5, n_untargeted=3, l_values=(2,), r_values=(1, 2)
     )
     specs = build_specs(cfg, np.random.default_rng(3))
-    assert [s.output_id for s in specs] == list(range(8))
-    targeted = [s for s in specs if s.is_targeted]
-    assert len(targeted) == 5
-    for s in targeted:
-        assert s.core.size == 2
-        assert s.core.order in (1, 2)
-        assert s.core.is_antichain()
-        members = [set(c.inputs) for c in s.core]
-        assert not members[0] & members[1]  # drawn without replacement
-    for s in specs[5:]:
-        assert not s.is_targeted
-        assert s.p_empty == cfg.p_empty
+    assert specs.output_ids == tuple(range(8))
+    assert specs.stream == tuple(range(8))
+    assert specs.targeted.tolist() == [True] * 5 + [False] * 3
+    assert not specs.contextual.any()
+    for members in specs.members[:5]:
+        assert len(members) == 2
+        assert len({len(m) for m in members}) == 1
+        assert len(members[0]) in (1, 2)
+        assert Family(members).is_antichain()
+        assert not set(members[0]) & set(members[1])  # drawn without replacement
+    assert specs.members[5:] == (None,) * 3
+    assert specs.p_empty[5:] == (cfg.p_empty,) * 3
+    assert specs.p_in[:5] == (cfg.p_in,) * 5
 
 
 def test_a_one_value_draw_consumes_no_randomness():
@@ -150,16 +151,55 @@ def test_a_one_value_draw_consumes_no_randomness():
     assert drawn.bit_generator.state == untouched.bit_generator.state
 
 
+def test_a_one_input_sample_is_one_bounded_draw():
+    # build_specs draws a one-input core with rng.integers(0, n) on this
+    # ground, in place of rng.choice(n, size=1, replace=False)
+    for seed in range(20):
+        for n in (1, 2, 7, 51, 10_001, 2**40):
+            chosen, drawn = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert chosen.choice(n, size=1, replace=False).tolist() == [drawn.integers(0, n)]
+            assert chosen.bit_generator.state == drawn.bit_generator.state
+
+
+def _table_fields(table) -> list:
+    """Every field of a spec table, arrays with their dtypes as lists."""
+    return [
+        (v.dtype.str, v.tolist()) if isinstance(v, np.ndarray) else v
+        for v in (getattr(table, f.name) for f in dataclasses.fields(table))
+    ]
+
+
+@pytest.mark.parametrize("doc", [
+    {"l_values": [1], "r_values": [1]},
+    {"l_values": [1, 2, 3], "r_values": [1, 2, 3]},
+    {"l_values": [3], "r_values": [2]},
+    {"l_values": [2, 3], "r_values": [1], "targeted_channel": CONTEXTUAL},
+    {"overlap_groups": [[0, 4, 5], [1], [2, 3]]},
+    {"overlap_groups": [[0, 1], [7, 8]], "targeted_channel": CONTEXTUAL},
+    {"n_targeted": 0},
+], ids=["1x1", "mixed", "3x2", "contextual", "groups", "contextual groups", "untargeted"])
+def test_build_specs_table_equals_the_object_oracle(doc):
+    cfg = ScenarioConfig.from_dict({"n_inputs": 11, "n_targeted": 7, "n_untargeted": 4, **doc})
+    for seed in range(6):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        table = build_specs(cfg, rng)
+        want = SpecTable.from_specs(build_specs_oracle(cfg, oracle_rng))
+        assert _table_fields(table) == _table_fields(want)
+        assert table.cores == want.cores
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 def test_build_specs_overlap_round_robin():
     cfg = ScenarioConfig(
         n_inputs=6, n_targeted=4, n_untargeted=0,
         overlap_groups=((0, 1, 2), (3, 4, 5)),
     )
     specs = build_specs(cfg, np.random.default_rng(0))
-    assert specs[0].core == Family([(0,), (1,), (2,)])
-    assert specs[1].core == Family([(3,), (4,), (5,)])
-    assert specs[2].core == specs[0].core
-    assert [s.group_tag for s in specs] == ["group0", "group1", "group0", "group1"]
+    assert specs.cores[0] == Family([(0,), (1,), (2,)])
+    assert specs.cores[1] == Family([(3,), (4,), (5,)])
+    assert specs.members[2:] == specs.members[:2]
+    # the workload draws nothing, so one table serves every trial
+    assert build_specs(cfg, np.random.default_rng(1)) is specs
 
 
 def test_matching_specs_are_contextual_category_ads():
@@ -169,9 +209,9 @@ def test_matching_specs_are_contextual_category_ads():
     )
     specs = matching_specs(cfg)
     assert len(specs) == 6
-    assert all(s.channel == CONTEXTUAL for s in specs)
-    assert all(s.output_id >= MATCH_AD_BASE for s in specs)
-    assert specs[0].core == Family([(0,), (1,), (2,)])
+    assert specs.contextual.all()
+    assert min(specs.output_ids) >= MATCH_AD_BASE
+    assert specs.cores[0] == Family([(0,), (1,), (2,)])
     with pytest.raises(ConfigError):
         matching_specs(ScenarioConfig(n_inputs=6))
 
@@ -180,10 +220,10 @@ def test_matching_specs_are_built_once_per_ad_set():
     groups = ((0, 1, 2), (3, 4, 5))
     cfg = ScenarioConfig(n_inputs=6, overlap_groups=groups, matching=True)
     specs = matching_specs(cfg)
-    with pytest.raises(TypeError):
-        specs[0] = specs[1]
     with pytest.raises(dataclasses.FrozenInstanceError):
-        specs[0].p_in = 0.9
+        specs.p_in = (0.9,) * 8
+    with pytest.raises(ValueError, match="read-only"):
+        specs.cols[0] = 5
     for same in (
         dataclasses.replace(cfg, seed=cfg.seed + 1),
         dataclasses.replace(cfg, trials=cfg.trials + 3),
@@ -193,8 +233,34 @@ def test_matching_specs_are_built_once_per_ad_set():
         dataclasses.replace(cfg, ads_per_group=cfg.ads_per_group + 1),
         dataclasses.replace(cfg, p_in=0.6),
     ):
-        assert matching_specs(other) != specs
-    assert [s.p_in for s in matching_specs(dataclasses.replace(cfg, p_in=0.6))] == [0.6] * 8
+        assert matching_specs(other) is not specs
+    assert matching_specs(dataclasses.replace(cfg, p_in=0.6)).p_in == (0.6,) * 8
+
+
+def test_a_matched_scenario_builds_each_spec_table_once(monkeypatch):
+    # the category ads and the grouped workload are each one cached
+    # table: no trial rebuilds or re-checks them
+    from xcorr.experiment import config
+
+    config._grouped_specs.cache_clear()
+    config._matching_specs.cache_clear()
+    built = []
+    from_rows = SpecTable.from_rows.__func__
+
+    def counted(cls, rows):
+        built.append(len(rows))
+        return from_rows(cls, rows)
+
+    monkeypatch.setattr(SpecTable, "from_rows", classmethod(counted))
+    cfg = ScenarioConfig(
+        n_inputs=6, n_targeted=2, n_untargeted=1, n_accounts=12, trials=4,
+        overlap_groups=((0, 1, 2), (3, 4, 5)), matching=True, collect_contextual=True,
+        displays_per_input=20, algorithms=("bayes", "composite"),
+    )
+    run_scenario(cfg)
+    assert sorted(built) == [3, 8]
+    run_scenario(cfg)
+    assert sorted(built) == [3, 8]
 
 
 # --------------------------------------------------------------- scoring
@@ -221,6 +287,18 @@ def _verdicts(rows, width=None):
     return Verdicts(codes, targets)
 
 
+def _truth(cores, group_map=None, n_inputs=None):
+    """The Truth of outputs whose true cores ``cores`` maps from output id
+    (None: untargeted)."""
+    specs = [
+        TargetingSpec.untargeted(oid, p_empty=0.1) if fam is None
+        else TargetingSpec.targeted(oid, fam, p_in=0.5, p_out=0.01)
+        for oid, fam in cores.items()
+    ]
+    n = N_INPUTS if n_inputs is None else n_inputs
+    return Truth.of(SpecTable.from_specs(specs), group_map, n_inputs=n)
+
+
 #: the scored universe, and ``width`` of both target forms over it:
 #: families (core-family search) and a K x N matrix (set intersection, Bayes)
 N_INPUTS = 10
@@ -238,7 +316,7 @@ def test_precision_recall_hand_counted():
     }
     rows = [Family([(1,)]), Family([(2,)]), None, Family([(9,)]), None, Verdict.UNKNOWN]
     for width in TARGET_FORMS:
-        m = precision_recall(_verdicts(rows, width), Truth.of(truth, n_inputs=N_INPUTS))
+        m = precision_recall(_verdicts(rows, width), _truth(truth))
         assert (m.true_targeted, m.emitted, m.correct, m.unknown) == (4, 3, 1, 1)
         assert m.precision == pytest.approx(1 / 3)
         assert m.recall == pytest.approx(1 / 4)
@@ -247,21 +325,21 @@ def test_precision_recall_hand_counted():
 
 def test_precision_recall_partial_match_earns_nothing():
     for width in TARGET_FORMS:
-        truth = Truth.of({0: Family([(1,), (2,)])}, n_inputs=N_INPUTS)
+        truth = _truth({0: Family([(1,), (2,)])})
         m = precision_recall(_verdicts([Family([(1,)])], width), truth)
         assert m.correct == 0 and m.emitted == 1
 
 
 def test_precision_recall_degenerate_denominators():
-    m = precision_recall(_verdicts([None]), Truth.of({0: Family([(1,)])}, n_inputs=N_INPUTS))
+    m = precision_recall(_verdicts([None]), _truth({0: Family([(1,)])}))
     assert m.precision == 1.0 and "empty_emission" in m.flags
-    m2 = precision_recall(_verdicts([Family([(1,)])]), Truth.of({0: None}, n_inputs=N_INPUTS))
+    m2 = precision_recall(_verdicts([Family([(1,)])]), _truth({0: None}))
     assert m2.recall == 1.0 and "no_true_associations" in m2.flags
     assert m2.precision == 0.0
 
 
 def test_precision_recall_mismatched_universe():
-    truth = Truth.of({0: None}, n_inputs=5)
+    truth = _truth({0: None}, n_inputs=5)
     with pytest.raises(MismatchedUniverse, match="0 verdicts for 1 outputs"):
         precision_recall(_verdicts([]), truth)
     with pytest.raises(MismatchedUniverse, match="2 verdicts for 1 outputs"):
@@ -276,7 +354,7 @@ def test_precision_recall_mismatched_universe():
 def test_group_projection_scoring():
     gm = {0: 0, 1: 0, 2: 0}
     for width in TARGET_FORMS:
-        truth = Truth.of({7: Family([(0,), (1,), (2,)])}, gm, n_inputs=N_INPUTS)
+        truth = _truth({7: Family([(0,), (1,), (2,)])}, gm)
         # naming any single input of the right group counts after projection
         m = precision_recall(_verdicts([Family([(1,)])], width), truth)
         assert m.correct == 1

@@ -221,7 +221,7 @@ def scoring_digests() -> dict[str, str]:
     for obs, trace in behavioral_draws():
         hashes["simulator"].update(obs.to_json().encode())
         inside, outside = in_target(trace), out_of_target(trace)
-        for oid in sorted(trace.specs):
+        for oid in trace.output_ids:
             split = [sorted(inside[oid]), sorted(outside[oid])]
             hashes["simulator"].update(json.dumps(split).encode())
         hashes["simulator"].update(b"\n")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     account_inputs,
+    build_specs_oracle,
     in_target,
     out_of_target,
     simulate_behavioral_oracle,
@@ -16,10 +17,12 @@ from oracles import (
 )
 from xcorr.core_model import Combination, Family, eval_targeting
 from xcorr.errors import ConfigError, DomainError, SpecError
+from xcorr.experiment import ScenarioConfig
 from xcorr.placement import PlacementConfig, PlacementMatrix, bernoulli_placement
 from xcorr.simulator import (
     CONTEXTUAL,
     ObservationSet,
+    SpecTable,
     TargetingSpec,
     simulate_behavioral,
     simulate_contextual,
@@ -62,6 +65,47 @@ def test_rounds_and_universe_validation():
         simulate_behavioral(pm, [bad], rounds=1)
     with pytest.raises(SpecError):
         simulate_behavioral(pm, [spec, spec], rounds=1)  # duplicate ids
+
+
+def test_spec_table_keeps_each_spec_on_its_own_stream():
+    cfg = ScenarioConfig(
+        n_inputs=9, n_targeted=6, n_untargeted=3, l_values=(1, 2), r_values=(1, 2, 3)
+    )
+    specs = build_specs_oracle(cfg, np.random.default_rng(4))
+    specs[1] = dataclasses.replace(specs[1], channel=CONTEXTUAL, core=Family([(0,), (5,)]))
+    pm = bernoulli_placement(PlacementConfig(n_inputs=9, n_accounts=40, alpha=0.5, seed=3))
+    user = Combination(range(9))
+    for order in ([*range(9)], [4, 8, 0, 6, 2, 7, 1, 5, 3]):  # in and out of id order
+        listed = [specs[j] for j in order]
+        table = SpecTable.from_specs(listed)
+        assert table.output_ids == tuple(range(9))
+        assert [order[j] for j in table.stream] == list(range(9))
+        (obs, trace), (obs_l, trace_l) = (
+            simulate_behavioral(pm, s, rounds=2, seed=11) for s in (table, listed)
+        )
+        assert obs.output_ids == obs_l.output_ids == table.output_ids
+        assert np.array_equal(obs.seen, obs_l.seen)
+        assert np.array_equal(trace.in_target_mask, trace_l.in_target_mask)
+        seen, want_in, _ = simulate_behavioral_oracle(pm.membership, listed, 2, 11)
+        assert obs.behavioral == seen
+        assert in_target(trace) == want_in
+        counts = simulate_contextual(user, table, 30, seed=12, n_inputs=9)
+        assert np.array_equal(counts, simulate_contextual(user, listed, 30, seed=12, n_inputs=9))
+        want = simulate_contextual_oracle(user.inputs, listed, 30, 12, 9)
+        assert counts.tolist() == [want[oid].tolist() for oid in table.output_ids]
+
+
+def test_spec_table_checks():
+    spec = TargetingSpec.targeted(3, [(0,), (4, 6)], p_in=0.9, p_out=0.0)
+    with pytest.raises(SpecError, match="duplicate"):
+        SpecTable.from_specs([spec, spec])
+    table = SpecTable.from_specs([spec])
+    assert table.width == 7
+    table.check_universe(7)
+    with pytest.raises(SpecError, match=r"output 3: .*\{4, 6\}.* outside 0..5"):
+        table.check_universe(6)
+    empty = SpecTable.from_specs([])
+    assert len(empty) == 0 and empty.width == 0 and empty.n_targeted == 0
 
 
 # ----------------------------------------------------------- behavioral
