@@ -14,14 +14,19 @@ outputs, a breadth-first level of containment tests among them), and
 :func:`find_witness` is its one-query call.  It lays the stack out
 words-first, each query's rows as a (words, n) block, so every sum of
 popcounts over a row's words adds whole contiguous rows of n counts
-rather than a few words at a time.  Size 1 is
-read off a Q x n degree matrix.  Size 2 covers popcount(b_i | b_j)
-(= deg_i + deg_j - |b_i & b_j|) for every pair of every open query at
-once, taken in blocks of first rows i against all rows j and masked to
-i < j, so row-major order within a block is lexicographic order.
-Sizes of 3 and up enumerate candidates per query, in chunks, over that
-query's nonzero rows.  There is one engine, plain numpy
-(``np.bitwise_count`` needs numpy 2.0).
+rather than a few words at a time.  Counts are compared in the width
+they come in: uint8 popcounts on one-word stacks, int32 sums over
+several words, against thresholds clipped to fit.  Size 1 is read off a
+Q x n degree matrix, and a stack settled there (in a level block of
+containment tests, most are) returns at once.  Size 2 covers
+popcount(b_i | b_j) (= deg_i + deg_j - |b_i & b_j|) for every pair of
+every open query at once, taken in blocks of first rows i against all
+rows j and masked to i < j, so row-major order within a block is
+lexicographic order.  Sizes of 3 and up enumerate candidates per query,
+in chunks, over that query's nonzero rows.  The batch call answers each
+query with a sorted tuple of row indices, the form the searches keep
+in their memos; :func:`find_witness` returns an int64 array.  There is
+one engine, plain numpy (``np.bitwise_count`` needs numpy 2.0).
 """
 
 from __future__ import annotations
@@ -60,11 +65,11 @@ def _first_pairs(rows, thresholds, queries, out) -> list[int]:
     """Fill ``out[q]`` with each query's first pair (i < j), lexicographic,
     whose OR covers its threshold.  Returns the queries left without one.
 
-    ``rows`` is the words-first (Q, words, n) stack.  Pairs are taken for
-    blocks of first rows i against all rows j, so row-major order within
-    a block is lexicographic order; a pair's coverage is summed over the
-    words axis, one contiguous (i, j) block per word, in int32 (exact up
-    to 2**31 / 64 words)."""
+    ``rows`` is the words-first (Q, words, n) stack and ``thresholds``
+    are already in the width the coverages are compared in.  Pairs are
+    taken for blocks of first rows i against all rows j, so row-major
+    order within a block is lexicographic order; a pair's coverage is
+    summed over the words axis, one contiguous (i, j) block per word."""
     live = np.asarray(queries, dtype=np.int64)
     if live.size < rows.shape[0]:
         sub, thr = rows[live], thresholds[live, None, None]
@@ -83,7 +88,7 @@ def _first_pairs(rows, thresholds, queries, out) -> list[int]:
             zip(live.tolist(), hit.any(axis=1).tolist(), hit.argmax(axis=1).tolist())
         ):
             if any_hit:
-                out[k] = np.array([start + h // n, h % n], dtype=np.int64)
+                out[k] = (start + h // n, h % n)
             else:
                 still.append(pos)
         if not still:
@@ -105,7 +110,7 @@ def _first_combination(bitsets: np.ndarray, threshold: int, size: int):
             acc = acc | bitsets[:, idx[:, j]]
         hits = np.flatnonzero(np.bitwise_count(acc).sum(axis=0, dtype=np.int64) >= threshold)
         if hits.size:
-            return idx[hits[0]].copy()
+            return idx[hits[0]]
     return None
 
 
@@ -115,17 +120,20 @@ def find_witness_batch(stack: np.ndarray, thresholds, l_max: int) -> list:
     ``stack`` has shape (Q, n, n_words): query q's rows, zero-padded to a
     common word count (zero rows and words cover nothing, so padding
     never changes a witness).  ``thresholds`` holds one threshold per
-    query.  Returns a list of Q results, each a sorted int64 index array
-    or None.
+    query.  Returns a list of Q results, each a sorted tuple of row
+    indices or None.
 
     The kernel reads the stack words-first, as (Q, n_words, n), so every
-    sum over words adds whole rows of n counts.  Size 1 is read off a
-    Q x n degree matrix, size 2 off the pair coverages of every query
-    still open, and sizes of 3 and up run per query over that query's
-    nonzero rows.  No combination holding a zero row can be the first
-    hit (dropping the row leaves a smaller combination with the same
-    coverage, already tried), so each answer is the one the query would
-    get on its own.
+    sum over words adds whole rows of n counts.  Counts are compared in
+    their own width, uint8 for one-word stacks and int32 otherwise, with
+    each threshold clipped to one more than a full row of words (no
+    combination covers more).  Size 1 is read off a Q x n degree matrix,
+    and a block every query of which is settled there returns at once.
+    Size 2 is read off the pair coverages of every query still open, and
+    sizes of 3 and up run per query over that query's nonzero rows.  No
+    combination holding a zero row can be the first hit (dropping the
+    row leaves a smaller combination with the same coverage, already
+    tried), so each answer is the one the query would get on its own.
     """
     stack = np.asarray(stack)
     if stack.ndim != 3:
@@ -139,27 +147,26 @@ def find_witness_batch(stack: np.ndarray, thresholds, l_max: int) -> list:
         raise ValueError(f"thresholds must be >= 1, got {thresholds.min()}")
     if l_max < 1:
         raise ValueError(f"l_max must be >= 1, got {l_max}")
-    q, n, _ = stack.shape
-    out: list = [None] * q
+    q, n, words = stack.shape
     if q == 0 or n == 0:
-        return out
+        return [None] * q
     rows = np.ascontiguousarray(stack.transpose(0, 2, 1), dtype=np.uint64)
-    deg = np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
-    hit = deg >= thresholds[:, None]
-    pending = []
-    for k, (any_hit, h) in enumerate(zip(hit.any(axis=1).tolist(), hit.argmax(axis=1).tolist())):
-        if any_hit:
-            out[k] = np.array([h], dtype=np.int64)
-        else:
-            pending.append(k)
-    if l_max < 2 or n < 2 or not pending:
+    thr = np.minimum(thresholds, 64 * words + 1).astype(np.uint8 if words == 1 else np.int32)
+    counts = np.bitwise_count(rows)
+    deg = counts[:, 0] if words == 1 else counts.sum(axis=1, dtype=np.int32)
+    hit = deg >= thr[:, None]
+    settled = hit.any(axis=1)
+    out: list = [
+        (h,) if s else None for s, h in zip(settled.tolist(), hit.argmax(axis=1).tolist())
+    ]
+    if l_max < 2 or n < 2 or settled.all():
         return out
-    for k in _first_pairs(rows, thresholds, pending, out):
+    for k in _first_pairs(rows, thr, np.flatnonzero(~settled), out):
         keep = np.flatnonzero(deg[k])
         for size in range(3, min(l_max, keep.size) + 1):
             idx = _first_combination(rows[k][:, keep], int(thresholds[k]), size)
             if idx is not None:
-                out[k] = keep[idx]
+                out[k] = tuple(keep[idx].tolist())
                 break
     return out
 
@@ -176,4 +183,5 @@ def find_witness(bitsets: np.ndarray, threshold: int, l_max: int):
     bitsets = np.asarray(bitsets)
     if bitsets.ndim != 2:
         raise ValueError(f"expected 2-d bitsets, got {bitsets.ndim}-d")
-    return find_witness_batch(bitsets[None], np.array([threshold]), l_max)[0]
+    [w] = find_witness_batch(bitsets[None], np.array([threshold]), l_max)
+    return None if w is None else np.array(w, dtype=np.int64)

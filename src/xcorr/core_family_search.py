@@ -23,14 +23,17 @@ conditional or exclusion family is a member mask over the rows, and a
 conditional query reads the candidate's own rows as cleared.  Inside a
 search a row and a member mask are Python ints (bit k for account k),
 and every distinct witness query is asked once: a repeat is charged and
-logged like any test, but answered from the search's witness memo.  The
-whole-family query is kept on the family itself, for each x and l_max,
-so detection and both searches on one family ask it once between them.
+logged like any test, but answered from a memo.  The queries on the
+whole family's conditionals (the root query, every containment test,
+and steering on the whole family) are kept on the family itself, for
+each x and l_max, so detection and both searches on one family ask each
+of them once between them; only a query on an exclusion subfamily is
+kept in the search's own memo.
 
 Every search is written as a generator.  Each step yields a block of
 witness queries over one family's rows, their member masks, cleared rows
-and thresholds, and is sent back one witness per query, as row indices
-(or None).  The memos, the budget and the trace stay inside the
+and thresholds, and is sent back one witness per query, as sorted row
+tuples (or None).  The memos, the budget and the trace stay inside the
 generator, so a search does the same tests in the same order whoever
 answers its queries.  One driver answers them: it advances its
 searches in lock-step rounds, answering every pending block of a round
@@ -67,11 +70,11 @@ MODEL_NAME = "core_family"
 #: A search step yields blocks of witness queries over one family's rows:
 #: the (n, words) rows, Q member masks (Q, words), the rows each query
 #: reads as cleared (Q tuples of one length, or one (Q, order) array) and
-#: Q member thresholds.  It is sent back Q witnesses as sorted row
-#: indices (None if none), and returns its result.
+#: Q member thresholds.  It is sent back Q witnesses as sorted tuples of
+#: row indices (None if none), and returns its result.
 _R = TypeVar("_R")
 Block = tuple[np.ndarray, np.ndarray, "list[tuple[int, ...]] | np.ndarray", list[int]]
-Step = Generator[Block, "list[np.ndarray | None]", _R]
+Step = Generator[Block, "list[tuple[int, ...] | None]", _R]
 
 #: Bytes of stacked rows in one agglomerative block: a wider level is
 #: asked in several blocks, as ``_kernels._CHUNK`` caps the kernel's own
@@ -136,12 +139,15 @@ class AdFamily:
     own mask and its stripped rows zeroed.  Members turn back into
     :class:`Combination` objects only when they are asked for.
 
-    The family also keeps its root witness, the answer to the witness
-    query on all of its members, for each (x, l_max) it was asked with:
-    detection and both searches on one family ask that query once.
+    The family also keeps a memo of the witness queries asked on it, per
+    (x, l_max): combination c maps to the witness of the whole family's
+    conditional at c, so ``()`` is the root query.  Detection and every
+    search on one family read and fill it, and ask each such query once
+    between them.  A family derived from this one, such as a
+    :func:`conditional_family`, starts with an empty memo.
     """
 
-    __slots__ = ("_rows", "_mask", "_roots")
+    __slots__ = ("_rows", "_mask", "_memo")
 
     def __init__(self, members: Iterable[Combination | Iterable[int]] = ()):
         combos = [c if isinstance(c, Combination) else Combination(c) for c in members]
@@ -151,13 +157,13 @@ class AdFamily:
             contains[row, list(member.inputs)] = True
         self._rows = pack_bitsets(contains)
         self._mask = pack_bitsets(np.ones((len(combos), 1), dtype=bool))[0]
-        self._roots: dict[tuple[float, int], tuple[int, ...] | None] = {}
+        self._memo: dict[tuple[float, int], dict[tuple[int, ...], tuple[int, ...] | None]] = {}
 
     @classmethod
     def _packed(cls, rows: np.ndarray, mask: np.ndarray) -> "AdFamily":
         """The family of the members of ``mask`` over the packed ``rows``."""
         out = object.__new__(cls)
-        out._rows, out._mask, out._roots = rows, mask, {}
+        out._rows, out._mask, out._memo = rows, mask, {}
         return out
 
     @classmethod
@@ -166,6 +172,10 @@ class AdFamily:
     ) -> "AdFamily":
         seen = active_matrix([active_accounts], placement.n_accounts)
         return cls._packed(pack_bitsets(placement.membership), pack_bitsets(seen.T)[0])
+
+    def _witnesses(self, x: float, l_max: int) -> dict[tuple[int, ...], tuple[int, ...] | None]:
+        """The memo of the conditional witnesses at (x, l_max)."""
+        return self._memo.setdefault((x, l_max), {})
 
     def __len__(self) -> int:
         return int(popcount_u64(self._mask).sum())
@@ -243,10 +253,11 @@ def find_x_intersecting_subset(
         raise EmptyFamily("witness search needs a non-empty family")
     if l_max < 1:
         raise DomainError(f"l_max must be >= 1, got {l_max}")
-    if (x, l_max) not in fam._roots:
-        [[w]] = _answer_stacked([_block(fam._rows, fam._mask[None], (), x, len(fam))], l_max)
-        fam._roots[x, l_max] = None if w is None else tuple(w.tolist())
-    found = fam._roots[x, l_max]
+    memo = fam._witnesses(x, l_max)
+    if () not in memo:
+        root = _block(fam._rows, fam._mask[None], (), x, len(fam))
+        [[memo[()]]] = _answer_stacked([root], l_max)
+    found = memo[()]
     return None if found is None else Combination(found)
 
 
@@ -307,7 +318,7 @@ def contains_core_test(
 # ------------------------------------------------------------ drivers
 
 
-def _answer_stacked(blocks: list[Block], l_max: int) -> list[list[np.ndarray | None]]:
+def _answer_stacked(blocks: list[Block], l_max: int) -> list[list[tuple[int, ...] | None]]:
     """Answer blocks of witness queries with one kernel call over their
     stacked masked rows, split back by offset.  Every block of a run has
     the same rows (the families of one placement share its rows), so the
@@ -395,9 +406,10 @@ class _Search:
     every member mask is an int, the family's own being ``full``; a
     mask becomes a (1, w) uint64 row only in a yielded block.  ``bits``
     may be passed in when the caller has them: the outputs of one
-    placement share its rows.  The witness memo starts with the family's
-    root witness when an earlier search or detection on the same family
-    asked it with the same x and l_max, and :meth:`root` keeps it there.
+    placement share its rows.  A witness query on a conditional of the
+    whole family is answered from and kept in the family's memo, so
+    searches and detection on one family share those answers; any other
+    query (on an exclusion subfamily) is kept in the search's own memo.
     """
 
     def __init__(self, fam: AdFamily, cfg: DetectionConfig, trace: SearchTrace | None,
@@ -411,10 +423,8 @@ class _Search:
         self.trace = trace
         self.used = 0
         self.memo: dict[tuple[int, ...], bool | None] = {}
-        self.witnesses: dict[tuple[int, tuple[int, ...]], tuple[int, ...] | None] = {}
-        self.roots = fam._roots
-        if (cfg.x, cfg.l_max) in self.roots:
-            self.witnesses[self.full, ()] = self.roots[cfg.x, cfg.l_max]
+        self.shared = fam._witnesses(cfg.x, cfg.l_max)
+        self.local: dict[tuple[int, tuple[int, ...]], tuple[int, ...] | None] = {}
         self.found: list[tuple[int, ...]] = []
 
     def charge(self) -> None:
@@ -443,26 +453,24 @@ class _Search:
 
     def ask(self, mask: int, cleared: tuple[int, ...]) -> Step[tuple[int, ...] | None]:
         """The witness rows of the members of ``mask``, reading the rows
-        ``cleared`` as cleared; asked only the first time.  Not charged."""
-        key = (mask, cleared)
-        if key not in self.witnesses:
-            [w] = yield _block(self.rows, _words(mask, self.rows.shape[1]), cleared,
-                               self.cfg.x, mask.bit_count())
-            self.witnesses[key] = None if w is None else tuple(w.tolist())
-        return self.witnesses[key]
-
-    def root(self) -> Step[tuple[int, ...] | None]:
-        """The witness rows of the whole family, kept on the family for
-        the next search with the same x and l_max.  Not charged."""
-        w = yield from self.ask(self.full, ())
-        self.roots[self.cfg.x, self.cfg.l_max] = w
-        return w
+        ``cleared`` as cleared; asked only the first time.  A ``mask``
+        equal to the whole family's conditional at ``cleared`` is that
+        conditional's query, whoever asks it, and is kept in the family's
+        memo under ``cleared``.  Not charged."""
+        if mask == _conditional(self.bits, self.full, cleared):
+            memo, key = self.shared, cleared
+        else:
+            memo, key = self.local, (mask, cleared)
+        if key not in memo:
+            [memo[key]] = yield _block(self.rows, _words(mask, self.rows.shape[1]), cleared,
+                                       self.cfg.x, mask.bit_count())
+        return memo[key]
 
     def detect(self, mask: int) -> Step[bool]:
         """The charged detection test on the members of ``mask``."""
         self.charge()
         res = mask.bit_count() >= self.cfg.min_members and (
-            (yield from (self.root() if mask == self.full else self.ask(mask, ()))) is not None
+            (yield from self.ask(mask, ())) is not None
         )
         self.log("detect", None, res)
         return res
@@ -506,21 +514,24 @@ def _contains_block(s: _Search, mask: np.ndarray,
     """Containment tests of the same-order candidates ``cands``, asked as
     one block: each conditional mask is the family's (1, w) ``mask`` AND
     the candidate's rows, which the query reads as cleared.  Candidates
-    below ``min_members`` support answer None without a query.  Not
-    charged."""
+    below ``min_members`` support answer None without a query, and those
+    already in the family's memo are read from it.  Not charged."""
     if not cands:
         return []
     idx = np.array(cands)
     masks = np.bitwise_and.reduce(s.rows[idx], axis=1) & mask
     support = popcount_u64(masks).sum(axis=1)
     asked = np.flatnonzero(support >= s.cfg.min_members).tolist()
-    out: list[bool | None] = [None] * len(cands)
-    if asked:
+    new = [k for k in asked if cands[k] not in s.shared]
+    if new:
         # intersect_threshold's float operations, one candidate per element
-        thresholds = np.maximum(1, np.ceil(s.cfg.x * support[asked] - 1e-9)).astype(np.int64)
-        witnesses = yield s.rows, masks[asked], idx[asked], thresholds.tolist()
-        for k, w in zip(asked, witnesses):
-            out[k] = w is None
+        thresholds = np.maximum(1, np.ceil(s.cfg.x * support[new] - 1e-9)).astype(np.int64)
+        witnesses = yield s.rows, masks[new], idx[new], thresholds.tolist()
+        for k, w in zip(new, witnesses):
+            s.shared[cands[k]] = w
+    out: list[bool | None] = [None] * len(cands)
+    for k in asked:
+        out[k] = s.shared[cands[k]] is None
     return out
 
 
@@ -549,10 +560,10 @@ def _agglomerative(s: _Search) -> Step[Family]:
     lower level's negatives and unknowns are exactly these.  Its
     candidates are asked in blocks of at most :data:`_BLOCK_BYTES`
     stacked rows, and the answers are replayed in order, each charged
-    and logged as a containment test.  The walk stops at ``l_max``
-    members, dropping the rest of the level's answers, or at the first
-    empty level; a block asks no more candidates than the budget has
-    left.
+    and logged as a containment test (logged only when there is a
+    trace).  The walk stops at ``l_max`` members, dropping the rest of
+    the level's answers, or at the first empty level; a block asks no
+    more candidates than the budget has left.
     """
     cfg = s.cfg
     if cfg.r_max is None:
@@ -563,9 +574,10 @@ def _agglomerative(s: _Search) -> Step[Family]:
     mask = _words(s.full, s.rows.shape[1])
     per_block = max(1, _BLOCK_BYTES // s.rows.nbytes)
     for order in range(1, cfg.r_max + 1):
-        found = [set(f) for f in s.found]
-        level = [c for c in combinations(universe, order)
-                 if not any(f.issubset(c) for f in found)]
+        level = list(combinations(universe, order))
+        if s.found:
+            found = [set(f) for f in s.found]
+            level = [c for c in level if not any(f.issubset(c) for f in found)]
         if not level:
             break
         for start in range(0, len(level), per_block):
@@ -574,7 +586,8 @@ def _agglomerative(s: _Search) -> Step[Family]:
             answers = yield from _contains_block(s, mask, block[:room])
             for k, c in enumerate(block):
                 s.charge()
-                s.log("contains", c, answers[k])
+                if s.trace is not None:
+                    s.trace.log("contains", c, answers[k])
                 if answers[k] is True:
                     s.found.append(c)
                     if len(s.found) >= cfg.l_max:
@@ -697,6 +710,9 @@ def _removal(s: _Search) -> Step[Family]:
 
 _SEARCHES = {"removal": _removal, "agglomerative": _agglomerative}
 
+#: The recovery searches a ``method`` may name.
+METHODS = tuple(_SEARCHES)
+
 
 def predict_core_family(
     active_accounts: Iterable[int],
@@ -770,11 +786,11 @@ def _predict(
 ) -> Step[_Found]:
     """Search steps of :func:`predict_core_family`.  The root detection
     query is asked once: its answer chooses UNTARGETED, and it stays in
-    the recovery search's witness memo for its first, charged test."""
+    the family's memo for the recovery search's first, charged test."""
     if len(fam) < cfg.min_members:
         return UNKNOWN, None, "below_min_members"
     s = _Search(fam, cfg, trace, bits)
-    if (yield from s.root()) is None:
+    if (yield from s.ask(s.full, ())) is None:
         return UNTARGETED, None, None
     try:
         members = yield from _SEARCHES[method](s)

@@ -29,6 +29,7 @@ from typing import Mapping
 
 import numpy as np
 
+from ..core_family_search import METHODS
 from ..core_model import Family
 from ..errors import ConfigError, Inadmissible
 from ..placement import sized_account_count
@@ -154,7 +155,8 @@ _FIELD_CHECKS: dict = {
         "bayes": _BAYES_OPTIONS,
         "composite": _BAYES_OPTIONS,
         "corefamily": {
-            "method": _STR, "x": _REAL, "l_max": _INT, "r_max": _OPT_INT,
+            "method": (lambda v: v in METHODS, f"one of {METHODS}"),
+            "x": _REAL, "l_max": _INT, "r_max": _OPT_INT,
             "test_budget": _OPT_INT, "min_members": _INT,
         },
     },
@@ -266,6 +268,10 @@ class ScenarioConfig:
             raise ConfigError(f"p_empty: must lie in (0,1), got {self.p_empty}")
         if self.matching and self.overlap_groups is None:
             raise ConfigError("matching: needs overlap_groups to build category ads")
+        core = self.algo_config.get("corefamily", {})
+        if core.get("method") == "agglomerative" and "r_max" in core and core["r_max"] is None:
+            raise ConfigError("algo_config.corefamily.r_max: the agglomerative search needs "
+                              "an integer r_max, got null")
 
     # ------------------------------------------------------- derived values
 

@@ -562,6 +562,42 @@ def test_wrong_typed_config_is_a_config_error(capsys, tmp_path, key, value):
     assert err.startswith(f"error: {key}") and "Traceback" not in err
 
 
+#: nine accounts and four outputs: no output reaches the core-family
+#: search, so a bad search option went unseen and the run exited 0
+_UNSEARCHED = {
+    "n_inputs": 8, "n_targeted": 2, "n_untargeted": 2, "trials": 1, "seed": 0,
+    "algorithms": ["corefamily"],
+}
+
+
+@pytest.mark.parametrize("corefamily,extra", [
+    ({"method": "agglomerative", "r_max": None}, {}),
+    # 200 accounts: the search runs and once failed only after a trial
+    ({"method": "agglomerative", "r_max": None}, {"n_accounts": 200}),
+    ({"method": "exhaustive"}, {}),
+])
+@pytest.mark.parametrize("command", ["report", "simulate"])
+def test_bad_core_family_option_fails_before_any_trial(
+    capsys, tmp_path, monkeypatch, corefamily, extra, command
+):
+    import xcorr.experiment.runner as runner
+
+    def no_trials(*_args, **_kwargs):
+        raise AssertionError("a trial ran before the config was checked")
+
+    monkeypatch.setattr(runner, "run_trial", no_trials)
+    monkeypatch.setattr(runner, "simulate_trial", no_trials)
+    path = tmp_path / "bad.json"
+    doc = {**_UNSEARCHED, **extra, "algo_config": {"corefamily": corefamily}}
+    path.write_text(json.dumps(doc))
+    store = tmp_path / "store"
+    code, out, err = run(capsys, command, "--config", str(path), "--store", str(store))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: algo_config.corefamily.") and "Traceback" not in err
+    assert not store.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("simulate", "--config", "{config}", "--store", "{file}"),
     ("simulate", "--config", "{config}", "--out-dir", "{file}"),

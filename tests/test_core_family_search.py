@@ -445,6 +445,17 @@ def _random_query(rng, n):
     return bits, thr
 
 
+def _oracle_answer(bits, thr, l_max):
+    """The enumeration oracle's witness in the batch kernel's answer form,
+    a sorted tuple of Python int row indices, or None."""
+    expect = witness_enumerate(bits, thr, l_max)
+    return None if expect is None else tuple(expect.tolist())
+
+
+def _is_answer(g) -> bool:
+    return type(g) is tuple and all(type(i) is int for i in g)
+
+
 def test_find_witness_batch_matches_enumeration_oracle():
     # each query on its own word count, zero-padded into one stack; rows
     # that are zero in some queries; every answer as the oracle's
@@ -461,17 +472,17 @@ def test_find_witness_batch_matches_enumeration_oracle():
         got = find_witness_batch(stack, np.array([t for _, t in queries], dtype=np.int64), l_max)
         assert len(got) == len(queries)
         for (bits, thr), g in zip(queries, got):
-            expect = witness_enumerate(bits, thr, l_max)
+            expect = _oracle_answer(bits, thr, l_max)
             if expect is None:
                 assert g is None
                 outcomes.add("miss")
             else:
-                assert g is not None and g.dtype == np.int64
-                assert g.tolist() == expect.tolist()
+                assert g is not None and _is_answer(g)
+                assert g == expect
                 outcomes.add(len(expect))
             single = find_witness(bits, thr, l_max)
             assert (single is None) == (g is None)
-            assert single is None or single.tolist() == g.tolist()
+            assert single is None or tuple(single.tolist()) == g
     assert outcomes >= {"miss", 1, 2, 3, 4}
 
 
@@ -488,9 +499,9 @@ def test_find_witness_batch_pairs_across_row_blocks():
             stack[q, :, : bits.shape[1]] = bits
         got = find_witness_batch(stack, np.array([t for _, t in queries]), 2)
         for (bits, thr), g in zip(queries, got):
-            expect = witness_enumerate(bits, thr, 2)
+            expect = _oracle_answer(bits, thr, 2)
             assert (g is None) == (expect is None)
-            assert g is None or g.tolist() == expect.tolist()
+            assert g is None or (_is_answer(g) and g == expect)
         assert {len(g) if g is not None else 0 for g in got} >= {0, 2}
 
 
@@ -521,12 +532,57 @@ def test_find_witness_batch_on_many_word_stacks():
                 stack[q, :, : bits.shape[1]] = bits
             got = find_witness_batch(stack, np.array([t for _, t in queries]), l_max)
             for (bits, thr), g in zip(queries, got):
-                expect = witness_enumerate(bits, thr, l_max)
+                expect = _oracle_answer(bits, thr, l_max)
                 assert (g is None) == (expect is None)
                 if g is not None:
-                    assert g.dtype == np.int64 and g.tolist() == expect.tolist()
+                    assert _is_answer(g) and g == expect
                 outcomes.add("miss" if g is None else (len(g), thr > 255))
     assert outcomes >= {"miss", (1, True), (2, True), (2, False), (3, True), (4, True)}
+
+
+def test_find_witness_batch_settles_a_level_block_by_single_rows():
+    # a core_search-sized level block: 120 containment queries over 16
+    # rows of 240 accounts (4 words), two rows of each cleared, every
+    # query settled by one row, as the oracle settles it
+    rng = np.random.default_rng(53)
+    queries = []
+    for _ in range(120):
+        contains = _random_bool_matrix(rng, 240, 16, float(rng.uniform(0.3, 0.7)))
+        contains[:, rng.choice(16, size=2, replace=False)] = False
+        bits = pack_bitsets(contains)
+        top = int(popcount_u64(bits).sum(axis=1).max())
+        queries.append((bits, int(rng.integers(1, top + 1))))
+    stack = np.stack([bits for bits, _ in queries])
+    assert stack.shape == (120, 16, 4)
+    got = find_witness_batch(stack, np.array([t for _, t in queries]), 2)
+    for (bits, thr), g in zip(queries, got):
+        assert _is_answer(g) and len(g) == 1
+        assert g == _oracle_answer(bits, thr, 2)
+
+
+def test_find_witness_batch_one_word_thresholds_past_the_word():
+    # one-word stacks compare uint8 counts: thresholds past 64 members
+    # (256 and 257 would wrap to 0 and 1 in 8 bits, 321 to 65) find no
+    # witness, and in the same block other queries settle at size 1 and 2
+    rng = np.random.default_rng(59)
+    queries = []
+    for _ in range(80):
+        k = int(rng.integers(8, 65))
+        bits = pack_bitsets(_random_bool_matrix(rng, k, 8, float(rng.uniform(0.1, 0.5))))
+        best = [max(int(popcount_u64(np.bitwise_or.reduce(bits[list(c)])).sum())
+                    for c in itertools.combinations(range(8), size))
+                for size in (1, 2)]
+        choices = [*best, best[0] + 1, 65, 255, 256, 257, 321]
+        queries.append((bits, int(rng.choice(choices))))
+    stack = np.stack([bits for bits, _ in queries])
+    assert stack.shape[2] == 1
+    got = find_witness_batch(stack, np.array([t for _, t in queries]), 2)
+    outcomes = set()
+    for (bits, thr), g in zip(queries, got):
+        assert g == _oracle_answer(bits, thr, 2)
+        assert g is None or _is_answer(g)
+        outcomes.add(("miss", thr > 64) if g is None else len(g))
+    assert outcomes >= {("miss", True), 1, 2}
 
 
 def test_find_witness_keeps_no_memory_between_calls():
@@ -824,6 +880,51 @@ def test_one_family_asks_its_root_query_once(monkeypatch):
         for _ in range(2):
             detect_targeting(fam, other)
     assert roots(0.9, 2) == 1 and roots(0.99, 3) == 1 and len(asked) == 2
+
+
+def test_one_family_searches_share_their_witness_answers(monkeypatch):
+    # detection, the agglomerative and the removal search on one family,
+    # in that order and in reverse, never ask one kernel query (member
+    # sets and threshold) twice between them, and each returns and logs
+    # what it does on a fresh family; a conditional family of a searched
+    # family starts with an empty memo
+    asked = []
+
+    def counted(stack, thresholds, l_max):
+        asked.extend((t, _member_sets(q)) for q, t in zip(stack, thresholds.tolist()))
+        return find_witness_batch(stack, thresholds, l_max)
+
+    monkeypatch.setattr(core_family_search, "find_witness_batch", counted)
+    cfg = DetectionConfig(x=0.99, l_max=2, r_max=2)
+
+    def searched(search):
+        def step(fam):
+            trace = SearchTrace()
+            return search(fam, cfg, trace).to_doc(), trace.to_jsonl()
+        return step
+
+    steps = [lambda fam: detect_targeting(fam, cfg),
+             searched(agglomerative_core_search), searched(removal_core_search)]
+    cores = [[[1, 3], [4]], [[5]], [[2, 7]], [[0, 4], [8, 11]]]
+    for seed, core in enumerate(cores):
+        for order in (steps, steps[::-1]):
+            fam, _ = _targeted_family(Family(core), 5100 + seed, n=16, m=240, p_in=0.7,
+                                      p_out=1e-4)
+            asked.clear()
+            shared = [step(fam) for step in order]
+            assert len(set(asked)) == len(asked)
+            n_shared = len(asked)
+            asked.clear()
+            fresh = [step(_targeted_family(Family(core), 5100 + seed, n=16, m=240, p_in=0.7,
+                                           p_out=1e-4)[0]) for step in order]
+            assert shared == fresh
+            assert len(asked) > n_shared
+            assert fam._memo[cfg.x, cfg.l_max]
+            cond = conditional_family(fam, fam.all_inputs()[:1])
+            assert cond._memo == {}
+            assert removal_core_search(cond, cfg) == removal_core_search(
+                AdFamily(cond.members), cfg
+            )
 
 
 # ------------------------------------------------------------- lock-step
