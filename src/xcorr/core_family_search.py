@@ -31,21 +31,36 @@ of them once between them; only a query on an exclusion subfamily is
 kept in the search's own memo.
 
 Every search is written as a generator.  Each step yields a block of
-witness queries over one family's rows, their member masks, cleared rows
-and thresholds, and is sent back one witness per query, as sorted row
-tuples (or None).  The memos, the budget and the trace stay inside the
-generator, so a search does the same tests in the same order whoever
-answers its queries.  One driver answers them: it advances its
-searches in lock-step rounds, answering every pending block of a round
-with one :func:`~xcorr._kernels.find_witness_batch` call over the
-blocks' stacked masked rows.  :func:`core_family_verdicts` runs all
-outputs of a trial through it and returns their verdicts as arrays; the
+witness queries over one family's rows, their member masks (a (Q, words)
+array, or Q int masks), cleared rows and thresholds, and is sent back
+one witness per query, as sorted row tuples (or None).  The memos, the
+budget and the trace stay inside the generator, so a search does the
+same tests in the same order whoever answers its queries.  One driver
+answers them: it advances its searches in lock-step rounds, answering
+every pending block of a round with one
+:func:`~xcorr._kernels.find_witness_batch` call over the blocks' stacked
+masked rows.  :func:`core_family_verdicts` asks every output's root
+query in one such call first, then runs only the outputs with a root
+witness through the driver and returns their verdicts as arrays; the
 public single-family functions run one search through the same driver.
-Most steps are blocks of one query.  The agglomerative search asks a
-whole breadth-first level at once: its candidates are fixed before any
-of them is tested, so it yields the level's containment queries as one
+
+Both searches ask a whole depth of their walk per block.  The
+agglomerative search's candidates are fixed before any of them is
+tested, so it yields a breadth-first level's containment queries as one
 block (a few, for a level too wide for :data:`_BLOCK_BYTES`) and replays
-the answers in lexicographic order.
+the answers in lexicographic order.  The removal search's grow walk is
+depth-first, but its tree is fixed by the steer witnesses.  So the walk
+is replayed from the memos in plain Python, and the first test whose
+query they lack expands the tree under that combination and its
+siblings breadth-first: each depth's containment and steer queries are
+asked as one block, up to the first depth holding a positive.  Some of
+those asks are speculative (the walk may stop before it reaches them);
+they fill the memos, uncharged and unlogged.  The walk is then replayed
+again, and only a complete replay charges and logs its tests, in order,
+so charges, traces and budget stops are those of a walk asking one test
+at a time.  A walk the expansion proves exhausted is not replayed when
+no trace or test budget reads its charges.  On a trial of 16 outputs the searches take about three
+kernel calls: the root queries, then one per depth.
 """
 
 from __future__ import annotations
@@ -54,7 +69,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from typing import Generator, Iterable, TypeVar
 
 import numpy as np
@@ -68,12 +83,14 @@ from .prediction import TARGETED, UNKNOWN, UNTARGETED, Prediction, Verdicts
 MODEL_NAME = "core_family"
 
 #: A search step yields blocks of witness queries over one family's rows:
-#: the (n, words) rows, Q member masks (Q, words), the rows each query
-#: reads as cleared (Q tuples of one length, or one (Q, order) array) and
-#: Q member thresholds.  It is sent back Q witnesses as sorted tuples of
-#: row indices (None if none), and returns its result.
+#: the (n, words) rows, Q member masks (a (Q, words) array or Q ints),
+#: the rows each query reads as cleared (Q tuples of one length, or one
+#: (Q, order) array) and Q member thresholds.  It is sent back Q
+#: witnesses as sorted tuples of row indices (None if none), and returns
+#: its result.
 _R = TypeVar("_R")
-Block = tuple[np.ndarray, np.ndarray, "list[tuple[int, ...]] | np.ndarray", list[int]]
+Block = tuple[np.ndarray, "np.ndarray | list[int]", "list[tuple[int, ...]] | np.ndarray",
+              list[int]]
 Step = Generator[Block, "list[tuple[int, ...] | None]", _R]
 
 #: Bytes of stacked rows in one agglomerative block: a wider level is
@@ -143,7 +160,7 @@ class AdFamily:
     (x, l_max): combination c maps to the witness of the whole family's
     conditional at c, so ``()`` is the root query.  Detection and every
     search on one family read and fill it, and ask each such query once
-    between them.  A family derived from this one, such as a
+    between them; it also keeps the removal search's speculative asks.  A family derived from this one, such as a
     :func:`conditional_family`, starts with an empty memo.
     """
 
@@ -171,14 +188,14 @@ class AdFamily:
         cls, active_accounts: Iterable[int], placement: PlacementMatrix
     ) -> "AdFamily":
         seen = active_matrix([active_accounts], placement.n_accounts)
-        return cls._packed(pack_bitsets(placement.membership), pack_bitsets(seen.T)[0])
+        return cls._packed(placement.packed, pack_bitsets(seen.T)[0])
 
     def _witnesses(self, x: float, l_max: int) -> dict[tuple[int, ...], tuple[int, ...] | None]:
         """The memo of the conditional witnesses at (x, l_max)."""
         return self._memo.setdefault((x, l_max), {})
 
     def __len__(self) -> int:
-        return int(popcount_u64(self._mask).sum())
+        return int.from_bytes(self._mask.tobytes(), "little").bit_count()
 
     @property
     def members(self) -> tuple[Combination, ...]:
@@ -218,9 +235,17 @@ def _ints(words: np.ndarray) -> list[int]:
     return [int.from_bytes(raw[at : at + step], "little") for at in range(0, len(raw), step)]
 
 
-def _words(mask: int, n_words: int) -> np.ndarray:
-    """An int member mask as a (1, n_words) uint64 row."""
-    return np.frombuffer(mask.to_bytes(8 * n_words, "little"), dtype="<u8")[None]
+def _more_than(bits: list[int], n: int) -> list[int]:
+    """Entry j < n is the int mask of the accounts holding more than j of
+    the int rows ``bits``: a unary count per account, capped at n, that
+    each row carries up past the entries its accounts already reach."""
+    more = [0] * n
+    for carry in bits:
+        for j in range(n):
+            more[j], carry = more[j] | carry, more[j] & carry
+            if not carry:
+                break
+    return more
 
 
 def intersect_threshold(x: float, n_members: int) -> int:
@@ -232,11 +257,18 @@ def intersect_threshold(x: float, n_members: int) -> int:
     return max(1, math.ceil(x * n_members - 1e-9))
 
 
-def _block(rows: np.ndarray, mask: np.ndarray, cleared: tuple[int, ...], x: float,
-           support: int) -> Block:
-    """The block of one witness query on the ``support`` members of the
-    (1, w) ``mask``, reading the rows ``cleared`` as cleared."""
+def _block(rows: np.ndarray, mask: np.ndarray | list[int], cleared: tuple[int, ...],
+           x: float, support: int) -> Block:
+    """The block of one witness query on the ``support`` members of
+    ``mask`` (one (1, w) row or one int), reading the rows ``cleared`` as
+    cleared."""
     return rows, mask, [cleared], [intersect_threshold(x, support)]
+
+
+def _thresholds(x: float, support: np.ndarray) -> list[int]:
+    """:func:`intersect_threshold` of each support, by the same float
+    operations one element at a time."""
+    return np.maximum(1, np.ceil(x * support - 1e-9)).astype(np.int64).tolist()
 
 
 def find_x_intersecting_subset(
@@ -322,11 +354,21 @@ def _answer_stacked(blocks: list[Block], l_max: int) -> list[list[tuple[int, ...
     """Answer blocks of witness queries with one kernel call over their
     stacked masked rows, split back by offset.  Every block of a run has
     the same rows (the families of one placement share its rows), so the
-    stack is one AND of the rows with the blocks' masks.  Cleared rows
-    are zeroed inside the stack, a lone block's by one fancy-index
-    assignment; zero rows never change a witness."""
-    masks = blocks[0][1] if len(blocks) == 1 else np.concatenate([b[1] for b in blocks])
-    stack = blocks[0][0] & masks[:, None]
+    stack is one AND of the rows with the blocks' masks, whose int masks
+    are packed together into one buffer.  Cleared rows are zeroed inside
+    the stack, a lone block's by one fancy-index assignment; zero rows
+    never change a witness."""
+    rows = blocks[0][0]
+    masks = blocks[0][1]
+    if len(blocks) > 1 or not isinstance(masks, np.ndarray):
+        size = 8 * rows.shape[1]
+        raw = b"".join(
+            b[1].tobytes() if isinstance(b[1], np.ndarray)
+            else b"".join(m.to_bytes(size, "little") for m in b[1])
+            for b in blocks
+        )
+        masks = np.frombuffer(raw, dtype="<u8").reshape(-1, rows.shape[1])
+    stack = rows & masks[:, None]
     if len(blocks) == 1:
         cleared = np.asarray(blocks[0][2], dtype=np.int64)
         if cleared.size:
@@ -403,22 +445,26 @@ class _Search:
     A candidate is a sorted tuple of input ids, which are row indices,
     and a family inside the search is a member mask over the rows.  Row
     i is also ``bits[i]``, one int with bit k set for account k, and
-    every member mask is an int, the family's own being ``full``; a
-    mask becomes a (1, w) uint64 row only in a yielded block.  ``bits``
-    may be passed in when the caller has them: the outputs of one
-    placement share its rows.  A witness query on a conditional of the
-    whole family is answered from and kept in the family's memo, so
-    searches and detection on one family share those answers; any other
-    query (on an exclusion subfamily) is kept in the search's own memo.
+    every member mask is an int, the family's own being ``full`` (its
+    (1, w) row is ``mask``).
+    ``more[j]`` masks the accounts holding more than j rows, for every j
+    a walk steers at (below ``r_max``, or below the row count); see
+    :meth:`branching`.  ``ints``, the pair (bits, more), may be passed in
+    when the caller has it: the outputs of one placement share its rows.
+    A witness query on a conditional of the whole family is answered from
+    and kept in the family's memo, so searches and detection on one
+    family share those answers; any other query (on an exclusion
+    subfamily) is kept in the search's own memo.
     """
 
     def __init__(self, fam: AdFamily, cfg: DetectionConfig, trace: SearchTrace | None,
-                 bits: list[int] | None = None):
-        if len(fam) == 0:
+                 ints: tuple[list[int], list[int]] | None = None):
+        self.mask = fam._mask[None]
+        [self.full] = _ints(self.mask)
+        if not self.full:
             raise EmptyFamily("cannot search an empty ad family")
         self.rows = fam._rows
-        self.bits = _ints(fam._rows) if bits is None else bits
-        [self.full] = _ints(fam._mask[None])
+        self.bits, self.more = (_ints(fam._rows), None) if ints is None else ints
         self.cfg = cfg
         self.trace = trace
         self.used = 0
@@ -427,14 +473,15 @@ class _Search:
         self.local: dict[tuple[int, tuple[int, ...]], tuple[int, ...] | None] = {}
         self.found: list[tuple[int, ...]] = []
 
-    def charge(self) -> None:
-        """Count one witness search; past the budget, raise
-        :class:`BudgetExceeded` with the members found so far."""
-        self.used += 1
+    def charge(self, n: int = 1) -> None:
+        """Count ``n`` witness searches; the first one past the budget
+        raises :class:`BudgetExceeded` with the members found so far."""
+        limit = self.cfg.test_budget
+        over = limit is not None and self.used + n > limit
+        self.used = limit + 1 if over else self.used + n
         if self.trace is not None:
             self.trace.tests_used = self.used
-        limit = self.cfg.test_budget
-        if limit is not None and self.used > limit:
+        if over:
             raise BudgetExceeded(
                 f"test budget {limit} exhausted", partial=self.result(), tests_used=self.used
             )
@@ -453,17 +500,16 @@ class _Search:
 
     def ask(self, mask: int, cleared: tuple[int, ...]) -> Step[tuple[int, ...] | None]:
         """The witness rows of the members of ``mask``, reading the rows
-        ``cleared`` as cleared; asked only the first time.  A ``mask``
-        equal to the whole family's conditional at ``cleared`` is that
-        conditional's query, whoever asks it, and is kept in the family's
-        memo under ``cleared``.  Not charged."""
+        ``cleared`` as cleared; asked only the first time.  Not charged.
+        A ``mask`` equal to the whole family's conditional at ``cleared``
+        is that conditional's query, whoever asks it, and is kept in the
+        family's memo under ``cleared``; any other in the search's own."""
         if mask == _conditional(self.bits, self.full, cleared):
             memo, key = self.shared, cleared
         else:
             memo, key = self.local, (mask, cleared)
         if key not in memo:
-            [memo[key]] = yield _block(self.rows, _words(mask, self.rows.shape[1]), cleared,
-                                       self.cfg.x, mask.bit_count())
+            [memo[key]] = yield _block(self.rows, [mask], cleared, self.cfg.x, mask.bit_count())
         return memo[key]
 
     def detect(self, mask: int) -> Step[bool]:
@@ -489,20 +535,13 @@ class _Search:
         self.log("contains", c, res)
         return res
 
-    def steer(self, mask: int, c: tuple[int, ...]) -> Step[list[int] | None]:
-        """Witness rows of the conditional at ``c`` of the members of
-        ``mask``, ordered by the number of members each one hits
-        (descending, then ascending row).  None, and no charge, when no
-        member there holds an input outside ``c``."""
-        cond = _conditional(self.bits, mask, c)
-        if not any(b & cond for k, b in enumerate(self.bits) if k not in c):
-            return None
-        self.charge()
-        w = yield from self.ask(cond, c)
-        self.log("steer", None, None if w is None else list(w))
-        if w is None:
-            return None
-        return sorted(w, key=lambda k: (-(self.bits[k] & cond).bit_count(), k))
+    def branching(self) -> list[int]:
+        """``more``, computed the first time: a conditional at a
+        combination of j rows can branch when it holds a member of
+        ``more[j]``, since every member there holds those j rows."""
+        if self.more is None:
+            self.more = _more_than(self.bits, self.cfg.r_max or len(self.bits))
+        return self.more
 
     def held(self, mask: int) -> list[int]:
         """Rows some member of ``mask`` holds, ascending."""
@@ -524,9 +563,7 @@ def _contains_block(s: _Search, mask: np.ndarray,
     asked = np.flatnonzero(support >= s.cfg.min_members).tolist()
     new = [k for k in asked if cands[k] not in s.shared]
     if new:
-        # intersect_threshold's float operations, one candidate per element
-        thresholds = np.maximum(1, np.ceil(s.cfg.x * support[new] - 1e-9)).astype(np.int64)
-        witnesses = yield s.rows, masks[new], idx[new], thresholds.tolist()
+        witnesses = yield s.rows, masks[new], idx[new], _thresholds(s.cfg.x, support[new])
         for k, w in zip(new, witnesses):
             s.shared[cands[k]] = w
     out: list[bool | None] = [None] * len(cands)
@@ -560,10 +597,12 @@ def _agglomerative(s: _Search) -> Step[Family]:
     lower level's negatives and unknowns are exactly these.  Its
     candidates are asked in blocks of at most :data:`_BLOCK_BYTES`
     stacked rows, and the answers are replayed in order, each charged
-    and logged as a containment test (logged only when there is a
-    trace).  The walk stops at ``l_max`` members, dropping the rest of
-    the level's answers, or at the first empty level; a block asks no
-    more candidates than the budget has left.
+    and logged as a containment test.  Without a trace, a block's replay
+    is one charge up to its last member needed, which raises where the
+    candidate-by-candidate charges would.  The walk stops at ``l_max``
+    members, dropping the rest of the level's answers, or at the first
+    empty level; a block asks no more candidates than the budget has
+    left.
     """
     cfg = s.cfg
     if cfg.r_max is None:
@@ -571,28 +610,48 @@ def _agglomerative(s: _Search) -> Step[Family]:
     if not (yield from s.detect(s.full)):
         return Family([])
     universe = s.held(s.full)
-    mask = _words(s.full, s.rows.shape[1])
     per_block = max(1, _BLOCK_BYTES // s.rows.nbytes)
     for order in range(1, cfg.r_max + 1):
         level = list(combinations(universe, order))
-        if s.found:
-            found = [set(f) for f in s.found]
-            level = [c for c in level if not any(f.issubset(c) for f in found)]
+        if s.found and level:
+            level = _without_supersets(level, s.found, len(s.bits))
         if not level:
             break
         for start in range(0, len(level), per_block):
             block = level[start : start + per_block]
             room = len(block) if cfg.test_budget is None else cfg.test_budget - s.used
-            answers = yield from _contains_block(s, mask, block[:room])
+            answers = yield from _contains_block(s, s.mask, block[:room])
+            if s.trace is None:
+                # every answer is within the budget; the positives are kept
+                # up to the one that completes l_max members
+                need = cfg.l_max - len(s.found)
+                hits = [k for k, a in enumerate(answers) if a is True][:need]
+                s.found.extend(block[k] for k in hits)
+                s.charge(hits[-1] + 1 if len(hits) == need else len(block))
+                if len(s.found) >= cfg.l_max:
+                    return s.result()
+                continue
             for k, c in enumerate(block):
                 s.charge()
-                if s.trace is not None:
-                    s.trace.log("contains", c, answers[k])
+                s.trace.log("contains", c, answers[k])
                 if answers[k] is True:
                     s.found.append(c)
                     if len(s.found) >= cfg.l_max:
                         return s.result()
     return s.result()
+
+
+def _without_supersets(level: list[tuple[int, ...]], found: list[tuple[int, ...]],
+                       n: int) -> list[tuple[int, ...]]:
+    """The same-order combinations of ``level`` holding no member of
+    ``found``, in order, over rows 0..n-1: a combination holds a member
+    when it holds as many of that member's rows as the member has."""
+    rows_of = np.zeros((n, len(found)), dtype=np.uint8)
+    for j, f in enumerate(found):
+        rows_of[list(f), j] = 1
+    held = rows_of[np.array(level)].sum(axis=1, dtype=np.int64)
+    keep = (held < [len(f) for f in found]).all(axis=1)
+    return list(compress(level, keep.tolist()))
 
 
 def _grow(s: _Search, steer: int) -> Step[tuple[int, ...] | None]:
@@ -604,28 +663,169 @@ def _grow(s: _Search, steer: int) -> Step[tuple[int, ...] | None]:
     coverage first.  The steering family is the members of ``steer``;
     the containment test itself always runs against the whole family,
     where account support is maximal.
+
+    The walk is replayed from the memos (:func:`_replay`).  When it
+    reaches a test whose query they do not hold, :func:`_expand` asks
+    the queries under that combination and its siblings a depth per
+    block, and the walk is replayed again; a complete replay's tests are
+    then charged and logged in order.  An expansion under all of the
+    root's children that finds no positive at any depth proves the walk
+    exhausted; without a trace or a test budget nothing reads its
+    charges, so it is not replayed.
     """
     max_depth = s.cfg.r_max if s.cfg.r_max is not None else len(s.held(steer))
+    while True:
+        try:
+            hit, tests, tested, overrun = _replay(s, steer, max_depth)
+        except _Missing as missing:
+            level, depth, passed = missing.args
+            exhausted = yield from _expand(s, steer, max_depth, level, depth, passed)
+            if exhausted and depth == 1 and s.trace is None and s.cfg.test_budget is None:
+                return None
+            continue
+        s.memo.update(tested)
+        if s.trace is not None:
+            for kind, c, outcome in tests:
+                s.trace.log(kind, c, outcome)
+        s.charge(len(tests) + overrun)  # an overrun's extra test raises
+        return hit
+
+
+class _Missing(Exception):
+    """A replayed walk reached a test whose query the memos do not hold:
+    the args are the combination's siblings, its depth, and the tests
+    the replay passed before it."""
+
+
+#: A node of the grow walk: a combination, the whole family's
+#: conditional at it, and the steering family's.
+_Node = tuple[tuple[int, ...], int, int]
+
+
+def _replay(s: _Search, steer: int, max_depth: int) -> tuple:
+    """The walk of :func:`_grow` read from the memos, uncharged: its hit
+    (or None), its charged tests in order as (kind, combination,
+    outcome), the containment results it adds, and whether it stopped at
+    a test the budget has no room for.  A test whose query the memos
+    lack raises :class:`_Missing`.
+
+    The walk keeps one list of siblings per depth, each a :data:`_Node`
+    whose conditionals are its parent's AND the added row.
+    """
+    cfg, bits, memo_c, shared = s.cfg, s.bits, s.memo, s.shared
+    more = s.branching()
+    room = math.inf if cfg.test_budget is None else cfg.test_budget - s.used
     seen: set[tuple[int, ...]] = set()
-
-    def walk(c: tuple[int, ...], depth: int) -> Step[tuple[int, ...] | None]:
+    tests: list = []
+    tested: dict[tuple[int, ...], bool | None] = {}
+    levels: list[list[_Node]] = [[((), s.full, steer)]]
+    at = [0]
+    depth = 0
+    while True:
+        level = levels[depth]
+        if at[depth] == len(level):
+            if not depth:
+                return None, tests, tested, False
+            levels.pop()
+            at.pop()
+            depth -= 1
+            continue
+        c, cond, sub = level[at[depth]]
+        at[depth] += 1
         if c in seen:
-            return None
+            continue
         seen.add(c)
-        if (yield from s.contains(c)) is True:
-            return c
-        if depth >= max_depth:
-            return None
-        rows = yield from s.steer(steer, c)
-        if rows is None:
-            return None
-        for k in rows:
-            hit = yield from walk(tuple(sorted(c + (k,))), depth + 1)
-            if hit is not None:
-                return hit
-        return None
+        if c in memo_c:
+            res = memo_c[c]
+        else:
+            if len(tests) >= room:
+                return None, tests, tested, True
+            res = None
+            if cond.bit_count() >= cfg.min_members:
+                if c not in shared:
+                    raise _Missing(level, depth, len(tests))
+                res = shared[c] is None
+            tested[c] = res
+            tests.append(("contains", c, res))
+        if res is True:
+            return c, tests, tested, False
+        if depth >= max_depth or not sub & more[depth]:
+            continue
+        memo, key = (shared, c) if sub == cond else (s.local, (sub, c))
+        if len(tests) >= room:
+            return None, tests, tested, True
+        if key not in memo:
+            raise _Missing(level, depth, len(tests))
+        w = memo[key]
+        tests.append(("steer", None, None if w is None else list(w)))
+        if w:
+            if len(w) > 1:
+                w = sorted(w, key=lambda k: (-(bits[k] & sub).bit_count(), k))
+            levels.append([(tuple(sorted(c + (k,))), cond & bits[k], sub & bits[k]) for k in w])
+            at.append(0)
+            depth += 1
 
-    return (yield from walk((), 0))
+
+def _expand(s: _Search, steer: int, max_depth: int, level: list[_Node], depth: int,
+            passed: int) -> Step[None]:
+    """Ask the queries of :func:`_grow`'s walk tree under the nodes
+    ``level`` at ``depth`` a depth at a time, uncharged and unlogged,
+    ``passed`` tests into a replay.
+
+    The next depth holds the distinct extensions of the combinations of
+    one depth by their steer witnesses.  A depth's block asks the
+    containment query of every combination not tested in this search yet
+    and not in the family's memo, with ``min_members`` support, and the
+    steer query of every combination shallower than ``max_depth``, not
+    known to be positive, whose steering conditional can branch; on the
+    first grow the two are one query.  The expansion stops at the first
+    depth holding a positive (the walk never goes past it on that path)
+    and, under a test budget, once it has asked more queries than the
+    budget has tests left.  Returns True when it ran out of depths
+    instead: no combination under ``level`` passes the test.
+    """
+    cfg, bits, shared = s.cfg, s.bits, s.shared
+    more = s.branching()
+    room = math.inf if cfg.test_budget is None else cfg.test_budget - s.used - passed
+    asked = 0
+    while level:
+        asks: dict = {}
+        tested, branches = [], []
+        positive = False
+        for c, cond, sub in level:
+            known = None
+            if c in s.memo:
+                known = s.memo[c]
+            elif cond.bit_count() >= cfg.min_members:
+                if c in shared:
+                    known = shared[c] is None
+                else:
+                    asks[c] = shared, cond, c
+                    tested.append(c)
+            positive = positive or known is True
+            if depth < max_depth and known is not True and sub & more[depth]:
+                memo, key = (shared, c) if sub == cond else (s.local, (sub, c))
+                if key not in memo:
+                    asks.setdefault(key, (memo, sub, c))
+                branches.append((c, cond, sub, memo, key))
+        if asks:
+            queries = list(asks.values())
+            witnesses = yield (s.rows, [m for _, m, _ in queries], [c for _, _, c in queries],
+                               [intersect_threshold(cfg.x, m.bit_count()) for _, m, _ in queries])
+            for (memo, _, _), key, w in zip(queries, asks, witnesses):
+                memo[key] = w
+            positive = positive or any(shared[c] is None for c in tested)
+            asked += len(asks)
+        if positive or asked > room:
+            return False
+        grown: dict[tuple[int, ...], _Node] = {}
+        for c, cond, sub, memo, key in branches:
+            for k in memo[key] or ():
+                kid = tuple(sorted(c + (k,)))
+                grown[kid] = kid, cond & bits[k], sub & bits[k]
+        level = list(grown.values())
+        depth += 1
+    return True
 
 
 def _whittle(s: _Search, start: tuple[int, ...]) -> Step[tuple[int, ...]]:
@@ -747,19 +947,40 @@ def core_family_verdicts(
     as arrays; the outputs' active accounts are the K x m seen matrix or
     K account sets.
 
-    The outputs' searches advance in lock-step rounds: each round
-    answers the pending witness query of every unfinished search with
-    one batched kernel call.  Each output keeps its own memos and test
+    One kernel call asks the root query of every output with
+    ``min_members`` support; only the outputs with a root witness are
+    searched.  Their searches advance in lock-step rounds: each round
+    answers the pending blocks of every unfinished search with one
+    batched kernel call.  Each output keeps its own memos and test
     budget, so every verdict equals the single-output one; the rows are
-    packed, and turned into ints, once for all of them.
+    turned into ints once for all of them.
     """
     if method not in _SEARCHES:
         raise ConfigError(f"unknown search method {method!r}")
-    rows = pack_bitsets(placement.membership)
-    bits = _ints(rows)
+    rows = placement.packed
     masks = pack_bitsets(active_matrix(active_accounts, placement.n_accounts).T)
-    searches = [_predict(AdFamily._packed(rows, mask), cfg, method, None, bits) for mask in masks]
-    return _verdicts(_run_lockstep(searches, cfg.l_max))
+    support = popcount_u64(masks).sum(axis=1)
+    live = np.flatnonzero(support >= cfg.min_members)
+    roots = []
+    if live.size:
+        root = rows, masks[live], [()] * live.size, _thresholds(cfg.x, support[live])
+        [roots] = _answer_stacked([root], cfg.l_max)
+    found: list[_Found] = [(UNKNOWN, None, "below_min_members")] * len(masks)
+    searched, searches, ints = [], [], None
+    for k, w in zip(live.tolist(), roots):
+        if w is None:
+            found[k] = UNTARGETED, None, None
+            continue
+        fam = AdFamily._packed(rows, masks[k])
+        fam._witnesses(cfg.x, cfg.l_max)[()] = w
+        if ints is None:
+            bits = _ints(rows)
+            ints = bits, _more_than(bits, cfg.r_max or len(bits))
+        searched.append(k)
+        searches.append(_predict(fam, cfg, method, None, ints))
+    for k, res in zip(searched, _run_lockstep(searches, cfg.l_max)):
+        found[k] = res
+    return _verdicts(found)
 
 
 #: A search's verdict: its code, the recovered family, and a flag or None.
@@ -782,14 +1003,14 @@ def _verdicts(found: list[_Found]) -> Verdicts:
 
 def _predict(
     fam: AdFamily, cfg: DetectionConfig, method: str, trace: SearchTrace | None,
-    bits: list[int] | None = None,
+    ints: tuple[list[int], list[int]] | None = None,
 ) -> Step[_Found]:
     """Search steps of :func:`predict_core_family`.  The root detection
     query is asked once: its answer chooses UNTARGETED, and it stays in
     the family's memo for the recovery search's first, charged test."""
     if len(fam) < cfg.min_members:
         return UNKNOWN, None, "below_min_members"
-    s = _Search(fam, cfg, trace, bits)
+    s = _Search(fam, cfg, trace, ints)
     if (yield from s.ask(s.full, ())) is None:
         return UNTARGETED, None, None
     try:

@@ -21,6 +21,8 @@ import json
 from pathlib import Path
 from typing import Mapping
 
+from ..errors import ConfigError
+
 
 def canonical_json(doc) -> str:
     """The one encoding that is hashed, stored and compared byte for
@@ -56,15 +58,25 @@ class CorrelationStore:
             fh.write(text)
 
     def read(self, key: str, kind: str) -> list[dict]:
-        """All records of one kind, oldest first; empty list when none."""
+        """All records of one kind, oldest first; empty list when none.
+        Raises :class:`ConfigError` naming the file and line when a line
+        is not JSON or nests deeper than the decoder's recursion limit."""
         path = self.path(key, kind)
         if not path.exists():
             return []
-        return [
-            json.loads(line)
-            for line in path.read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        ]
+        records = []
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            if not line.strip():
+                continue
+            try:
+                records.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path}: line {number}: not valid JSON: {exc}") from exc
+            except RecursionError as exc:
+                raise ConfigError(
+                    f"{path}: line {number}: JSON nested too deeply to decode"
+                ) from exc
+        return records
 
     def keys(self) -> list[str]:
         return sorted(p.name for p in self.root.iterdir() if p.is_dir())

@@ -26,6 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._kernels import pack_bitsets
 from .errors import ConfigError, DomainError, OverlapError, parse_artifact, require_count
 
 #: Identifier recorded in report metadata so a report names the exact RNG
@@ -217,7 +218,8 @@ class PlacementMatrix:
 
     Row j is account j's input set; column i is input i's account set
     (A_i).  The views are derived from the matrix on demand, so they are
-    consistent by construction.
+    consistent by construction.  :attr:`packed` is the matrix packed
+    once, as the core-family searches read it.
     """
 
     def __init__(
@@ -233,6 +235,15 @@ class PlacementMatrix:
         self.membership = mem
         self.alpha = alpha
         self.seed = seed
+
+    @functools.cached_property
+    def packed(self) -> np.ndarray:
+        """The read-only (n_inputs, ceil(m/64)) packed rows of the matrix:
+        row i is input i, with bit k set when account k holds it (see
+        :func:`~xcorr._kernels.pack_bitsets`)."""
+        rows = pack_bitsets(self.membership)
+        rows.setflags(write=False)
+        return rows
 
     @property
     def n_accounts(self) -> int:

@@ -23,8 +23,10 @@ hence one witness query, per candidate.  It shares the library's
 containment test and nothing of its level walk.  The removal oracle is
 the grow, whittle and exclusion-restart walk on member lists: every
 conditional, exclusion and steering family is rebuilt member by member
-as an ``AdFamily`` and asked through the public detection, containment
-and witness calls, where the library walks row tuples over member masks.
+as an ``AdFamily`` and asked through the public witness call, where the
+library walks row tuples over member masks.  Asked for the queries, it
+also expands each grow's tree a depth at a time, as the library does,
+and lists the distinct witness queries that asks.
 
 The scoring oracles stand in for the batched Bayes scorer: likelihoods
 from set sizes and plain sums, posteriors hypothesis by hypothesis with
@@ -67,6 +69,7 @@ from xcorr.core_family_search import (
     contains_core_test,
     detect_targeting,
     find_x_intersecting_subset,
+    intersect_threshold,
 )
 from xcorr.core_model import Combination, Family
 from xcorr.errors import BudgetExceeded, ConfigError, DomainError, EmptyFamily
@@ -272,11 +275,6 @@ def conditional_members(members, c) -> list:
     return [Combination(i for i in m.inputs if i not in c) for m in members if c.issubset(m)]
 
 
-def exclusion_members(members, ex) -> list:
-    """Members holding none of the inputs in ``ex``."""
-    return [m for m in members if set(ex).isdisjoint(m.inputs)]
-
-
 def _antichain(found) -> Family:
     """The minimal members of ``found``."""
     kept = []
@@ -346,7 +344,7 @@ def agglomerative_oracle(fam, cfg, trace=None):
     return _antichain(found)
 
 
-def removal_oracle(fam, cfg, trace=None):
+def removal_oracle(fam, cfg, trace=None, queries=None):
     """The removal core-family search on member lists.
 
     Same contract as :func:`~xcorr.core_family_search.removal_core_search`:
@@ -360,14 +358,32 @@ def removal_oracle(fam, cfg, trace=None):
     input from each found member, each screened by a charged detection
     on the members disjoint from it, until ``l_max`` members are found or
     no restart finds a new one.  A spent ``test_budget`` raises
-    ``BudgetExceeded`` with the members found so far.
+    ``BudgetExceeded`` with the members found so far.  Every charged
+    test on enough members asks its own witness query.
+
+    With a ``queries`` list, the oracle is the depth-expansion oracle: it
+    appends there the distinct witness queries the depth-block search
+    asks, each as its threshold and its members' non-empty input sets.
+    A query is one set of members read with one combination stripped,
+    asked the first time only.  Before a grow's walk charges a test
+    whose query is not asked yet (a test the budget has room for), it
+    expands the tree under that combination and its siblings a depth at
+    a time: each depth asks the containment query of every combination
+    not tested yet (on ``min_members`` members or more) and the steer
+    query of every one shallower than the depth cap, not known to be
+    positive, whose steering members hold an input outside it; the next
+    depth is the extensions by those steer witnesses.  The expansion
+    ends after the first depth holding a positive, or once it has asked
+    more queries than the budget has tests left.  Tests, trace and
+    result are those of the plain oracle.
     """
     if len(fam) == 0:
         raise EmptyFamily("cannot search an empty ad family")
     members = list(fam.members)
-    whole = AdFamily(members)
+    everyone = tuple(range(len(members)))
     found, memo = [], {}
     used = 0
+    witnesses = {}
 
     def charge():
         nonlocal used
@@ -384,49 +400,114 @@ def removal_oracle(fam, cfg, trace=None):
         if trace is not None:
             trace.log(kind, combo, outcome)
 
-    def detect(sub):
+    def holding(ids, c):
+        return tuple(k for k in ids if c.issubset(members[k]))
+
+    def stripped(ids, c):
+        return conditional_members([members[k] for k in ids], c)
+
+    def ask(ids, c):
+        """The witness of the members ``ids``, all holding ``c``, with
+        ``c`` stripped from them."""
+        cond = AdFamily(stripped(ids, c))
+        if queries is None:
+            return find_x_intersecting_subset(cond, cfg.x, cfg.l_max)
+        key = (ids, c.inputs)
+        if key not in witnesses:
+            witnesses[key] = find_x_intersecting_subset(cond, cfg.x, cfg.l_max)
+            queries.append((
+                intersect_threshold(cfg.x, len(ids)),
+                tuple(sorted(m.inputs for m in cond.members if m.inputs)),
+            ))
+        return witnesses[key]
+
+    def detect(ids):
         charge()
-        res = detect_targeting(AdFamily(sub), cfg)
+        res = len(ids) >= cfg.min_members and ask(ids, Combination()) is not None
         log("detect", None, res)
         return res
 
     def test(c):
         if c.inputs not in memo:
             charge()
-            memo[c.inputs] = contains_core_test(c, whole, cfg)
+            cond = holding(everyone, c)
+            memo[c.inputs] = None if len(cond) < cfg.min_members else ask(cond, c) is None
             log("contains", c, memo[c.inputs])
         return memo[c.inputs]
 
-    def steer(sub, c):
-        cond = conditional_members(sub, c)
-        if not any(m.inputs for m in cond):
+    def steer(ids, c):
+        cond = holding(ids, c)
+        if not any(m.inputs for m in stripped(cond, c)):
             return []
         charge()
-        witness = find_x_intersecting_subset(AdFamily(cond), cfg.x, cfg.l_max)
+        witness = ask(cond, c)
         log("steer", None, None if witness is None else list(witness.inputs))
         if witness is None:
             return []
-        return sorted(witness.inputs, key=lambda i: (-sum(i in m for m in cond), i))
+        rest = stripped(cond, c)
+        return sorted(witness.inputs, key=lambda i: (-sum(i in m for m in rest), i))
 
-    def grow(sub):
-        depth_cap = cfg.r_max if cfg.r_max is not None else len({i for m in sub for i in m})
+    def expand(ids, depth_cap, level, depth):
+        room = None if cfg.test_budget is None else cfg.test_budget - used
+        before = len(queries)
+        while level:
+            positive, grown = False, {}
+            for c in level:
+                cond = holding(everyone, c)
+                known = None
+                if c.inputs in memo:
+                    known = memo[c.inputs]
+                elif len(cond) >= cfg.min_members:
+                    if (cond, c.inputs) in witnesses:
+                        known = witnesses[cond, c.inputs] is None
+                    else:
+                        positive = ask(cond, c) is None or positive
+                positive = positive or known is True
+                if depth < depth_cap and known is not True:
+                    sub = holding(ids, c)
+                    if any(m.inputs for m in stripped(sub, c)):
+                        witness = ask(sub, c)
+                        for i in () if witness is None else witness.inputs:
+                            grown[tuple(sorted((*c.inputs, i)))] = None
+            if positive or (room is not None and len(queries) - before > room):
+                return
+            level, depth = [Combination(k) for k in grown], depth + 1
+
+    def grow(ids):
+        depth_cap = cfg.r_max
+        if depth_cap is None:
+            depth_cap = len({i for k in ids for i in members[k].inputs})
         seen = set()
 
-        def walk(c, depth):
+        def prefetch(key, level, depth):
+            if queries is None or key in witnesses:
+                return
+            if cfg.test_budget is None or used < cfg.test_budget:
+                expand(ids, depth_cap, level, depth)
+
+        def walk(level, at, depth):
+            c = level[at]
             if c.inputs in seen:
                 return None
             seen.add(c.inputs)
+            cond = holding(everyone, c)
+            if c.inputs not in memo and len(cond) >= cfg.min_members:
+                prefetch((cond, c.inputs), level, depth)
             if test(c) is True:
                 return c
             if depth >= depth_cap:
                 return None
-            for i in steer(sub, c):
-                hit = walk(Combination((*c.inputs, i)), depth + 1)
+            sub = holding(ids, c)
+            if any(m.inputs for m in stripped(sub, c)):
+                prefetch((sub, c.inputs), level, depth)
+            kids = [Combination((*c.inputs, i)) for i in steer(ids, c)]
+            for k in range(len(kids)):
+                hit = walk(kids, k, depth + 1)
                 if hit is not None:
                     return hit
             return None
 
-        return walk(Combination(), 0)
+        return walk([Combination()], 0, 0)
 
     def whittle(start):
         current = start
@@ -436,9 +517,9 @@ def removal_oracle(fam, cfg, trace=None):
                 current = trial
         return current
 
-    if not detect(members):
+    if not detect(everyone):
         return Family([])
-    first = grow(members)
+    first = grow(everyone)
     if first is None:
         log("grow_exhausted", None, None)
         return Family([])
@@ -450,7 +531,7 @@ def removal_oracle(fam, cfg, trace=None):
         for ex in dict.fromkeys(frozenset(p) for p in product(*(f.inputs for f in found))):
             if ex in exhausted:
                 continue
-            sub = exclusion_members(members, ex)
+            sub = tuple(k for k in everyone if ex.isdisjoint(members[k].inputs))
             if len(sub) < cfg.min_members or not detect(sub):
                 exhausted.add(ex)
                 continue

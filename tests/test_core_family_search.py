@@ -793,10 +793,11 @@ def _member_sets(stack):
 def test_predict_asks_the_root_detection_query_once(monkeypatch):
     # the detection that rules out UNTARGETED is also the search's first
     # charged test.  The removal search asks every distinct witness query
-    # of its charged tests once: no two of its kernel queries are equal,
-    # and they are the distinct queries of the member-list oracle, which
-    # asks one per charged test (none for a containment test on too small
-    # a conditional).  The agglomerative search asks the root query
+    # once: no two of its kernel queries are equal, they are the queries
+    # of the depth-expansion oracle, and they include the query of every
+    # charged test of the member-list oracle, which asks one per charged
+    # test (none for a containment test on too small a conditional).
+    # The agglomerative search asks the root query
     # alone, then each level in one block: every level but the one it
     # stops in asks exactly its charged tests
     queries, asked = [], []
@@ -829,7 +830,11 @@ def test_predict_asks_the_root_detection_query_once(monkeypatch):
             removal_oracle(AdFamily.from_placement(obs.behavioral[0], pm), cfg, oracle_trace)
             assert oracle_trace.to_jsonl() == trace.to_jsonl()
             assert len(asked) == trace.tests_used - unasked
-            assert got == sorted({(t, _member_sets(q)) for q, t in asked})
+            charged = {(t, _member_sets(q)) for q, t in asked}
+            expanded = []
+            removal_oracle(AdFamily.from_placement(obs.behavioral[0], pm), cfg, queries=expanded)
+            assert got == sorted(expanded)
+            assert charged <= set(got)
             assert len(got) < len(asked)
             continue
         orders = [len(r["combination"]) for r in trace.records[1:] if r["outcome"] is not None]
@@ -1204,3 +1209,106 @@ def test_wide_level_is_asked_in_capped_blocks(monkeypatch):
     assert max(blocks) <= core_family_search._BLOCK_BYTES
     assert len(blocks) > level_bytes // core_family_search._BLOCK_BYTES
     assert peak < level_bytes // 2
+
+
+def _oracle_prediction(fam, cfg):
+    """:func:`predict_core_family`'s verdict, target and flags, from the
+    member-list removal oracle on a fresh copy of the family."""
+    if len(fam) < cfg.min_members:
+        return Verdict.UNKNOWN, None, ("below_min_members",)
+    if not detect_targeting(AdFamily(fam.members), cfg):
+        return Verdict.UNTARGETED, None, ()
+    try:
+        found = removal_oracle(AdFamily(fam.members), cfg)
+    except BudgetExceeded:
+        return Verdict.UNKNOWN, None, ("budget_exhausted",)
+    if found.size == 0:
+        return Verdict.UNKNOWN, None, ("search_exhausted",)
+    return Verdict.TARGETED, found.to_doc(), ()
+
+
+def test_depth_blocks_match_the_removal_oracle(monkeypatch):
+    # the grow walk asked a depth per block against the member-list
+    # oracle, on seeded trial families (targeted, untargeted, empty and
+    # tiny outputs), with r_max 2, 3 and None and budgets cut all along
+    # the unbudgeted walk: the same trace, tests, result or partial and
+    # verdict; no query asked twice; and the queries asked are those of
+    # the depth-expansion oracle, speculative ones included, which lists
+    # each distinct query once
+    asked = []
+
+    def counted(stack, thresholds, l_max):
+        asked.extend(zip(stack, thresholds.tolist()))
+        return find_witness_batch(stack, thresholds, l_max)
+
+    monkeypatch.setattr(core_family_search, "find_witness_batch", counted)
+    seen = {"exclusion grow": 0, "trip in a walk": 0, "speculative": 0, "r_max None": 0}
+    configs = [
+        dict(x=0.9, l_max=2, r_max=2, min_members=3),
+        dict(x=0.8, l_max=3, r_max=None, min_members=3),
+        dict(x=0.95, l_max=2, r_max=None, min_members=4),
+        dict(x=0.9, l_max=3, r_max=3, min_members=2),
+    ]
+    for seed, n, m in [(21, 8, 60), (24, 9, 150)]:
+        pm, actives = _trial_actives(seed, n, m, 4)
+        for opts in configs:
+            cfg = DetectionConfig(**opts)
+            for active in actives:
+                if len(active) == 0:
+                    continue
+                fam = AdFamily.from_placement(active, pm)
+                full = _search_outcome(removal_oracle, fam, cfg)
+                records = [json.loads(line) for line in full[3].splitlines()[:-1]]
+                charged = [r for r in records if r["kind"] != "grow_exhausted"]
+                for budget in [None, *range(1, full[4] + 1, max(1, full[4] // 4))]:
+                    budgeted = DetectionConfig(**opts, test_budget=budget)
+                    asked.clear()
+                    got = _search_outcome(
+                        removal_core_search, AdFamily.from_placement(active, pm), budgeted
+                    )
+                    # two queries whose members hold nothing past their
+                    # cleared rows both stack zeros; any other repeat is
+                    # one query asked twice
+                    held = [(q.tobytes(), t) for q, t in asked if q.any()]
+                    assert len(set(held)) == len(held)
+                    queries = [(t, _member_sets(q)) for q, t in asked]
+                    assert got == _search_outcome(removal_oracle, fam, budgeted)
+                    expanded = []
+                    try:
+                        removal_oracle(fam, budgeted, queries=expanded)
+                    except BudgetExceeded:
+                        pass
+                    assert sorted(queries) == sorted(expanded)
+                    if budget is None:
+                        asked.clear()
+                        removal_oracle(fam, cfg)
+                        seen["speculative"] += len(queries) > len(
+                            {(t, _member_sets(q)) for q, t in asked}
+                        )
+                    elif budget < len(charged):
+                        seen["trip in a walk"] += charged[budget]["kind"] == "steer"
+                detects = [i for i, r in enumerate(records) if r["kind"] == "detect"]
+                seen["exclusion grow"] += len(detects) > 1 and any(
+                    r["kind"] == "steer" for r in records[detects[1]:]
+                )
+                seen["r_max None"] += cfg.r_max is None and any(
+                    r["kind"] == "steer" for r in records
+                )
+            batched = core_family_verdicts(actives, pm, cfg, method="removal").predictions()
+            for active, pred in zip(actives, batched):
+                single = predict_core_family(active, pm, cfg, method="removal")
+                assert single.to_dict() == pred.to_dict()
+                target = None if pred.target is None else pred.target.to_doc()
+                assert (pred.verdict, target, pred.flags) == _oracle_prediction(
+                    AdFamily.from_placement(active, pm), cfg
+                )
+    assert all(seen.values()), seen
+
+
+def test_a_placement_packs_its_rows_once():
+    # every family drawn from one placement reads its one read-only packing
+    pm = bernoulli_placement(PlacementConfig(n_inputs=12, n_accounts=70, alpha=0.5, seed=8))
+    assert np.array_equal(pm.packed, pack_bitsets(pm.membership))
+    assert not pm.packed.flags.writeable
+    assert AdFamily.from_placement([0, 5, 69], pm)._rows is pm.packed
+    assert AdFamily.from_placement([1, 2], pm)._rows is pm.packed

@@ -526,6 +526,24 @@ def test_store_append_read_roundtrip(tmp_path):
     assert store.kinds("k1") == ["notes"]
 
 
+def test_store_read_of_a_truncated_line_is_a_config_error(tmp_path):
+    store = CorrelationStore(tmp_path)
+    store.append("k", "trials", {"trial": 0}, {"trial": 1, "rows": ["01", "10"]})
+    path = store.path("k", "trials")
+    path.write_text(path.read_text()[:-8], encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"trials\.jsonl: line 2: not valid JSON"):
+        store.read("k", "trials")
+
+
+def test_store_read_of_a_deeply_nested_line_is_a_config_error(tmp_path):
+    store = CorrelationStore(tmp_path)
+    store.append("k", "reports", {"ok": True})
+    with store.path("k", "reports").open("a", encoding="utf-8") as fh:
+        fh.write("\n" + "[" * 100_000 + "]" * 100_000 + "\n")
+    with pytest.raises(ConfigError, match=r"reports\.jsonl: line 3: JSON nested too deeply"):
+        store.read("k", "reports")
+
+
 def test_store_append_of_several_records_writes_one_call_each_bytes(tmp_path):
     one, many = CorrelationStore(tmp_path / "one"), CorrelationStore(tmp_path / "many")
     records = [{"trial": 0, "b": [1, 2.5], "a": None}, {"trial": 1, "é": "x"}]
