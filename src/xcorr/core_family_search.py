@@ -58,9 +58,12 @@ those asks are speculative (the walk may stop before it reaches them);
 they fill the memos, uncharged and unlogged.  The walk is then replayed
 again, and only a complete replay charges and logs its tests, in order,
 so charges, traces and budget stops are those of a walk asking one test
-at a time.  A walk the expansion proves exhausted is not replayed when
-no trace or test budget reads its charges.  On a trial of 16 outputs the searches take about three
-kernel calls: the root queries, then one per depth.
+at a time.  The replay and the expansion read what a node of the walk
+needs from one rule, so an expansion always asks the query whose
+absence stopped the replay.  A walk the expansion proves exhausted is
+not replayed when no trace or test budget reads its charges.  On a
+trial of 16 outputs the searches take about three kernel calls: the
+root queries, then one per depth.
 """
 
 from __future__ import annotations
@@ -160,8 +163,9 @@ class AdFamily:
     (x, l_max): combination c maps to the witness of the whole family's
     conditional at c, so ``()`` is the root query.  Detection and every
     search on one family read and fill it, and ask each such query once
-    between them; it also keeps the removal search's speculative asks.  A family derived from this one, such as a
-    :func:`conditional_family`, starts with an empty memo.
+    between them; it also keeps the removal search's speculative asks.
+    A family derived from this one, such as a :func:`conditional_family`,
+    starts with an empty memo.
     """
 
     __slots__ = ("_rows", "_mask", "_memo")
@@ -596,13 +600,12 @@ def _agglomerative(s: _Search) -> Step[Family]:
     fixed before any of its tests runs: the one-input extensions of the
     lower level's negatives and unknowns are exactly these.  Its
     candidates are asked in blocks of at most :data:`_BLOCK_BYTES`
-    stacked rows, and the answers are replayed in order, each charged
-    and logged as a containment test.  Without a trace, a block's replay
-    is one charge up to its last member needed, which raises where the
-    candidate-by-candidate charges would.  The walk stops at ``l_max``
-    members, dropping the rest of the level's answers, or at the first
-    empty level; a block asks no more candidates than the budget has
-    left.
+    stacked rows, and the answers are replayed in order: logged as
+    containment tests and charged in one step up to the last member
+    needed, which raises where candidate-by-candidate charges would.
+    The walk stops at ``l_max`` members, dropping the rest of the
+    level's answers, or at the first empty level; a block asks no more
+    candidates than the budget has left.
     """
     cfg = s.cfg
     if cfg.r_max is None:
@@ -621,23 +624,19 @@ def _agglomerative(s: _Search) -> Step[Family]:
             block = level[start : start + per_block]
             room = len(block) if cfg.test_budget is None else cfg.test_budget - s.used
             answers = yield from _contains_block(s, s.mask, block[:room])
-            if s.trace is None:
-                # every answer is within the budget; the positives are kept
-                # up to the one that completes l_max members
-                need = cfg.l_max - len(s.found)
-                hits = [k for k, a in enumerate(answers) if a is True][:need]
-                s.found.extend(block[k] for k in hits)
-                s.charge(hits[-1] + 1 if len(hits) == need else len(block))
-                if len(s.found) >= cfg.l_max:
-                    return s.result()
-                continue
-            for k, c in enumerate(block):
-                s.charge()
-                s.trace.log("contains", c, answers[k])
-                if answers[k] is True:
-                    s.found.append(c)
-                    if len(s.found) >= cfg.l_max:
-                        return s.result()
+            # the positives are kept up to the one that completes l_max
+            # members; a block cut to the budget's room logs its answered
+            # tests, then raises in charge(n) at the first one it cut
+            need = cfg.l_max - len(s.found)
+            hits = [k for k, a in enumerate(answers) if a is True][:need]
+            n = hits[-1] + 1 if len(hits) == need else len(block)
+            if s.trace is not None:
+                for k in range(min(n, len(answers))):
+                    s.trace.log("contains", block[k], answers[k])
+            s.found.extend(block[k] for k in hits)
+            s.charge(n)
+            if len(s.found) >= cfg.l_max:
+                return s.result()
     return s.result()
 
 
@@ -668,18 +667,21 @@ def _grow(s: _Search, steer: int) -> Step[tuple[int, ...] | None]:
     reaches a test whose query they do not hold, :func:`_expand` asks
     the queries under that combination and its siblings a depth per
     block, and the walk is replayed again; a complete replay's tests are
-    then charged and logged in order.  An expansion under all of the
-    root's children that finds no positive at any depth proves the walk
-    exhausted; without a trace or a test budget nothing reads its
-    charges, so it is not replayed.
+    then charged and logged in order.  Both read a node's needs from
+    :func:`_node`, so an expansion always asks the query the replay
+    missed.  An expansion under all of the root's children that finds no
+    positive at any depth proves the walk exhausted; without a trace or
+    a test budget nothing reads its charges, so it is not replayed.
     """
     max_depth = s.cfg.r_max if s.cfg.r_max is not None else len(s.held(steer))
     while True:
         try:
             hit, tests, tested, overrun = _replay(s, steer, max_depth)
         except _Missing as missing:
-            level, depth, passed = missing.args
-            exhausted = yield from _expand(s, steer, max_depth, level, depth, passed)
+            level, depth, passed, memo, key = missing.args
+            exhausted = yield from _expand(s, max_depth, level, depth, passed)
+            if key not in memo:
+                raise RuntimeError(f"grow expansion left the missed query {key!r} unasked")
             if exhausted and depth == 1 and s.trace is None and s.cfg.test_budget is None:
                 return None
             continue
@@ -693,13 +695,43 @@ def _grow(s: _Search, steer: int) -> Step[tuple[int, ...] | None]:
 
 class _Missing(Exception):
     """A replayed walk reached a test whose query the memos do not hold:
-    the args are the combination's siblings, its depth, and the tests
-    the replay passed before it."""
+    the args are the combination's siblings, its depth, the tests the
+    replay passed before it, and the memo and key the query is kept
+    under."""
 
 
 #: A node of the grow walk: a combination, the whole family's
 #: conditional at it, and the steering family's.
 _Node = tuple[tuple[int, ...], int, int]
+
+#: A containment result whose query is not asked yet.
+_UNASKED = object()
+
+
+def _node(s: _Search, node: _Node, depth: int, max_depth: int,
+          more: list[int]) -> tuple[bool, "bool | None | object", tuple | None]:
+    """What the grow walk needs at ``node``, ``depth`` deep: whether its
+    containment test is charged (it is not tested in this search yet),
+    the test's result as far as the memos know it (None below
+    ``min_members`` support, :data:`_UNASKED` when its query is not
+    asked yet), and the memo and key of its steer query, or None where
+    the walk does not steer: at a positive, at ``max_depth``, or where
+    no member of the steering conditional holds a row outside the
+    combination.  A steer on the whole family is its containment query."""
+    c, cond, sub = node
+    fresh = c not in s.memo
+    if not fresh:
+        res = s.memo[c]
+    elif cond.bit_count() < s.cfg.min_members:
+        res = None
+    else:
+        res = s.shared.get(c, _UNASKED)
+        if res is not _UNASKED:
+            res = res is None
+    steer = None
+    if res is not True and depth < max_depth and sub & more[depth]:
+        steer = (s.shared, c) if sub == cond else (s.local, (sub, c))
+    return fresh, res, steer
 
 
 def _replay(s: _Search, steer: int, max_depth: int) -> tuple:
@@ -712,9 +744,8 @@ def _replay(s: _Search, steer: int, max_depth: int) -> tuple:
     The walk keeps one list of siblings per depth, each a :data:`_Node`
     whose conditionals are its parent's AND the added row.
     """
-    cfg, bits, memo_c, shared = s.cfg, s.bits, s.memo, s.shared
-    more = s.branching()
-    room = math.inf if cfg.test_budget is None else cfg.test_budget - s.used
+    bits, more = s.bits, s.branching()
+    room = math.inf if s.cfg.test_budget is None else s.cfg.test_budget - s.used
     seen: set[tuple[int, ...]] = set()
     tests: list = []
     tested: dict[tuple[int, ...], bool | None] = {}
@@ -730,32 +761,29 @@ def _replay(s: _Search, steer: int, max_depth: int) -> tuple:
             at.pop()
             depth -= 1
             continue
-        c, cond, sub = level[at[depth]]
+        node = level[at[depth]]
         at[depth] += 1
+        c, cond, sub = node
         if c in seen:
             continue
         seen.add(c)
-        if c in memo_c:
-            res = memo_c[c]
-        else:
+        fresh, res, steering = _node(s, node, depth, max_depth, more)
+        if fresh:
             if len(tests) >= room:
                 return None, tests, tested, True
-            res = None
-            if cond.bit_count() >= cfg.min_members:
-                if c not in shared:
-                    raise _Missing(level, depth, len(tests))
-                res = shared[c] is None
+            if res is _UNASKED:
+                raise _Missing(level, depth, len(tests), s.shared, c)
             tested[c] = res
             tests.append(("contains", c, res))
         if res is True:
             return c, tests, tested, False
-        if depth >= max_depth or not sub & more[depth]:
+        if steering is None:
             continue
-        memo, key = (shared, c) if sub == cond else (s.local, (sub, c))
+        memo, key = steering
         if len(tests) >= room:
             return None, tests, tested, True
         if key not in memo:
-            raise _Missing(level, depth, len(tests))
+            raise _Missing(level, depth, len(tests), memo, key)
         w = memo[key]
         tests.append(("steer", None, None if w is None else list(w)))
         if w:
@@ -766,48 +794,41 @@ def _replay(s: _Search, steer: int, max_depth: int) -> tuple:
             depth += 1
 
 
-def _expand(s: _Search, steer: int, max_depth: int, level: list[_Node], depth: int,
-            passed: int) -> Step[None]:
+def _expand(s: _Search, max_depth: int, level: list[_Node], depth: int,
+            passed: int) -> Step[bool]:
     """Ask the queries of :func:`_grow`'s walk tree under the nodes
     ``level`` at ``depth`` a depth at a time, uncharged and unlogged,
     ``passed`` tests into a replay.
 
     The next depth holds the distinct extensions of the combinations of
-    one depth by their steer witnesses.  A depth's block asks the
-    containment query of every combination not tested in this search yet
-    and not in the family's memo, with ``min_members`` support, and the
-    steer query of every combination shallower than ``max_depth``, not
-    known to be positive, whose steering conditional can branch; on the
-    first grow the two are one query.  The expansion stops at the first
-    depth holding a positive (the walk never goes past it on that path)
-    and, under a test budget, once it has asked more queries than the
-    budget has tests left.  Returns True when it ran out of depths
-    instead: no combination under ``level`` passes the test.
+    one depth by their steer witnesses.  A depth's block asks every query
+    :func:`_node` finds its nodes need and the memos lack: containment
+    queries and steer queries, which on the first grow are one query.
+    The expansion stops at the first depth holding a positive (the walk
+    never goes past it on that path) and, under a test budget, once it
+    has asked more queries than the budget has tests left.  Returns True
+    when it ran out of depths instead: no combination under ``level``
+    passes the test.
     """
-    cfg, bits, shared = s.cfg, s.bits, s.shared
-    more = s.branching()
+    cfg, bits, shared, more = s.cfg, s.bits, s.shared, s.branching()
     room = math.inf if cfg.test_budget is None else cfg.test_budget - s.used - passed
     asked = 0
     while level:
         asks: dict = {}
         tested, branches = [], []
         positive = False
-        for c, cond, sub in level:
-            known = None
-            if c in s.memo:
-                known = s.memo[c]
-            elif cond.bit_count() >= cfg.min_members:
-                if c in shared:
-                    known = shared[c] is None
-                else:
-                    asks[c] = shared, cond, c
-                    tested.append(c)
-            positive = positive or known is True
-            if depth < max_depth and known is not True and sub & more[depth]:
-                memo, key = (shared, c) if sub == cond else (s.local, (sub, c))
+        for node in level:
+            c, cond, sub = node
+            _, res, steering = _node(s, node, depth, max_depth, more)
+            if res is _UNASKED:
+                asks[c] = shared, cond, c
+                tested.append(c)
+            positive = positive or res is True
+            if steering is not None:
+                memo, key = steering
                 if key not in memo:
                     asks.setdefault(key, (memo, sub, c))
-                branches.append((c, cond, sub, memo, key))
+                branches.append((node, memo, key))
         if asks:
             queries = list(asks.values())
             witnesses = yield (s.rows, [m for _, m, _ in queries], [c for _, _, c in queries],
@@ -819,7 +840,7 @@ def _expand(s: _Search, steer: int, max_depth: int, level: list[_Node], depth: i
         if positive or asked > room:
             return False
         grown: dict[tuple[int, ...], _Node] = {}
-        for c, cond, sub, memo, key in branches:
+        for (c, cond, sub), memo, key in branches:
             for k in memo[key] or ():
                 kid = tuple(sorted(c + (k,)))
                 grown[kid] = kid, cond & bits[k], sub & bits[k]

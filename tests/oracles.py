@@ -23,10 +23,11 @@ hence one witness query, per candidate.  It shares the library's
 containment test and nothing of its level walk.  The removal oracle is
 the grow, whittle and exclusion-restart walk on member lists: every
 conditional, exclusion and steering family is rebuilt member by member
-as an ``AdFamily`` and asked through the public witness call, where the
-library walks row tuples over member masks.  Asked for the queries, it
-also expands each grow's tree a depth at a time, as the library does,
-and lists the distinct witness queries that asks.
+as an ``AdFamily`` and asked through the public detection, containment
+and witness calls, where the library walks row tuples over member masks.
+:func:`depth_block_queries` walks the same way but only lists the
+distinct witness queries of a search that asks its grow walks a depth
+per block.
 
 The scoring oracles stand in for the batched Bayes scorer: likelihoods
 from set sizes and plain sums, posteriors hypothesis by hypothesis with
@@ -275,6 +276,11 @@ def conditional_members(members, c) -> list:
     return [Combination(i for i in m.inputs if i not in c) for m in members if c.issubset(m)]
 
 
+def exclusion_members(members, ex) -> list:
+    """Members holding none of the inputs in ``ex``."""
+    return [m for m in members if set(ex).isdisjoint(m.inputs)]
+
+
 def _antichain(found) -> Family:
     """The minimal members of ``found``."""
     kept = []
@@ -344,7 +350,7 @@ def agglomerative_oracle(fam, cfg, trace=None):
     return _antichain(found)
 
 
-def removal_oracle(fam, cfg, trace=None, queries=None):
+def removal_oracle(fam, cfg, trace=None):
     """The removal core-family search on member lists.
 
     Same contract as :func:`~xcorr.core_family_search.removal_core_search`:
@@ -358,32 +364,14 @@ def removal_oracle(fam, cfg, trace=None, queries=None):
     input from each found member, each screened by a charged detection
     on the members disjoint from it, until ``l_max`` members are found or
     no restart finds a new one.  A spent ``test_budget`` raises
-    ``BudgetExceeded`` with the members found so far.  Every charged
-    test on enough members asks its own witness query.
-
-    With a ``queries`` list, the oracle is the depth-expansion oracle: it
-    appends there the distinct witness queries the depth-block search
-    asks, each as its threshold and its members' non-empty input sets.
-    A query is one set of members read with one combination stripped,
-    asked the first time only.  Before a grow's walk charges a test
-    whose query is not asked yet (a test the budget has room for), it
-    expands the tree under that combination and its siblings a depth at
-    a time: each depth asks the containment query of every combination
-    not tested yet (on ``min_members`` members or more) and the steer
-    query of every one shallower than the depth cap, not known to be
-    positive, whose steering members hold an input outside it; the next
-    depth is the extensions by those steer witnesses.  The expansion
-    ends after the first depth holding a positive, or once it has asked
-    more queries than the budget has tests left.  Tests, trace and
-    result are those of the plain oracle.
+    ``BudgetExceeded`` with the members found so far.
     """
     if len(fam) == 0:
         raise EmptyFamily("cannot search an empty ad family")
     members = list(fam.members)
-    everyone = tuple(range(len(members)))
+    whole = AdFamily(members)
     found, memo = [], {}
     used = 0
-    witnesses = {}
 
     def charge():
         nonlocal used
@@ -400,90 +388,166 @@ def removal_oracle(fam, cfg, trace=None, queries=None):
         if trace is not None:
             trace.log(kind, combo, outcome)
 
-    def holding(ids, c):
-        return tuple(k for k in ids if c.issubset(members[k]))
-
-    def stripped(ids, c):
-        return conditional_members([members[k] for k in ids], c)
-
-    def ask(ids, c):
-        """The witness of the members ``ids``, all holding ``c``, with
-        ``c`` stripped from them."""
-        cond = AdFamily(stripped(ids, c))
-        if queries is None:
-            return find_x_intersecting_subset(cond, cfg.x, cfg.l_max)
-        key = (ids, c.inputs)
-        if key not in witnesses:
-            witnesses[key] = find_x_intersecting_subset(cond, cfg.x, cfg.l_max)
-            queries.append((
-                intersect_threshold(cfg.x, len(ids)),
-                tuple(sorted(m.inputs for m in cond.members if m.inputs)),
-            ))
-        return witnesses[key]
-
-    def detect(ids):
+    def detect(sub):
         charge()
-        res = len(ids) >= cfg.min_members and ask(ids, Combination()) is not None
+        res = detect_targeting(AdFamily(sub), cfg)
         log("detect", None, res)
         return res
 
     def test(c):
         if c.inputs not in memo:
             charge()
-            cond = holding(everyone, c)
-            memo[c.inputs] = None if len(cond) < cfg.min_members else ask(cond, c) is None
+            memo[c.inputs] = contains_core_test(c, whole, cfg)
             log("contains", c, memo[c.inputs])
         return memo[c.inputs]
 
-    def steer(ids, c):
-        cond = holding(ids, c)
-        if not any(m.inputs for m in stripped(cond, c)):
+    def steer(sub, c):
+        cond = conditional_members(sub, c)
+        if not any(m.inputs for m in cond):
             return []
         charge()
-        witness = ask(cond, c)
+        witness = find_x_intersecting_subset(AdFamily(cond), cfg.x, cfg.l_max)
         log("steer", None, None if witness is None else list(witness.inputs))
         if witness is None:
             return []
-        rest = stripped(cond, c)
-        return sorted(witness.inputs, key=lambda i: (-sum(i in m for m in rest), i))
+        return sorted(witness.inputs, key=lambda i: (-sum(i in m for m in cond), i))
 
-    def expand(ids, depth_cap, level, depth):
-        room = None if cfg.test_budget is None else cfg.test_budget - used
-        before = len(queries)
+    def grow(sub):
+        depth_cap = cfg.r_max if cfg.r_max is not None else len({i for m in sub for i in m})
+        seen = set()
+
+        def walk(c, depth):
+            if c.inputs in seen:
+                return None
+            seen.add(c.inputs)
+            if test(c) is True:
+                return c
+            if depth >= depth_cap:
+                return None
+            for i in steer(sub, c):
+                hit = walk(Combination((*c.inputs, i)), depth + 1)
+                if hit is not None:
+                    return hit
+            return None
+
+        return walk(Combination(), 0)
+
+    def whittle(start):
+        current = start
+        for i in start.inputs:
+            trial = Combination(j for j in current.inputs if j != i)
+            if test(trial) is True:
+                current = trial
+        return current
+
+    if not detect(members):
+        return Family([])
+    first = grow(members)
+    if first is None:
+        log("grow_exhausted", None, None)
+        return Family([])
+    found.append(whittle(first))
+    exhausted = set()
+    progress = True
+    while progress and len(found) < cfg.l_max:
+        progress = False
+        for ex in dict.fromkeys(frozenset(p) for p in product(*(f.inputs for f in found))):
+            if ex in exhausted:
+                continue
+            sub = exclusion_members(members, ex)
+            if len(sub) < cfg.min_members or not detect(sub):
+                exhausted.add(ex)
+                continue
+            grown = grow(sub)
+            member = None if grown is None else whittle(grown)
+            if member is None or member in found:
+                exhausted.add(ex)
+                continue
+            found.append(member)
+            progress = True
+            break
+    return _antichain(found)
+
+
+def depth_block_queries(fam, cfg):
+    """The distinct witness queries the removal search asks on ``fam``
+    without a test budget, when it asks its grow walks a depth per block:
+    each query as its threshold and its members' non-empty input sets,
+    with the combination it reads as cleared stripped from them.
+
+    The walk is :func:`removal_oracle`'s, on member indices, asking a
+    query (one set of members read with one combination stripped) the
+    first time a test needs it.  Before a grow's walk reaches a test
+    whose query is not asked yet, it expands the tree under that
+    combination and its siblings a depth at a time: each depth asks the
+    containment query of every combination not tested yet (on
+    ``min_members`` members or more) and the steer query of every one
+    shallower than the depth cap, not known to be positive, whose
+    steering members hold an input outside it; the next depth is the
+    extensions by those steer witnesses, and the expansion ends after
+    the first depth holding a positive.
+    """
+    if len(fam) == 0:
+        raise EmptyFamily("cannot search an empty ad family")
+    members = list(fam.members)
+    everyone = tuple(range(len(members)))
+    witnesses, queries, tested, found = {}, [], {}, []
+
+    def holding(ids, c):
+        return tuple(k for k in ids if c.issubset(members[k]))
+
+    def asked(ids, c):
+        return (ids, c.inputs) in witnesses
+
+    def ask(ids, c):
+        """The witness of the members ``ids``, all holding ``c``, with
+        ``c`` stripped from them."""
+        if not asked(ids, c):
+            cond = AdFamily(conditional_members([members[k] for k in ids], c))
+            witnesses[ids, c.inputs] = find_x_intersecting_subset(cond, cfg.x, cfg.l_max)
+            queries.append((
+                intersect_threshold(cfg.x, len(ids)),
+                tuple(sorted(m.inputs for m in cond.members if m.inputs)),
+            ))
+        return witnesses[ids, c.inputs]
+
+    def test(c):
+        if c.inputs not in tested:
+            cond = holding(everyone, c)
+            tested[c.inputs] = None if len(cond) < cfg.min_members else ask(cond, c) is None
+        return tested[c.inputs]
+
+    def steering(ids, c):
+        """The members of ``ids`` holding ``c``, or None when none of them
+        holds an input outside it."""
+        sub = holding(ids, c)
+        return sub if any(set(members[k].inputs) - set(c.inputs) for k in sub) else None
+
+    def expand(ids, cap, level, depth):
         while level:
             positive, grown = False, {}
             for c in level:
                 cond = holding(everyone, c)
-                known = None
-                if c.inputs in memo:
-                    known = memo[c.inputs]
-                elif len(cond) >= cfg.min_members:
-                    if (cond, c.inputs) in witnesses:
+                known = tested.get(c.inputs)
+                if c.inputs not in tested and len(cond) >= cfg.min_members:
+                    if asked(cond, c):
                         known = witnesses[cond, c.inputs] is None
                     else:
                         positive = ask(cond, c) is None or positive
                 positive = positive or known is True
-                if depth < depth_cap and known is not True:
-                    sub = holding(ids, c)
-                    if any(m.inputs for m in stripped(sub, c)):
-                        witness = ask(sub, c)
-                        for i in () if witness is None else witness.inputs:
-                            grown[tuple(sorted((*c.inputs, i)))] = None
-            if positive or (room is not None and len(queries) - before > room):
+                sub = steering(ids, c)
+                if depth < cap and known is not True and sub is not None:
+                    for i in getattr(ask(sub, c), "inputs", ()):
+                        grown[tuple(sorted((*c.inputs, i)))] = None
+            if positive:
                 return
             level, depth = [Combination(k) for k in grown], depth + 1
 
     def grow(ids):
-        depth_cap = cfg.r_max
-        if depth_cap is None:
-            depth_cap = len({i for k in ids for i in members[k].inputs})
+        cap = cfg.r_max
+        if cap is None:
+            cap = len({i for k in ids for i in members[k].inputs})
         seen = set()
-
-        def prefetch(key, level, depth):
-            if queries is None or key in witnesses:
-                return
-            if cfg.test_budget is None or used < cfg.test_budget:
-                expand(ids, depth_cap, level, depth)
 
         def walk(level, at, depth):
             c = level[at]
@@ -491,16 +555,19 @@ def removal_oracle(fam, cfg, trace=None, queries=None):
                 return None
             seen.add(c.inputs)
             cond = holding(everyone, c)
-            if c.inputs not in memo and len(cond) >= cfg.min_members:
-                prefetch((cond, c.inputs), level, depth)
+            if c.inputs not in tested and len(cond) >= cfg.min_members and not asked(cond, c):
+                expand(ids, cap, level, depth)
             if test(c) is True:
                 return c
-            if depth >= depth_cap:
+            sub = steering(ids, c)
+            if depth >= cap or sub is None:
                 return None
-            sub = holding(ids, c)
-            if any(m.inputs for m in stripped(sub, c)):
-                prefetch((sub, c.inputs), level, depth)
-            kids = [Combination((*c.inputs, i)) for i in steer(ids, c)]
+            if not asked(sub, c):
+                expand(ids, cap, level, depth)
+            witness = ask(sub, c)
+            rows = witness.inputs if witness is not None else ()
+            rows = sorted(rows, key=lambda i: (-sum(i in members[k].inputs for k in sub), i))
+            kids = [Combination((*c.inputs, i)) for i in rows]
             for k in range(len(kids)):
                 hit = walk(kids, k, depth + 1)
                 if hit is not None:
@@ -517,12 +584,14 @@ def removal_oracle(fam, cfg, trace=None, queries=None):
                 current = trial
         return current
 
+    def detect(ids):
+        return len(ids) >= cfg.min_members and ask(ids, Combination()) is not None
+
     if not detect(everyone):
-        return Family([])
+        return queries
     first = grow(everyone)
     if first is None:
-        log("grow_exhausted", None, None)
-        return Family([])
+        return queries
     found.append(whittle(first))
     exhausted = set()
     progress = True
@@ -532,7 +601,7 @@ def removal_oracle(fam, cfg, trace=None, queries=None):
             if ex in exhausted:
                 continue
             sub = tuple(k for k in everyone if ex.isdisjoint(members[k].inputs))
-            if len(sub) < cfg.min_members or not detect(sub):
+            if not detect(sub):
                 exhausted.add(ex)
                 continue
             grown = grow(sub)
@@ -543,7 +612,7 @@ def removal_oracle(fam, cfg, trace=None, queries=None):
             found.append(member)
             progress = True
             break
-    return _antichain(found)
+    return queries
 
 
 # ------------------------------------------------------------ scoring

@@ -15,6 +15,7 @@ from oracles import (
     account_inputs,
     agglomerative_oracle,
     conditional_members,
+    depth_block_queries,
     pack_bitsets_reference,
     removal_oracle,
     witness_enumerate,
@@ -831,8 +832,7 @@ def test_predict_asks_the_root_detection_query_once(monkeypatch):
             assert oracle_trace.to_jsonl() == trace.to_jsonl()
             assert len(asked) == trace.tests_used - unasked
             charged = {(t, _member_sets(q)) for q, t in asked}
-            expanded = []
-            removal_oracle(AdFamily.from_placement(obs.behavioral[0], pm), cfg, queries=expanded)
+            expanded = depth_block_queries(AdFamily.from_placement(obs.behavioral[0], pm), cfg)
             assert got == sorted(expanded)
             assert charged <= set(got)
             assert len(got) < len(asked)
@@ -1232,9 +1232,9 @@ def test_depth_blocks_match_the_removal_oracle(monkeypatch):
     # oracle, on seeded trial families (targeted, untargeted, empty and
     # tiny outputs), with r_max 2, 3 and None and budgets cut all along
     # the unbudgeted walk: the same trace, tests, result or partial and
-    # verdict; no query asked twice; and the queries asked are those of
-    # the depth-expansion oracle, speculative ones included, which lists
-    # each distinct query once
+    # verdict; no query asked twice; the query of every charged test
+    # asked; and without a budget, the queries of the depth-block
+    # listing, speculative ones included
     asked = []
 
     def counted(stack, thresholds, l_max):
@@ -1272,19 +1272,13 @@ def test_depth_blocks_match_the_removal_oracle(monkeypatch):
                     held = [(q.tobytes(), t) for q, t in asked if q.any()]
                     assert len(set(held)) == len(held)
                     queries = [(t, _member_sets(q)) for q, t in asked]
+                    asked.clear()
                     assert got == _search_outcome(removal_oracle, fam, budgeted)
-                    expanded = []
-                    try:
-                        removal_oracle(fam, budgeted, queries=expanded)
-                    except BudgetExceeded:
-                        pass
-                    assert sorted(queries) == sorted(expanded)
+                    tested = {(t, _member_sets(q)) for q, t in asked}
+                    assert tested <= set(queries)
                     if budget is None:
-                        asked.clear()
-                        removal_oracle(fam, cfg)
-                        seen["speculative"] += len(queries) > len(
-                            {(t, _member_sets(q)) for q, t in asked}
-                        )
+                        assert sorted(queries) == sorted(depth_block_queries(fam, cfg))
+                        seen["speculative"] += len(queries) > len(tested)
                     elif budget < len(charged):
                         seen["trip in a walk"] += charged[budget]["kind"] == "steer"
                 detects = [i for i, r in enumerate(records) if r["kind"] == "detect"]
