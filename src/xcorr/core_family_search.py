@@ -50,19 +50,17 @@ tested, so it yields a breadth-first level's containment queries as one
 block (a few, for a level too wide for :data:`_BLOCK_BYTES`) and replays
 the answers in lexicographic order.  The removal search's grow walk is
 depth-first, but its tree is fixed by the steer witnesses.  So the walk
-is replayed from the memos in plain Python, and the first test whose
-query they lack expands the tree under that combination and its
-siblings breadth-first: each depth's containment and steer queries are
-asked as one block, up to the first depth holding a positive.  Some of
-those asks are speculative (the walk may stop before it reaches them);
-they fill the memos, uncharged and unlogged.  The walk is then replayed
-again, and only a complete replay charges and logs its tests, in order,
-so charges, traces and budget stops are those of a walk asking one test
-at a time.  The replay and the expansion read what a node of the walk
-needs from one rule, so an expansion always asks the query whose
-absence stopped the replay.  A walk the expansion proves exhausted is
-not replayed when no trace or test budget reads its charges.  On a
-trial of 16 outputs the searches take about three kernel calls: the
+runs in plain Python, charging and logging each test where it reaches
+it, as a walk asking one test at a time would; at a test whose query
+the memos lack, it expands the tree under that combination and its
+siblings breadth-first: each depth's containment and steer queries
+are asked as one block, up to the first depth holding a positive.  Some
+of those asks are speculative (the walk may stop before it reaches
+them); they fill the memos, uncharged and unlogged.  The walk and the
+expansion read what a node needs from one rule, and the walk asks a
+query itself if no expansion did.  A walk the expansion proves
+exhausted ends there when no trace or test budget reads its charges.
+On a trial of 16 outputs the searches take about three kernel calls: the
 root queries, then one per depth.
 """
 
@@ -163,7 +161,8 @@ class AdFamily:
     (x, l_max): combination c maps to the witness of the whole family's
     conditional at c, so ``()`` is the root query.  Detection and every
     search on one family read and fill it, and ask each such query once
-    between them; it also keeps the removal search's speculative asks.
+    between them; it also keeps what the removal search's grow
+    expansions ask ahead of the walk, whether or not the walk reaches it.
     A family derived from this one, such as a :func:`conditional_family`,
     starts with an empty memo.
     """
@@ -250,6 +249,14 @@ def _more_than(bits: list[int], n: int) -> list[int]:
             if not carry:
                 break
     return more
+
+
+def _ints_of(rows: np.ndarray, cfg: DetectionConfig) -> tuple[list[int], list[int]]:
+    """The rows as ints, and the :func:`_more_than` masks of every order
+    a search under ``cfg`` steers at (below ``r_max``, or below the row
+    count)."""
+    bits = _ints(rows)
+    return bits, _more_than(bits, cfg.r_max or len(bits))
 
 
 def intersect_threshold(x: float, n_members: int) -> int:
@@ -452,9 +459,11 @@ class _Search:
     every member mask is an int, the family's own being ``full`` (its
     (1, w) row is ``mask``).
     ``more[j]`` masks the accounts holding more than j rows, for every j
-    a walk steers at (below ``r_max``, or below the row count); see
-    :meth:`branching`.  ``ints``, the pair (bits, more), may be passed in
-    when the caller has it: the outputs of one placement share its rows.
+    a walk steers at (below ``r_max``, or below the row count): a
+    conditional at a combination of j rows can branch when it holds a
+    member of ``more[j]``, since every member there holds those j rows.
+    ``ints``, the pair (bits, more), may be passed in when the caller has
+    it: the outputs of one placement share its rows (see :func:`_ints_of`).
     A witness query on a conditional of the whole family is answered from
     and kept in the family's memo, so searches and detection on one
     family share those answers; any other query (on an exclusion
@@ -468,7 +477,7 @@ class _Search:
         if not self.full:
             raise EmptyFamily("cannot search an empty ad family")
         self.rows = fam._rows
-        self.bits, self.more = (_ints(fam._rows), None) if ints is None else ints
+        self.bits, self.more = _ints_of(fam._rows, cfg) if ints is None else ints
         self.cfg = cfg
         self.trace = trace
         self.used = 0
@@ -538,14 +547,6 @@ class _Search:
         self.memo[c] = res
         self.log("contains", c, res)
         return res
-
-    def branching(self) -> list[int]:
-        """``more``, computed the first time: a conditional at a
-        combination of j rows can branch when it holds a member of
-        ``more[j]``, since every member there holds those j rows."""
-        if self.more is None:
-            self.more = _more_than(self.bits, self.cfg.r_max or len(self.bits))
-        return self.more
 
     def held(self, mask: int) -> list[int]:
         """Rows some member of ``mask`` holds, ascending."""
@@ -663,41 +664,62 @@ def _grow(s: _Search, steer: int) -> Step[tuple[int, ...] | None]:
     the containment test itself always runs against the whole family,
     where account support is maximal.
 
-    The walk is replayed from the memos (:func:`_replay`).  When it
-    reaches a test whose query they do not hold, :func:`_expand` asks
-    the queries under that combination and its siblings a depth per
-    block, and the walk is replayed again; a complete replay's tests are
-    then charged and logged in order.  Both read a node's needs from
-    :func:`_node`, so an expansion always asks the query the replay
-    missed.  An expansion under all of the root's children that finds no
-    positive at any depth proves the walk exhausted; without a trace or
-    a test budget nothing reads its charges, so it is not replayed.
+    The walk keeps one list of siblings per depth, each a :data:`_Node`
+    whose conditionals are its parent's AND the added row, and charges
+    and logs each test where it reaches it.  A test whose query the
+    memos lack first has :func:`_expand` ask the queries under that
+    combination and its siblings a depth per block; the test then reads
+    its answer through :meth:`_Search.ask`, which asks the query itself
+    if the expansion did not.  An expansion under all of the root's
+    children that finds no positive at any depth proves the walk
+    exhausted; without a trace or a test budget nothing reads the rest
+    of its charges, so the walk ends there.
     """
-    max_depth = s.cfg.r_max if s.cfg.r_max is not None else len(s.held(steer))
-    while True:
-        try:
-            hit, tests, tested, overrun = _replay(s, steer, max_depth)
-        except _Missing as missing:
-            level, depth, passed, memo, key = missing.args
-            exhausted = yield from _expand(s, max_depth, level, depth, passed)
-            if key not in memo:
-                raise RuntimeError(f"grow expansion left the missed query {key!r} unasked")
-            if exhausted and depth == 1 and s.trace is None and s.cfg.test_budget is None:
-                return None
+    cfg, bits = s.cfg, s.bits
+    max_depth = cfg.r_max if cfg.r_max is not None else len(s.held(steer))
+    quiet = s.trace is None and cfg.test_budget is None
+    seen: set[tuple[int, ...]] = set()
+    levels: list[list[_Node]] = [[((), s.full, steer)]]
+    at = [0]
+    while levels:
+        depth = len(levels) - 1
+        level = levels[depth]
+        if at[depth] == len(level):
+            levels.pop()
+            at.pop()
             continue
-        s.memo.update(tested)
-        if s.trace is not None:
-            for kind, c, outcome in tests:
-                s.trace.log(kind, c, outcome)
-        s.charge(len(tests) + overrun)  # an overrun's extra test raises
-        return hit
-
-
-class _Missing(Exception):
-    """A replayed walk reached a test whose query the memos do not hold:
-    the args are the combination's siblings, its depth, the tests the
-    replay passed before it, and the memo and key the query is kept
-    under."""
+        node = level[at[depth]]
+        at[depth] += 1
+        c, cond, sub = node
+        if c in seen:
+            continue
+        seen.add(c)
+        fresh, res, steering = _node(s, node, depth, max_depth)
+        if fresh:
+            s.charge()
+            if res is _UNASKED:
+                if (yield from _expand(s, max_depth, level, depth)) and depth == 1 and quiet:
+                    return None
+                res = (yield from s.ask(cond, c)) is None
+            s.memo[c] = res
+            s.log("contains", c, res)
+        if res is True:
+            return c
+        if steering is None:
+            continue
+        memo, key = steering
+        s.charge()
+        if key not in memo:
+            if (yield from _expand(s, max_depth, level, depth)) and depth == 1 and quiet:
+                return None
+        w = yield from s.ask(sub, c)
+        s.log("steer", None, None if w is None else list(w))
+        if w:
+            if len(w) > 1:
+                w = sorted(w, key=lambda k: (-(bits[k] & sub).bit_count(), k))
+            levels.append([(tuple(sorted(c + (k,))), cond & bits[k], sub & bits[k]) for k in w])
+            at.append(0)
+    return None
 
 
 #: A node of the grow walk: a combination, the whole family's
@@ -708,8 +730,8 @@ _Node = tuple[tuple[int, ...], int, int]
 _UNASKED = object()
 
 
-def _node(s: _Search, node: _Node, depth: int, max_depth: int,
-          more: list[int]) -> tuple[bool, "bool | None | object", tuple | None]:
+def _node(s: _Search, node: _Node, depth: int,
+          max_depth: int) -> tuple[bool, "bool | None | object", tuple | None]:
     """What the grow walk needs at ``node``, ``depth`` deep: whether its
     containment test is charged (it is not tested in this search yet),
     the test's result as far as the memos know it (None below
@@ -729,76 +751,15 @@ def _node(s: _Search, node: _Node, depth: int, max_depth: int,
         if res is not _UNASKED:
             res = res is None
     steer = None
-    if res is not True and depth < max_depth and sub & more[depth]:
+    if res is not True and depth < max_depth and sub & s.more[depth]:
         steer = (s.shared, c) if sub == cond else (s.local, (sub, c))
     return fresh, res, steer
 
 
-def _replay(s: _Search, steer: int, max_depth: int) -> tuple:
-    """The walk of :func:`_grow` read from the memos, uncharged: its hit
-    (or None), its charged tests in order as (kind, combination,
-    outcome), the containment results it adds, and whether it stopped at
-    a test the budget has no room for.  A test whose query the memos
-    lack raises :class:`_Missing`.
-
-    The walk keeps one list of siblings per depth, each a :data:`_Node`
-    whose conditionals are its parent's AND the added row.
-    """
-    bits, more = s.bits, s.branching()
-    room = math.inf if s.cfg.test_budget is None else s.cfg.test_budget - s.used
-    seen: set[tuple[int, ...]] = set()
-    tests: list = []
-    tested: dict[tuple[int, ...], bool | None] = {}
-    levels: list[list[_Node]] = [[((), s.full, steer)]]
-    at = [0]
-    depth = 0
-    while True:
-        level = levels[depth]
-        if at[depth] == len(level):
-            if not depth:
-                return None, tests, tested, False
-            levels.pop()
-            at.pop()
-            depth -= 1
-            continue
-        node = level[at[depth]]
-        at[depth] += 1
-        c, cond, sub = node
-        if c in seen:
-            continue
-        seen.add(c)
-        fresh, res, steering = _node(s, node, depth, max_depth, more)
-        if fresh:
-            if len(tests) >= room:
-                return None, tests, tested, True
-            if res is _UNASKED:
-                raise _Missing(level, depth, len(tests), s.shared, c)
-            tested[c] = res
-            tests.append(("contains", c, res))
-        if res is True:
-            return c, tests, tested, False
-        if steering is None:
-            continue
-        memo, key = steering
-        if len(tests) >= room:
-            return None, tests, tested, True
-        if key not in memo:
-            raise _Missing(level, depth, len(tests), memo, key)
-        w = memo[key]
-        tests.append(("steer", None, None if w is None else list(w)))
-        if w:
-            if len(w) > 1:
-                w = sorted(w, key=lambda k: (-(bits[k] & sub).bit_count(), k))
-            levels.append([(tuple(sorted(c + (k,))), cond & bits[k], sub & bits[k]) for k in w])
-            at.append(0)
-            depth += 1
-
-
-def _expand(s: _Search, max_depth: int, level: list[_Node], depth: int,
-            passed: int) -> Step[bool]:
+def _expand(s: _Search, max_depth: int, level: list[_Node], depth: int) -> Step[bool]:
     """Ask the queries of :func:`_grow`'s walk tree under the nodes
-    ``level`` at ``depth`` a depth at a time, uncharged and unlogged,
-    ``passed`` tests into a replay.
+    ``level`` at ``depth`` a depth at a time, uncharged and unlogged, when
+    the walk has just charged a test at one of them.
 
     The next depth holds the distinct extensions of the combinations of
     one depth by their steer witnesses.  A depth's block asks every query
@@ -806,12 +767,12 @@ def _expand(s: _Search, max_depth: int, level: list[_Node], depth: int,
     queries and steer queries, which on the first grow are one query.
     The expansion stops at the first depth holding a positive (the walk
     never goes past it on that path) and, under a test budget, once it
-    has asked more queries than the budget has tests left.  Returns True
-    when it ran out of depths instead: no combination under ``level``
-    passes the test.
+    has asked more queries than the budget has tests left, counting the
+    one just charged.  Returns True when it ran out of depths instead: no
+    combination under ``level`` passes the test.
     """
-    cfg, bits, shared, more = s.cfg, s.bits, s.shared, s.branching()
-    room = math.inf if cfg.test_budget is None else cfg.test_budget - s.used - passed
+    cfg, bits, shared = s.cfg, s.bits, s.shared
+    room = math.inf if cfg.test_budget is None else cfg.test_budget - s.used + 1
     asked = 0
     while level:
         asks: dict = {}
@@ -819,7 +780,7 @@ def _expand(s: _Search, max_depth: int, level: list[_Node], depth: int,
         positive = False
         for node in level:
             c, cond, sub = node
-            _, res, steering = _node(s, node, depth, max_depth, more)
+            _, res, steering = _node(s, node, depth, max_depth)
             if res is _UNASKED:
                 asks[c] = shared, cond, c
                 tested.append(c)
@@ -987,16 +948,13 @@ def core_family_verdicts(
         root = rows, masks[live], [()] * live.size, _thresholds(cfg.x, support[live])
         [roots] = _answer_stacked([root], cfg.l_max)
     found: list[_Found] = [(UNKNOWN, None, "below_min_members")] * len(masks)
-    searched, searches, ints = [], [], None
+    searched, searches, ints = [], [], _ints_of(rows, cfg)
     for k, w in zip(live.tolist(), roots):
         if w is None:
             found[k] = UNTARGETED, None, None
             continue
         fam = AdFamily._packed(rows, masks[k])
         fam._witnesses(cfg.x, cfg.l_max)[()] = w
-        if ints is None:
-            bits = _ints(rows)
-            ints = bits, _more_than(bits, cfg.r_max or len(bits))
         searched.append(k)
         searches.append(_predict(fam, cfg, method, None, ints))
     for k, res in zip(searched, _run_lockstep(searches, cfg.l_max)):

@@ -1299,6 +1299,41 @@ def test_depth_blocks_match_the_removal_oracle(monkeypatch):
     assert all(seen.values()), seen
 
 
+def test_the_walk_asks_what_no_expansion_asked(monkeypatch):
+    # with an expansion that asks nothing, the grow walk asks each of its
+    # queries itself when it reaches it: on the depth-block test's seeded
+    # families, the same trace, tests, result or partial as the
+    # member-list oracle, and batched verdicts equal to single-output ones
+    def idle(*args):
+        return False
+        yield
+
+    monkeypatch.setattr(core_family_search, "_expand", idle)
+    configs = [
+        dict(x=0.9, l_max=2, r_max=2, min_members=3),
+        dict(x=0.8, l_max=3, r_max=None, min_members=3),
+        dict(x=0.95, l_max=2, r_max=None, min_members=4),
+        dict(x=0.9, l_max=3, r_max=3, min_members=2),
+    ]
+    for seed, n, m in [(21, 8, 60), (24, 9, 150)]:
+        pm, actives = _trial_actives(seed, n, m, 4)
+        for opts in configs:
+            cfg = DetectionConfig(**opts)
+            for active in actives:
+                if len(active) == 0:
+                    continue
+                fam = AdFamily.from_placement(active, pm)
+                used = _search_outcome(removal_oracle, fam, cfg)[4]
+                for budget in [None, *range(1, used + 1, max(1, used // 4))]:
+                    budgeted = DetectionConfig(**opts, test_budget=budget)
+                    assert _search_outcome(
+                        removal_core_search, AdFamily.from_placement(active, pm), budgeted
+                    ) == _search_outcome(removal_oracle, fam, budgeted)
+            batched = core_family_verdicts(actives, pm, cfg, method="removal").predictions()
+            single = [predict_core_family(a, pm, cfg, method="removal") for a in actives]
+            assert [p.to_dict() for p in batched] == [p.to_dict() for p in single]
+
+
 def test_a_placement_packs_its_rows_once():
     # every family drawn from one placement reads its one read-only packing
     pm = bernoulli_placement(PlacementConfig(n_inputs=12, n_accounts=70, alpha=0.5, seed=8))
